@@ -30,7 +30,15 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .bitset import bits, k_subsets
-from .complexes import GF2, PrimeField, SimplicialComplex, boundary_rank, dual_alexander_complex, face_numbers
+from .complexes import (
+    GF2,
+    InducedHomology,
+    PrimeField,
+    SimplicialComplex,
+    boundary_rank,
+    dual_alexander_complex,
+    face_numbers,
+)
 from .errors import ValidationError
 from .matroid import Matroid
 
@@ -188,26 +196,6 @@ def _faces_within(V: SimplicialComplex, members: Sequence[int], k: int) -> list[
     return out
 
 
-def _homology_within(
-    V: SimplicialComplex, members: Sequence[int], degree: int, p: int
-) -> int:
-    """Reduced homology dimension of V restricted to ``members`` in one degree.
-
-    Identical to ``reduced_betti`` of the induced subcomplex, but works on
-    global masks directly so that the face cache of V is shared across the
-    whole sweep.
-    """
-    if degree < -1:
-        return 0
-    mid = _faces_within(V, members, degree + 1)
-    if not mid:
-        return 0
-    lo = _faces_within(V, members, degree)
-    hi = _faces_within(V, members, degree + 2)
-    msize = len(members)
-    return len(mid) - boundary_rank(mid, lo, msize, p) - boundary_rank(hi, mid, msize, p)
-
-
 def _unit_table(n: int, fine: bool) -> BettiTable:
     # The ideal generated by the empty-set monomial is the whole ring: one
     # generator in degree zero and nothing else.
@@ -225,7 +213,12 @@ def hochster_betti(
 
     The default sweep visits only multidegrees sigma with |sigma| = rank + i
     (the resolution is linear, and the tests verify that off-diagonal
-    homology vanishes). With ``exhaustive=True`` every pair (i, sigma) is
+    homology vanishes), all in degree rank - 2. The faces of sizes rank - 1
+    and rank of V are evaluated once each, through ``faces_of_size``, before
+    the first sigma: every set of size rank - 1 is a face, so that level is
+    taken whole, and the faces of size rank are the non-bases, looked up
+    per sigma in a set. ``InducedHomology`` then ranks each boundary map in
+    sigma-local coordinates. With ``exhaustive=True`` every pair (i, sigma) is
     swept and whatever is nonzero is recorded; on a matroid the result equals
     the diagonal sweep, and the exhaustive mode exists so the tests can check
     that rather than assume it.
@@ -263,11 +256,11 @@ def hochster_betti(
                     key = (i, sz)
                     coarse[key] = coarse.get(key, 0) + h
     else:
-        d = r - 2
+        homology = InducedHomology(V, r - 2, fld)
         for i in range(n - r + 1):
             total = 0
             for sigma in k_subsets(n, r + i):
-                h = _homology_within(V, tuple(bits(sigma)), d, p)
+                h = homology(sigma)
                 if h:
                     total += h
                     if fine:

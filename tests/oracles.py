@@ -3,9 +3,9 @@
 Everything here deliberately avoids the library's own computational routes:
 homology of the generator-subset (Taylor) complex over the rationals instead
 of induced-subcomplex homology over GF(p), a multi-index convolution instead
-of iterated polynomial products, and dense Fraction/dense GF(2) eliminations
-instead of the packed-integer pivoting in the package. Agreement between
-these and the library is therefore a genuine two-route check.
+of iterated polynomial products, and dense Fraction/GF(2)/GF(p) eliminations
+over lists instead of the packed-integer pivoting in the package. Agreement
+between these and the library is therefore a genuine two-route check.
 """
 
 from __future__ import annotations
@@ -64,6 +64,25 @@ def dense_gf2_rank(rows: list[list[int]]) -> int:
         rank += 1
         if pivot_row == len(mat):
             break
+    return rank
+
+
+def dense_modp_rank(columns: list[list[int]], p: int) -> int:
+    """Textbook GF(p) elimination over lists of residues (no lane packing):
+    pivot on the first nonzero entry of each column, clear it from the rest."""
+    mat = [[x % p for x in col] for col in columns]
+    rank = 0
+    for i, col in enumerate(mat):
+        lead = next((r for r, x in enumerate(col) if x), None)
+        if lead is None:
+            continue
+        rank += 1
+        inv = pow(col[lead], -1, p)
+        for other in mat[i + 1 :]:
+            f = other[lead] * inv % p
+            if f:
+                for r, x in enumerate(col):
+                    other[r] = (other[r] - f * x) % p
     return rank
 
 

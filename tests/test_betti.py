@@ -2,6 +2,7 @@
 the block product, the closed form for circuit unions, and its inversion."""
 
 from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 
@@ -11,6 +12,7 @@ from matroidbetti import (
     GF2,
     Matroid,
     PrimeField,
+    SimplicialComplex,
     ValidationError,
     betti,
     block_product_betti,
@@ -153,13 +155,36 @@ def test_exhaustive_sweep_equals_diagonal_sweep(m):
     assert fast.is_linear()
 
 
-@pytest.mark.parametrize("fld", [GF3, PrimeField(5)])
+@pytest.mark.parametrize(
+    "fld",
+    [GF3, PrimeField(5), PrimeField(7), PrimeField(13), PrimeField(17), PrimeField(2**61 - 1)],
+)
 def test_field_independence(fld):
     for m in [uniform(2, 4), two_triangles_matroid(), multi_uniform([(1, 2), (2, 3)])]:
         over_2 = hochster_betti(m, GF2, fine=True)
         over_p = hochster_betti(m, fld, fine=True)
         assert over_2.coarse == over_p.coarse
         assert over_2.fine == over_p.fine
+
+
+def test_sweep_reads_each_face_level_once(monkeypatch):
+    # The diagonal sweep needs at most the faces of sizes r - 2, r - 1 and r
+    # of the Alexander dual, and tests each such subset of the ground set
+    # once, not once per multidegree containing it.
+    calls = 0
+    is_face = SimplicialComplex.is_face
+
+    def counting(self, mask):
+        nonlocal calls
+        calls += 1
+        return is_face(self, mask)
+
+    monkeypatch.setattr(SimplicialComplex, "is_face", counting)
+    m = cycle_matroid(fixture("g1"))
+    assert (m.n, m.full_rank) == (14, 9)
+    table = hochster_betti(m)
+    assert table.global_ == (393, 1459, 2187, 1652, 628, 96)
+    assert calls <= comb(14, 7) + comb(14, 8) + comb(14, 9)
 
 
 # -- block product ---------------------------------------------------------------

@@ -4,6 +4,7 @@ exit codes, and byte determinism."""
 import io
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -128,6 +129,20 @@ def test_unrecognized_object_exits_1(capsys):
 def test_non_prime_field_exits_1(capsys):
     code, _, err = run(capsys, "betti", "--input", "g3", "--field", "4")
     assert code == 1
+
+
+def test_wide_prime_field_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "betti", "--input", "g3", "--field", str(2**61 - 1))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert "global: 41 92 70 18" in out
+
+
+def test_field_beyond_primality_test_exits_1(capsys):
+    code, _, err = run(capsys, "betti", "--input", "g3", "--field", "1" * 30)
+    assert code == 1
+    assert "error:" in err
 
 
 def test_non_matroid_bases_exit_2(capsys):

@@ -17,7 +17,15 @@ from matroidbetti import (
     uniform,
 )
 
-from oracles import dense_gf2_rank
+from matroidbetti.linalg import (
+    PRIME_TEST_BOUND,
+    is_prime,
+    lane_layout,
+    lane_width,
+    modp_rank,
+)
+
+from oracles import dense_gf2_rank, dense_modp_rank
 from util import graph_matroid, two_triangles
 
 GF3 = PrimeField(3)
@@ -38,6 +46,20 @@ def test_prime_field_validation():
     for bad in (0, 1, 4, 6, 9, -3):
         with pytest.raises(ValueError):
             PrimeField(bad)
+
+
+def test_primality_is_exact_and_bounded():
+    def trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert all(is_prime(n) == trial_division(n) for n in range(-3, 20000))
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+    # strong pseudoprimes to every prime base up to 31 and up to 37
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    for too_big in (PRIME_TEST_BOUND, 10**29 + 1, 2**127 - 1):
+        with pytest.raises(ValueError):
+            PrimeField(too_big)
 
 
 def test_faces_of_size_and_induced():
@@ -237,7 +259,7 @@ def test_boundary_rank_odd_characteristic_signs():
     path = from_facets(3, [(0, 1), (1, 2)])
     pcols = list(path.faces_of_size(2))
     prows = list(path.faces_of_size(1))
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, 17, 65537):
         assert boundary_rank(pcols, prows, 3, p) == 2
     # complete skeleta of the 5-simplex match the closed form over GF(3)
     for k in range(1, 6):
@@ -251,3 +273,54 @@ def test_face_numbers_of_uniform_dual_complex():
     fv = face_numbers(dual_alexander_complex(m))
     for k in range(7):
         assert fv.counts[k] == (comb(6, k) if k < 3 else 0)
+
+
+WIDE_PRIMES = (3, 5, 7, 13, 17, 101, 65537, 2**61 - 1)
+
+
+def pack(column, p):
+    width = lane_width(p)
+    return sum((x % p) << (i * width) for i, x in enumerate(column))
+
+
+def test_modp_rank_matches_dense_reference():
+    rng = random.Random(23)
+    for p in (2, *WIDE_PRIMES):
+        cases = [[], [[]], [[0, 0, 0]], [[p - 1]], [[1], [p - 1], [0]]]
+        for _ in range(30):
+            nrows = rng.randint(0, 9)
+            ncols = rng.randint(0, 9)
+            # small residues make dependencies likely; the rest are uniform
+            top = rng.choice((1, 2, p - 1))
+            cols = [[rng.randint(0, top) for _ in range(nrows)] for _ in range(ncols)]
+            if cols:
+                cols.append(list(cols[rng.randrange(len(cols))]))
+                cols.append([0] * nrows)
+                cols.append([p - 1] * nrows)
+                # a combination of two earlier columns
+                a, b = rng.choice(cols), rng.choice(cols)
+                f = rng.randrange(p)
+                cols.append([(x + f * y) % p for x, y in zip(a, b)])
+            rng.shuffle(cols)
+            cases.append(cols)
+        for cols in cases:
+            assert modp_rank([pack(c, p) for c in cols], p) == dense_modp_rank(cols, p)
+
+
+def test_lane_layout_leaves_no_carry():
+    for p in WIDE_PRIMES:
+        width, w, s, mult = lane_layout(p)
+        assert p * (p - 1) < 1 << w  # one elimination step fits in w bits
+        assert ((1 << w) - 1) * mult < 1 << width  # x * M stays in its lane
+        assert 0 <= mult * p - (1 << s) < p
+        assert (mult * p - (1 << s)) << w <= 1 << s  # Barrett is exact below 2^w
+        assert p < 1 << (width - s)  # the quotient fits above the shift
+        # the reduction of whole columns, lanes at their extremes
+        values = [0, 1, p - 1, p, p + 1, p * (p - 1), (1 << w) - 1] * 3
+        x = sum(v << (i * width) for i, v in enumerate(values))
+        ones = sum(1 << (i * width) for i in range(len(values)))
+        qmask = ((1 << (width - s)) - 1) * ones
+        reduced = x - p * (((x * mult) >> s) & qmask)
+        lanes = [(reduced >> (i * width)) & ((1 << width) - 1) for i in range(len(values))]
+        assert lanes == [v % p for v in values]
+        assert reduced >> (len(values) * width) == 0
