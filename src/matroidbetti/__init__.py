@@ -27,7 +27,7 @@ from .betti import (
     invert_cactus_betti,
     resolve_algorithm,
 )
-from .bitset import bits, complement, k_subsets, k_subsets_of, mask_of
+from .bitset import bits, k_subsets, mask_of
 from .complexes import (
     GF2,
     FVector,
@@ -57,7 +57,6 @@ from .matroid import (
     uniform,
 )
 from .weights import (
-    CircuitFamily,
     WeightHierarchy,
     block_weights,
     cactus_weights,
@@ -74,7 +73,6 @@ __all__ = [
     "Block",
     "BlockPartition",
     "CactusCertificate",
-    "CircuitFamily",
     "CycleProfile",
     "FVector",
     "GF2",
@@ -91,7 +89,6 @@ __all__ = [
     "boundary_rank",
     "cactus_betti",
     "cactus_weights",
-    "complement",
     "cycle_matroid",
     "degree_of_nonredundancy",
     "direct_sum",
@@ -107,7 +104,6 @@ __all__ = [
     "is_cactus",
     "is_nonredundant",
     "k_subsets",
-    "k_subsets_of",
     "mask_of",
     "multi_uniform",
     "random_cactus",

@@ -40,7 +40,7 @@ from .complexes import (
     face_numbers,
 )
 from .errors import ValidationError
-from .matroid import Matroid
+from .matroid import BlockPartition, Matroid
 
 
 def _comb0(n: int, k: int) -> int:
@@ -228,11 +228,7 @@ def hochster_betti(
         return _unit_table(n, fine)
     # Greedy probe: a sane rank oracle always yields a basis; a broken one
     # would make the ideal zero and the sweep meaningless.
-    probe = 0
-    for e in range(n):
-        if m.rank(probe | (1 << e)) > m.rank(probe):
-            probe |= 1 << e
-    if m.rank(probe) != r:
+    if m.rank(m.greedy_basis()) != r:
         raise ValidationError("zero ideal: the rank oracle admits no basis")
     V = dual_alexander_complex(m)
     p = fld.p
@@ -331,6 +327,32 @@ def cactus_betti(profile: CycleProfile | Iterable[int]) -> BettiTable:
     return BettiTable(rank, n, coarse, tuple(beta), None)
 
 
+def _shift_nonnegative(poly: list[int], x: int) -> bool:
+    """True when every coefficient of poly(x + Y) is >= 0, where ``poly`` is
+    little-endian and monic. Taylor shift by repeated synthetic division:
+    pass i fixes the coefficient of Y^i."""
+    c = list(poly)
+    deg = len(c) - 1
+    for i in range(deg):
+        for k in range(deg - 1, i - 1, -1):
+            c[k] += x * c[k + 1]
+        if c[i] < 0:
+            return False
+    return True
+
+
+def _divide_out(coeffs: list[int], root: int) -> list[int] | None:
+    """Quotient of a little-endian polynomial by (X - root), or None when
+    the remainder is not zero."""
+    deg = len(coeffs) - 1
+    out = [0] * deg
+    carry = coeffs[deg]
+    for k in range(deg - 1, -1, -1):
+        out[k] = carry
+        carry = coeffs[k] + root * carry
+    return out if carry == 0 else None
+
+
 def invert_cactus_betti(global_betti: Iterable[int], loops: int) -> CycleProfile:
     """Recover the cycle lengths of a cactus from its global Betti vector.
 
@@ -342,9 +364,12 @@ def invert_cactus_betti(global_betti: Iterable[int], loops: int) -> CycleProfile
         sigma_{t-i} = (-1)^i ( beta_i - sum_{j<i} (-1)^j C(t-j, i-j) sigma_{t-j} ),
 
     and the lengths are the integer roots of
-    X^t - sigma_1 X^{t-1} + ... + (-1)^t sigma_t, extracted by trial division
-    over the divisors of sigma_t. Any failure along the way (a non-positive
-    sigma, sigma_0 != 1, or a root that is not a positive integer) raises
+    P(X) = X^t - sigma_1 X^{t-1} + ... + (-1)^t sigma_t. They are found
+    largest first, each by bisection on [1, sigma_1]: when P splits over the
+    reals, P(x + Y) has no negative coefficient exactly when x is at least
+    its largest root, and the least such x is checked to be a root and
+    divided out. Any failure along the way (a non-positive sigma,
+    sigma_0 != 1, or a root that is not a positive integer) raises
     ValidationError: the vector is not a cactus Betti vector.
     """
     vals = [int(v) for v in global_betti]
@@ -375,40 +400,28 @@ def invert_cactus_betti(global_betti: Iterable[int], loops: int) -> CycleProfile
         raise ValidationError(f"not a cactus Betti vector: sigma_0 = {sig[0]}")
 
     # Monic polynomial with the sigmas as signed coefficients, little-endian:
-    # coeff of X^k is (-1)^(t-k) sigma_{t-k}.
+    # coeff of X^k is (-1)^(t-k) sigma_{t-k}. Its roots are the lengths.
     poly = [((-1) ** (t - k)) * sig[t - k] for k in range(t + 1)]
-    product = sig[t]
-    found = set()
-    d = 1
-    while d * d <= product:
-        if product % d == 0:
-            found.add(d)
-            found.add(product // d)
-        d += 1
-    divisors = sorted(found)
     roots: list[int] = []
-
-    def divide_out(coeffs: list[int], root: int) -> list[int] | None:
-        # Synthetic division by (X - root); returns the quotient when the
-        # remainder is zero.
-        deg = len(coeffs) - 1
-        out = [0] * deg
-        carry = coeffs[deg]
-        for k in range(deg - 1, -1, -1):
-            out[k] = carry
-            carry = coeffs[k] + root * carry
-        if carry != 0:
-            return None
-        return out
-
-    for d in divisors:
-        while len(poly) > 1:
-            quotient = divide_out(poly, d)
-            if quotient is None:
-                break
-            roots.append(d)
-            poly = quotient
-    if len(poly) != 1 or poly[0] != 1 or len(roots) != t:
+    hi = sig[1] if t else 0  # positive roots summing to sigma_1 are <= sigma_1
+    while len(poly) > 1:
+        # The least x >= 1 at which poly(x + Y) has no negative coefficient
+        # is the largest root when that root is a positive integer.
+        if not _shift_nonnegative(poly, hi):
+            break
+        lo = 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _shift_nonnegative(poly, mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        quotient = _divide_out(poly, hi)
+        if quotient is None:
+            break
+        roots.append(hi)
+        poly = quotient
+    if len(poly) != 1:
         raise ValidationError(
             "not a cactus Betti vector: the length polynomial does not split "
             "over the positive integers"
@@ -419,27 +432,19 @@ def invert_cactus_betti(global_betti: Iterable[int], loops: int) -> CycleProfile
 # -- dispatcher ---------------------------------------------------------------
 
 
-def _cactus_profile(m: Matroid) -> tuple[list[int], int] | None:
-    """Cycle lengths and coloop count when every block of ``m`` is a circuit,
-    a loop or a single coloop; None otherwise."""
+def _cactus_profile(part: BlockPartition) -> tuple[list[int], int] | None:
+    """Cycle lengths and coloop count when every block is a circuit, a loop
+    or a single coloop; None otherwise."""
     lengths: list[int] = []
     coloops = 0
-    for block in m.blocks().blocks:
-        bm = block.matroid
-        k = bm.n
-        if k == 1:
-            if bm.full_rank == 0:
-                lengths.append(1)  # a loop is a cycle of length 1
-            else:
-                coloops += 1
-            continue
-        full = bm.full_mask
-        if bm.rank(full) == k - 1 and all(
-            bm.rank(full ^ (1 << e)) == k - 1 for e in range(k)
-        ):
-            lengths.append(k)
-        else:
+    for block in part.blocks:
+        kind = block.kind
+        if kind == "general":
             return None
+        if kind == "coloop":
+            coloops += 1
+        else:
+            lengths.append(block.matroid.n)  # a loop is a cycle of length 1
     return lengths, coloops
 
 
@@ -462,9 +467,10 @@ def resolve_algorithm(m: Matroid, algorithm: str = "auto", *, fine: bool = False
         return algorithm
     if fine:
         return "hochster"
-    if len(m.blocks().blocks) >= 2:
+    part = m.blocks()
+    if len(part.blocks) >= 2:
         return "blocks"
-    if _cactus_profile(m) is not None:
+    if _cactus_profile(part) is not None:
         return "cactus"
     return "hochster"
 
@@ -493,7 +499,7 @@ def betti(
     if algorithm == "blocks":
         tables = [hochster_betti(b.matroid, fld) for b in m.blocks().blocks]
         return block_product_betti(tables)
-    info = _cactus_profile(m)
+    info = _cactus_profile(m.blocks())
     if info is None:
         raise ValidationError(
             "cactus algorithm requires every block to be a circuit, a loop "

@@ -9,7 +9,6 @@ helpers return masks in ascending numeric order, which fixes a deterministic
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Iterator
 
 MAX_GROUND = 64
@@ -44,10 +43,6 @@ def mask_of(elements: Iterable[int]) -> int:
     return m
 
 
-def complement(mask: int, n: int) -> int:
-    return ((1 << n) - 1) ^ mask
-
-
 def k_subsets(n: int, k: int) -> list[int]:
     """All k-element subsets of ``range(n)``, ascending as integers.
 
@@ -68,19 +63,3 @@ def k_subsets(n: int, k: int) -> list[int]:
         v = w | (((v ^ w) >> 2) // u)
     return out
 
-
-def k_subsets_of(mask: int, k: int) -> list[int]:
-    """All k-element subsets of the set bits of ``mask``, ascending as integers."""
-    members = list(bits(mask))
-    if k < 0 or k > len(members):
-        return []
-    if k == 0:
-        return [0]
-    out = []
-    for combo in combinations(members, k):
-        m = 0
-        for e in combo:
-            m |= 1 << e
-        out.append(m)
-    out.sort()
-    return out

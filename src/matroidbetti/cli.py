@@ -167,7 +167,7 @@ def _betti_routes(
         routes["hochster"] = betti(m, "hochster", fld)
     if "blocks" not in routes:
         routes["blocks"] = betti(m, "blocks", fld)
-    if "cactus" not in routes and _cactus_profile(m) is not None:
+    if "cactus" not in routes and _cactus_profile(m.blocks()) is not None:
         routes["cactus"] = betti(m, "cactus", fld)
     return routes
 
@@ -186,10 +186,9 @@ def _check_betti_agreement(routes: dict[str, BettiTable]) -> list[str]:
 
 def _weights_routes(m: Matroid, primary: WeightHierarchy) -> dict[str, WeightHierarchy]:
     routes = {"sweep": primary, "circuits": weights_via_circuits(m)}
-    routes["blocks"] = block_weights(
-        weight_hierarchy(b.matroid) for b in m.blocks().blocks
-    )
-    info = _cactus_profile(m)
+    part = m.blocks()
+    routes["blocks"] = block_weights(weight_hierarchy(b.matroid) for b in part.blocks)
+    info = _cactus_profile(part)
     if info is not None:
         routes["cactus"] = cactus_weights(info[0])
     return routes
@@ -278,18 +277,6 @@ def _cmd_weights(args: argparse.Namespace) -> int:
     return 0
 
 
-def _block_kind(bm: Matroid) -> str:
-    k = bm.n
-    if k == 1:
-        return "loop" if bm.full_rank == 0 else "coloop"
-    full = bm.full_mask
-    if bm.rank(full) == k - 1 and all(
-        bm.rank(full ^ (1 << e)) == k - 1 for e in range(k)
-    ):
-        return "circuit"
-    return "general"
-
-
 def _cmd_blocks(args: argparse.Namespace) -> int:
     m, _, label = _parse_input(args.input)
     part = m.blocks()
@@ -300,7 +287,7 @@ def _cmd_blocks(args: argparse.Namespace) -> int:
                 "elements": _elements(block.members),
                 "size": block.matroid.n,
                 "rank": block.matroid.full_rank,
-                "kind": _block_kind(block.matroid),
+                "kind": block.kind,
             }
         )
     payload = {"command": "blocks", "source": label, "count": len(rows), "blocks": rows}

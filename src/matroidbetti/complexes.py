@@ -94,22 +94,6 @@ class SimplicialComplex:
             self._by_size[k] = got
         return got
 
-    def induced(self, sigma: int) -> "SimplicialComplex":
-        """The induced subcomplex on the vertex subset ``sigma``, relabelled.
-
-        ``labels`` on the result maps new vertex indices to old ones.
-        """
-        check_subset(sigma, self.n)
-        members = tuple(bits(sigma))
-
-        def oracle(sub: int) -> bool:
-            m = 0
-            for i in bits(sub):
-                m |= 1 << members[i]
-            return self.is_face(m)
-
-        return SimplicialComplex(len(members), oracle, labels=members)
-
 
 @dataclass(frozen=True)
 class FVector:
@@ -138,18 +122,14 @@ def dual_alexander_complex(m) -> SimplicialComplex:
     """The Alexander dual of the dual matroid of ``m``, as a complex on E.
 
     A subset sigma is a face exactly when its complement is dependent in the
-    dual matroid. The minimal non-faces are precisely the bases of ``m``, so
-    this is the complex whose Stanley-Reisner ideal is generated by the basis
-    monomials of ``m``.
+    dual matroid. Since rank*(E - sigma) = |E - sigma| + rank(sigma) - rank(E),
+    that holds exactly when sigma does not span, so the faces are read off the
+    rank oracle of ``m`` itself. The minimal non-faces are precisely the bases
+    of ``m``, so this is the complex whose Stanley-Reisner ideal is generated
+    by the basis monomials of ``m``.
     """
-    mstar = m.dual()
-    full = m.full_mask
-
-    def oracle(sigma: int) -> bool:
-        co = full ^ sigma
-        return mstar.rank(co) < co.bit_count()
-
-    return SimplicialComplex(m.n, oracle)
+    r = m.full_rank
+    return SimplicialComplex(m.n, lambda sigma: m.rank(sigma) < r)
 
 
 def _rank(columns: list[int], p: int) -> int:

@@ -9,10 +9,8 @@ is indexed by edge positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
-
 import random
+from dataclasses import dataclass
 
 from .betti import CycleProfile
 from .bitset import bits
@@ -191,26 +189,17 @@ def is_cactus(graph: Graph) -> CactusCertificate:
             f"graph is not connected: vertices {[v + 1 for v in missing]} are "
             "unreachable from vertex 1"
         )
-    m = cycle_matroid(graph)
     cycles: list[int] = []
     bridges: list[int] = []
     offending: list[int] = []
-    for block in m.blocks().blocks:
-        bm = block.matroid
-        k = bm.n
-        if k == 1:
-            if bm.full_rank == 0:
-                cycles.append(block.members)  # a self-loop
-            else:
-                bridges.append(block.members)
-            continue
-        full = bm.full_mask
-        if bm.rank(full) == k - 1 and all(
-            bm.rank(full ^ (1 << e)) == k - 1 for e in range(k)
-        ):
-            cycles.append(block.members)
-        else:
+    for block in cycle_matroid(graph).blocks().blocks:
+        kind = block.kind
+        if kind == "coloop":
+            bridges.append(block.members)
+        elif kind == "general":
             offending.append(block.members)
+        else:
+            cycles.append(block.members)  # a circuit, or a self-loop
     return CactusCertificate(
         is_cactus=not offending,
         cycles=tuple(cycles),

@@ -1,21 +1,26 @@
 """Matroids on a ground set of at most 64 elements, given by rank oracles.
 
 A matroid is stored as its rank function on subsets (bit masks). Bases,
-circuits and blocks are derived from the oracle by enumeration, so every
-constructor gets identical treatment and derived data always agrees with the
-oracle. Instances are immutable; rank values, bases and circuits are cached
-on first use.
+circuits and blocks are derived from the oracle, so every constructor gets
+identical treatment and derived data always agrees with the oracle.
+Instances are immutable; rank values, bases and circuits are cached on first
+use.
 
-The block decomposition uses the classical connectivity relation: two
-elements are related when some circuit contains both, and blocks are the
-connected components of that relation (elements lying in no circuit form
-singleton blocks).
+Blocks are the classes of the connectivity relation: two elements are
+related when some circuit contains both. They are found without listing the
+circuits. Fix one basis B; for e outside B the fundamental circuit of e is e
+together with every b in B for which B - b + e is again a basis. The blocks
+of the matroid are the connected components of the graph that joins each
+such e to those b (the fundamental graph), so about n + (n - r) * r rank
+evaluations decide them. Loops and coloops lie on no edge of that graph and
+come out as singleton blocks. ``Block.kind`` names what a block is: a loop,
+a coloop, a circuit, or none of these.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .bitset import bits, check_ground, check_subset, k_subsets, mask_of
 from .errors import ValidationError
@@ -76,6 +81,16 @@ class Matroid:
 
     # -- derived data ------------------------------------------------------
 
+    def greedy_basis(self) -> int:
+        """The basis found by scanning the elements in order and keeping each
+        one that raises the rank of those kept so far. On an oracle that is
+        not a matroid rank function the result may fall short of full_rank."""
+        basis = 0
+        for e in range(self.n):
+            if self.rank(basis | (1 << e)) > self.rank(basis):
+                basis |= 1 << e
+        return basis
+
     def bases(self) -> tuple[int, ...]:
         """All maximal independent sets, ascending by bit-vector value."""
         if self._bases is None:
@@ -133,10 +148,12 @@ class Matroid:
     def blocks(self) -> "BlockPartition":
         """Partition of the ground set into connectivity blocks.
 
-        Elements e and f land in the same block exactly when e == f or some
-        circuit contains both; computed by a union-find over the circuits.
-        Blocks are ordered by their smallest element and carry their
-        restricted matroid.
+        Elements e and f share a block exactly when e == f or some circuit
+        contains both. With B the greedy basis, each e outside B is joined to
+        every b in B for which B - b + e is a basis, and the blocks are the
+        union-find components of these joins (the components of the
+        fundamental graph of B). Blocks are ordered by their smallest element
+        and carry their restricted matroid.
         """
         parent = list(range(self.n))
 
@@ -146,15 +163,14 @@ class Matroid:
                 x = parent[x]
             return x
 
-        for c in self.circuits():
-            first = None
-            for e in bits(c):
-                if first is None:
-                    first = e
-                    continue
-                ra, rb = find(first), find(e)
-                if ra != rb:
-                    parent[rb] = ra
+        basis = self.greedy_basis()
+        r = basis.bit_count()
+        for e in bits(self.full_mask ^ basis):
+            for b in bits(basis):
+                if self.rank((basis ^ (1 << b)) | (1 << e)) == r:
+                    ra, rb = find(e), find(b)
+                    if ra != rb:
+                        parent[rb] = ra
         groups: dict[int, int] = {}
         for e in range(self.n):
             root = find(e)
@@ -174,6 +190,25 @@ class Block:
 
     members: int
     matroid: Matroid
+
+    @property
+    def kind(self) -> str:
+        """"loop", "coloop", "circuit" or "general".
+
+        A single element is a loop or a coloop by its rank. A block of k >= 2
+        elements is a circuit when it has rank k - 1 and every deletion of
+        one element still has rank k - 1 (so it is independent).
+        """
+        bm = self.matroid
+        k = bm.n
+        if k == 1:
+            return "loop" if bm.full_rank == 0 else "coloop"
+        full = bm.full_mask
+        if bm.rank(full) == k - 1 and all(
+            bm.rank(full ^ (1 << e)) == k - 1 for e in range(k)
+        ):
+            return "circuit"
+        return "general"
 
 
 @dataclass(frozen=True)

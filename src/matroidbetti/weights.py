@@ -56,23 +56,6 @@ class WeightHierarchy:
         return self.weights[i]
 
 
-@dataclass(frozen=True)
-class CircuitFamily:
-    """An ordered family of circuits given as bit masks."""
-
-    circuits: tuple[int, ...]
-
-    @property
-    def union(self) -> int:
-        u = 0
-        for c in self.circuits:
-            u |= c
-        return u
-
-    def is_nonredundant(self) -> bool:
-        return is_nonredundant(self.circuits)
-
-
 def is_nonredundant(circuit_masks: Sequence[int]) -> bool:
     """True when every circuit keeps an element outside the others' union."""
     k = len(circuit_masks)

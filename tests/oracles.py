@@ -4,14 +4,18 @@ Everything here deliberately avoids the library's own computational routes:
 homology of the generator-subset (Taylor) complex over the rationals instead
 of induced-subcomplex homology over GF(p), a multi-index convolution instead
 of iterated polynomial products, and dense Fraction/GF(2)/GF(p) eliminations
-over lists instead of the packed-integer pivoting in the package. Agreement
-between these and the library is therefore a genuine two-route check.
+over lists instead of the packed-integer pivoting in the package, and blocks
+from a union-find over every circuit instead of over the fundamental circuits
+of one basis. Agreement between these and the library is therefore a genuine
+two-route check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+
+from matroidbetti import Matroid, SimplicialComplex, bits
 
 
 def fraction_rank(rows: list[list[Fraction]]) -> int:
@@ -186,3 +190,34 @@ def minplus_naive(parts: list[list[int]]) -> list[int]:
         if best[i] is None or total < best[i]:
             best[i] = total
     return [b for b in best[1:]]
+
+
+def circuit_blocks(m: Matroid) -> tuple[int, ...]:
+    """Block masks of ``m``, ordered by smallest element, from the defining
+    relation: e and f share a block when some circuit contains both."""
+    parent = list(range(m.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for c in m.circuits():
+        first = (c & -c).bit_length() - 1
+        for e in bits(c):
+            parent[find(e)] = find(first)
+    groups: dict[int, int] = {}
+    for e in range(m.n):
+        groups[find(e)] = groups.get(find(e), 0) | (1 << e)
+    return tuple(sorted(groups.values(), key=lambda g: g & -g))
+
+
+def induced(c: SimplicialComplex, sigma: int) -> SimplicialComplex:
+    """The induced subcomplex of ``c`` on the vertex subset ``sigma``,
+    relabelled to 0..|sigma|-1; ``labels`` maps new vertices to old ones."""
+    members = tuple(bits(sigma))
+
+    def oracle(sub: int) -> bool:
+        return c.is_face(sum(1 << members[i] for i in bits(sub)))
+
+    return SimplicialComplex(len(members), oracle, labels=members)

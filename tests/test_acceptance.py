@@ -33,7 +33,7 @@ from matroidbetti import (
     weight_hierarchy,
 )
 
-from oracles import convolve_naive
+from oracles import convolve_naive, induced
 from util import SEED, multiblock_suite
 
 GF3 = PrimeField(3)
@@ -197,7 +197,7 @@ def test_criterion_10_linearity_and_field_independence(suite_tables):
                 degree = size - i - 2
                 if degree < -1 or degree > size - 1:
                     continue
-                assert reduced_betti(V.induced(sigma), degree) == 0, (
+                assert reduced_betti(induced(V, sigma), degree) == 0, (
                     m.n,
                     bin(sigma),
                     i,

@@ -1,6 +1,8 @@
 """Betti tables: the homology sweep against an independent resolution oracle,
 the block product, the closed form for circuit unions, and its inversion."""
 
+import random
+import time
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -288,6 +290,25 @@ def test_invert_named_examples():
     assert invert_cactus_betti((3, 2, 0), 1).lengths == (1, 3)
     with pytest.raises(ValidationError, match="not a cactus Betti vector"):
         invert_cactus_betti((9, 13, 4), 0)
+
+
+@pytest.mark.parametrize("lengths", [(1009,) * 6, (10**12, 10**12 + 7)])
+def test_invert_large_lengths_is_fast(lengths):
+    beta = cactus_betti(lengths).global_
+    start = time.perf_counter()
+    assert invert_cactus_betti(beta, 0).lengths == lengths
+    assert time.perf_counter() - start < 1.0
+
+
+def test_invert_roundtrip_seeded_profiles():
+    rng = random.Random(1207)
+    for _ in range(300):
+        lengths = [
+            rng.choice((1, 2, 3, rng.randint(2, 50), rng.randint(2, 10**9)))
+            for _ in range(rng.randint(1, 7))
+        ]
+        p = CycleProfile(lengths)
+        assert invert_cactus_betti(cactus_betti(p).global_, p.loops) == p, lengths
 
 
 def test_invert_roundtrip_small_profiles():

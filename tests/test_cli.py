@@ -211,6 +211,33 @@ def test_blocks_command(capsys):
     assert "block 0: elements 0,1,2 (size 3, rank 2, circuit)" in out
 
 
+def test_blocks_command_names_every_kind(capsys):
+    # a loop, a bridge, a triangle and a K4, in that edge order
+    graph = (
+        '{"vertices": 7, "edges": [[7,7],[6,7],[4,5],[5,6],[6,4],'
+        "[1,2],[1,3],[1,4],[2,3],[2,4],[3,4]]}"
+    )
+    code, out, _ = run(capsys, "blocks", "--input", graph)
+    assert code == 0
+    assert out.splitlines() == [
+        "source: inline input",
+        "elements: 11",
+        "blocks: 4",
+        "block 0: elements 0 (size 1, rank 0, loop)",
+        "block 1: elements 1 (size 1, rank 1, coloop)",
+        "block 2: elements 2,3,4 (size 3, rank 2, circuit)",
+        "block 3: elements 5,6,7,8,9,10 (size 6, rank 3, general)",
+    ]
+    code, data, _ = run_json(capsys, "blocks", "--input", graph)
+    assert code == 0
+    assert [row["kind"] for row in data["blocks"]] == [
+        "loop",
+        "coloop",
+        "circuit",
+        "general",
+    ]
+
+
 def test_cactus_command_positive(capsys):
     code, data, _ = run_json(capsys, "cactus", "--input", TWO_TRIANGLES_JSON)
     assert code == 0

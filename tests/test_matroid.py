@@ -8,14 +8,25 @@ import pytest
 from matroidbetti import (
     Matroid,
     ValidationError,
+    bits,
+    cycle_matroid,
     direct_sum,
+    fixture,
     from_bases,
     mask_of,
     multi_uniform,
+    resolve_algorithm,
     uniform,
 )
 
-from util import assert_rank_axioms, graph_matroid, multiblock_suite, two_triangles
+from oracles import circuit_blocks
+from util import (
+    SEED,
+    assert_rank_axioms,
+    graph_matroid,
+    multiblock_suite,
+    two_triangles,
+)
 
 
 def test_uniform_basics():
@@ -140,6 +151,73 @@ def test_blocks_cover_ground_set():
             assert union & b.members == 0
             union |= b.members
         assert union == m.full_mask
+
+
+def _random_graph_matroid(rng: random.Random) -> Matroid:
+    """A seeded multigraph of up to 9 edges with loops, parallel edges and,
+    being sparse, usually some bridges."""
+    vertices = rng.randint(1, 6)
+    edges: list[tuple[int, int]] = []
+    for _ in range(rng.randint(0, 9)):
+        roll = rng.random()
+        if roll < 0.15:
+            u = rng.randrange(vertices)
+            edges.append((u, u))
+        elif roll < 0.3 and edges:
+            edges.append(rng.choice(edges))
+        else:
+            edges.append((rng.randrange(vertices), rng.randrange(vertices)))
+    return graph_matroid(vertices, edges)
+
+
+def test_blocks_match_the_circuit_relation():
+    # Blocks from one basis's fundamental circuits against the defining
+    # relation (a union-find over every circuit).
+    rng = random.Random(SEED + 41)
+    cases = [uniform(0, 0), uniform(0, 4), uniform(4, 4), uniform(1, 1), uniform(0, 1)]
+    cases += [_random_graph_matroid(rng) for _ in range(120)]
+    for _ in range(30):
+        sizes = rng.choices(range(1, 5), k=rng.randint(1, 3))
+        cases.append(multi_uniform([(rng.randint(0, k), k) for k in sizes]))
+    cases += multiblock_suite()
+    cases += [from_bases(m.n, [list(bits(b)) for b in m.bases()]) for m in cases[::7]]
+    for m in cases:
+        part = m.blocks()
+        assert part.masks() == circuit_blocks(m), (m.provenance, m.n)
+        for block in part.blocks:
+            assert block.matroid.labels == tuple(bits(block.members))
+
+
+def test_blocks_and_resolve_never_list_circuits(monkeypatch):
+    # g1 is one block of 14 edges; listing its circuits takes 15,914 rank
+    # evaluations, the fundamental circuits of one basis fewer than 100.
+    g1 = cycle_matroid(fixture("g1"))
+    evaluated = []
+
+    def oracle(sigma: int) -> int:
+        evaluated.append(sigma)
+        return g1.rank(sigma)
+
+    m = Matroid(g1.n, oracle)
+
+    def refuse(self):
+        raise AssertionError("circuits() must not be called")
+
+    monkeypatch.setattr(Matroid, "circuits", refuse)
+    assert m.blocks().masks() == (m.full_mask,)
+    assert resolve_algorithm(m) == "hochster"
+    assert len(evaluated) <= 100
+
+
+def test_block_kinds():
+    # a loop, a bridge, a triangle and a K4, in that edge order
+    k4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    m = graph_matroid(7, ((6, 6), (5, 6), (3, 4), (4, 5), (5, 3)) + k4)
+    part = m.blocks()
+    assert part.masks() == (0b1, 0b10, 0b11100, 0b11111100000)
+    assert [b.kind for b in part.blocks] == ["loop", "coloop", "circuit", "general"]
+    assert [b.kind for b in uniform(1, 2).blocks().blocks] == ["circuit"]
+    assert [b.kind for b in uniform(2, 4).blocks().blocks] == ["general"]
 
 
 def test_direct_sum_ranks_add():

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from matroidbetti import (
-    CircuitFamily,
     ValidationError,
     WeightHierarchy,
     block_weights,
@@ -70,13 +69,6 @@ def test_nonredundancy_basics():
     # Order does not matter.
     fam = [mask_of((0, 1, 2)), mask_of((2, 3, 4)), mask_of((4, 5, 0))]
     assert is_nonredundant(fam) == is_nonredundant(fam[::-1])
-
-
-def test_circuit_family_wrapper():
-    fam = CircuitFamily((mask_of((0, 1, 2)), mask_of((2, 3, 4))))
-    assert fam.union == mask_of((0, 1, 2, 3, 4))
-    assert fam.is_nonredundant()
-    assert not CircuitFamily((3, 3)).is_nonredundant()
 
 
 # -- degree of non-redundancy == nullity ------------------------------------------
