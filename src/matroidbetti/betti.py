@@ -25,21 +25,23 @@ number of loops, the multiset of cycle lengths is recovered exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, count
 from math import comb
-from typing import Iterable, Sequence
+from operator import lshift
+from typing import Callable, Iterable, Sequence
 
 from .bitset import bits, k_subsets
 from .complexes import (
     GF2,
-    InducedHomology,
     PrimeField,
     SimplicialComplex,
+    _rank,
     boundary_rank,
     dual_alexander_complex,
     face_numbers,
 )
 from .errors import ValidationError
+from .linalg import lane_width
 from .matroid import BlockPartition, Matroid
 
 
@@ -202,6 +204,53 @@ def _unit_table(n: int, fine: bool) -> BettiTable:
     return BettiTable(0, n, {(0, 0): 1}, (1,), {(0, 0): 1} if fine else None)
 
 
+def _relative_homology(m: Matroid, fld: PrimeField) -> Callable[[int], int]:
+    """sigma -> dim H~_{r-2}(V|sigma) over GF(p), for |sigma| >= r, as the
+    number of bases inside sigma minus the rank of the boundary from the
+    spanning (r + 1)-subsets of sigma onto them (see ``hochster_betti``).
+
+    The bases are listed once (C(n, r) rank evaluations), and each spanning
+    (r + 1)-set is stored with the bases among its facets and their signs.
+    Per sigma, rows are numbered in the order the bases first appear among
+    the columns' facets, so a matrix has at most #bases(sigma) rows; every
+    basis of sigma appears, because adding any other element of sigma to it
+    spans. Packed columns are never kept across sigma.
+    """
+    n, r, p = m.n, m.full_rank, fld.p
+    bases = m.bases()
+    if len(bases) == comb(n, r):
+        # Every r-subset is a basis: the pair is (simplex, its (r-2)-skeleton).
+        return lambda sigma: comb(sigma.bit_count() - 1, r - 1)
+    is_basis = frozenset(bases)
+    width = lane_width(p)
+    sign = (1, p - 1)
+    # T - e carries the sign (-1)^t when e is the t-th smallest element of T.
+    facets: dict[int, tuple[list[int], list[int]]] = {}
+    for b in bases:
+        for e in bits(m.full_mask ^ b):
+            t = b | (1 << e)
+            rows, signs = facets.setdefault(t, ([], []))
+            rows.append(b)
+            signs.append(sign[(t & ((1 << e) - 1)).bit_count() & 1])
+
+    def homology(sigma: int) -> int:
+        s = sigma.bit_count()
+        if s == r:
+            return int(sigma in is_basis)
+        members = [1 << e for e in bits(sigma)]
+        outside = map(sum, combinations(members, s - r - 1))
+        cols = list(filter(None, map(facets.get, map(sigma.__sub__, outside))))
+        if not cols:
+            return 0
+        # The bases of sigma, in the order they first appear.
+        found = dict.fromkeys(chain.from_iterable(rows for rows, _ in cols))
+        at = dict(zip(found, count(0, width)))
+        packed = [sum(map(lshift, signs, map(at.__getitem__, rows))) for rows, signs in cols]
+        return len(found) - _rank(packed, p)
+
+    return homology
+
+
 def hochster_betti(
     m: Matroid,
     fld: PrimeField = GF2,
@@ -213,15 +262,19 @@ def hochster_betti(
 
     The default sweep visits only multidegrees sigma with |sigma| = rank + i
     (the resolution is linear, and the tests verify that off-diagonal
-    homology vanishes), all in degree rank - 2. The faces of sizes rank - 1
-    and rank of V are evaluated once each, through ``faces_of_size``, before
-    the first sigma: every set of size rank - 1 is a face, so that level is
-    taken whole, and the faces of size rank are the non-bases, looked up
-    per sigma in a set. ``InducedHomology`` then ranks each boundary map in
-    sigma-local coordinates. With ``exhaustive=True`` every pair (i, sigma) is
-    swept and whatever is nonzero is recorded; on a matroid the result equals
-    the diagonal sweep, and the exhaustive mode exists so the tests can check
-    that rather than assume it.
+    homology vanishes), all in degree r - 2 (r the rank). The simplex 2^sigma
+    is acyclic and every set of fewer than r elements is a face of V, so the
+    exact sequence of the pair gives H~_{r-2}(V|sigma) = H_{r-1}(2^sigma,
+    V|sigma). Its chains are the non-faces: the bases inside sigma in degree
+    r - 1, the spanning (r + 1)-subsets of sigma in degree r, and none in
+    degree r - 2, so the entry is the number of bases inside sigma minus the
+    rank of one boundary map (``_relative_homology``). Exact sequences and
+    the acyclicity of a simplex hold with any coefficients, so the identity
+    holds over every GF(p), and the sweep still tests field independence. With
+    ``exhaustive=True`` every pair (i, sigma) is swept through the absolute
+    homology of V|sigma and whatever is nonzero is recorded; on a matroid the
+    result equals the diagonal sweep, and the exhaustive mode exists so the
+    tests can check that rather than assume it.
     """
     n, r = m.n, m.full_rank
     if r == 0:
@@ -230,11 +283,11 @@ def hochster_betti(
     # would make the ideal zero and the sweep meaningless.
     if m.rank(m.greedy_basis()) != r:
         raise ValidationError("zero ideal: the rank oracle admits no basis")
-    V = dual_alexander_complex(m)
-    p = fld.p
     fine_map: dict[tuple[int, int], int] = {}
     coarse: dict[tuple[int, int], int] = {}
     if exhaustive:
+        V = dual_alexander_complex(m)
+        p = fld.p
         for sigma in range(1 << n):
             members = tuple(bits(sigma))
             sz = len(members)
@@ -252,7 +305,7 @@ def hochster_betti(
                     key = (i, sz)
                     coarse[key] = coarse.get(key, 0) + h
     else:
-        homology = InducedHomology(V, r - 2, fld)
+        homology = _relative_homology(m, fld)
         for i in range(n - r + 1):
             total = 0
             for sigma in k_subsets(n, r + i):

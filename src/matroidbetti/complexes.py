@@ -17,12 +17,23 @@ Boundary matrices are assembled with the standard orientation (vertices of
 a face in ascending order; removing the j-th smallest vertex carries sign
 (-1)^j), one packed int per column in the lane format of ``linalg``, and
 ranks are computed exactly over a prime field.
+
+The Hochster sweep in ``betti`` needs only one degree of the complex V of
+non-spanning sets of a rank-r matroid, and reads it as relative homology.
+The simplex 2^sigma is acyclic and every set of fewer than r elements is a
+face of V, so the long exact sequence of the pair (2^sigma, V|sigma) gives
+H~_{r-2}(V|sigma) = H_{r-1}(2^sigma, V|sigma). The relative chains are the
+non-faces: the bases inside sigma in degree r - 1, the spanning
+(r + 1)-subsets of sigma in degree r, and none in degree r - 2, so the
+homology is the number of bases minus the rank of one boundary map. Exact
+sequences and the acyclicity of a simplex hold with any coefficients, so
+the identity holds over every GF(p). The sweep eliminates through this
+module's ``_rank``, as ``boundary_rank`` does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, compress, count
 from math import comb
 from typing import Callable, Sequence
 
@@ -173,108 +184,16 @@ def boundary_rank(
     return _rank(packed, p)
 
 
-class InducedHomology:
-    """Reduced homology in one degree d of the induced subcomplexes c|sigma.
-
-    Made once per sweep and called once per sigma. Degree d touches the
-    faces of sizes d + 1 (the chains) and d + 2 (the boundaries into them);
-    both levels are read once, through ``faces_of_size``. A level that holds
-    every k-subset of the ground set holds every k-subset of each sigma, so
-    it is taken whole; any other level is matched per sigma by walking the
-    k-subsets of sigma and looking each up in the level's face set. Faces of
-    c|sigma are named by their position among the k-subsets of sigma, so no
-    ``is_face`` call is made per sigma. Because c is downward closed, every
-    facet of a face is a face: rows are indexed by position among all
-    (k - 1)-subsets of sigma, and the size d level is never read.
-
-    Boundary columns are built in sigma-local coordinates from a table of
-    facet row offsets, made once per (|sigma|, k) and shared by every sigma
-    of that size (C(s, k) * k small ints); only the tables of the latest
-    |sigma| are kept, since a sweep visits sigma by size. Packed columns are
-    rebuilt per sigma and never cached, because together they would grow as
-    C(s, k) * C(s, k - 1).
-    """
-
-    def __init__(self, c: SimplicialComplex, d: int, fld: PrimeField = GF2):
-        self._d = d
-        self._p = fld.p
-        self._width = lane_width(fld.p)
-        self._sign = (1, fld.p - 1)
-        self._levels = [(k, self._level(c, k)) for k in (d + 1, d + 2)]
-        self._table_size = -1
-        self._tables: dict[int, list[tuple[int, ...]]] = {}
-
-    @staticmethod
-    def _level(c: SimplicialComplex, k: int) -> frozenset[int] | None:
-        """The k-faces of c, or None when every k-subset is a face."""
-        if k < 0:
-            return frozenset()
-        faces = c.faces_of_size(k)
-        return None if len(faces) == comb(c.n, k) else frozenset(faces)
-
-    def __call__(self, sigma: int) -> int:
-        s = sigma.bit_count()
-        # Walking a descending member list, combinations() yields the
-        # k-subsets of sigma in descending mask order, the tables' order.
-        members = [1 << e for e in bits(sigma)][::-1]
-        mid, hi = (self._within(members, k, level) for k, level in self._levels)
-        k = self._d + 1
-        n_mid = comb(s, k) if mid is None else len(mid)
-        if not n_mid:
-            return 0
-        return n_mid - self._boundary_rank(s, k, mid) - self._boundary_rank(s, k + 1, hi)
-
-    @staticmethod
-    def _within(members: list[int], k: int, level: frozenset[int] | None) -> list[int] | None:
-        """Positions of the k-faces among the k-subsets of sigma (None: all)."""
-        if level is None:
-            return None
-        if not level:
-            return []
-        in_level = map(level.__contains__, map(sum, combinations(members, k)))
-        return list(compress(count(), in_level))
-
-    def _boundary_rank(self, s: int, k: int, cols: list[int] | None) -> int:
-        """Rank of the boundary from the k-faces of c|sigma at positions
-        ``cols`` (None: all of them) to the (k - 1)-faces, with |sigma| = s."""
-        if k <= 0:
-            return 0
-        every = comb(s, k)
-        if cols is None or len(cols) == every:
-            return comb(s - 1, k - 1) if every else 0
-        if not cols:
-            return 0
-        if s != self._table_size:
-            self._tables.clear()
-            self._table_size = s
-        table = self._tables.get(k)
-        if table is None:
-            table = self._tables[k] = self._facet_table(s, k)
-        sign = self._sign
-        packed = []
-        for j in cols:
-            v = 0
-            for t, at in enumerate(table[j]):
-                v |= sign[t & 1] << at
-            packed.append(v)
-        return _rank(packed, self._p)
-
-    def _facet_table(self, s: int, k: int) -> list[tuple[int, ...]]:
-        """For each k-subset of range(s), in descending mask order, the bit
-        offsets of its k facets' rows; entry t drops the t-th smallest
-        vertex, so it carries the sign (-1)^t. Rows are in descending mask
-        order too, so eliminations that pivot on the top lane start from the
-        facet that drops the largest vertex."""
-        width = self._width
-        row_at = {f: i * width for i, f in enumerate(k_subsets(s, k - 1)[::-1])}
-        return [tuple(row_at[f ^ (1 << e)] for e in bits(f)) for f in k_subsets(s, k)[::-1]]
-
-
 def reduced_betti(c: SimplicialComplex, d: int, fld: PrimeField = GF2) -> int:
     """Dimension over GF(p) of the reduced homology of ``c`` in degree ``d``.
 
     Computed as dim ker - dim im from the two boundary maps touching degree
-    d: h~_d = f_d - rank(boundary_d) - rank(boundary_{d+1}), by the same
-    kernel that the Hochster sweep runs on each induced subcomplex.
+    d: h~_d = f_d - rank(boundary_d) - rank(boundary_{d+1}), with the faces of
+    sizes d, d + 1 and d + 2 read through ``faces_of_size``.
     """
-    return InducedHomology(c, d, fld)((1 << c.n) - 1)
+    below, chains, above = (c.faces_of_size(k) for k in (d, d + 1, d + 2))
+    return (
+        len(chains)
+        - boundary_rank(chains, below, c.n, fld.p)
+        - boundary_rank(above, chains, c.n, fld.p)
+    )

@@ -8,6 +8,8 @@ from math import comb
 
 import pytest
 
+from matroidbetti import complexes
+from matroidbetti.linalg import lane_width
 from matroidbetti import (
     BettiTable,
     CycleProfile,
@@ -17,12 +19,14 @@ from matroidbetti import (
     SimplicialComplex,
     ValidationError,
     betti,
+    bits,
     block_product_betti,
     cactus_betti,
     cycle_matroid,
     direct_sum,
     dual_min_distance,
     fixture,
+    from_bases,
     hilbert_check,
     hochster_betti,
     invert_cactus_betti,
@@ -31,8 +35,8 @@ from matroidbetti import (
     uniform,
 )
 
-from oracles import convolve_naive, taylor_fine_betti, taylor_global_betti
-from util import graph_matroid, multiblock_suite, two_triangles
+from oracles import convolve_naive, euler_fine_betti, taylor_fine_betti, taylor_global_betti
+from util import SEED, graph_matroid, multiblock_suite, random_multigraph, two_triangles
 
 GF3 = PrimeField(3)
 
@@ -157,6 +161,30 @@ def test_exhaustive_sweep_equals_diagonal_sweep(m):
     assert fast.is_linear()
 
 
+def _differential_cases() -> list[Matroid]:
+    rng = random.Random(SEED + 4)
+    cases = [uniform(r, n) for n in range(1, 8) for r in range(1, n + 1)]
+    cases += [random_multigraph(rng) for _ in range(120)]
+    cases += [from_bases(m.n, [list(bits(b)) for b in m.bases()]) for m in cases[::5]]
+    # rank 1 with loops and parallel elements; free matroids with loops
+    cases += [multi_uniform([(1, 3), (0, 2)]), multi_uniform([(1, 1), (0, 3)])]
+    cases += [multi_uniform([(4, 4), (0, 1)]), direct_sum(uniform(2, 2), uniform(1, 1))]
+    return cases
+
+
+@pytest.mark.parametrize("fld", [GF2, GF3, PrimeField(5)], ids=lambda f: f"GF{f.p}")
+def test_relative_chains_match_absolute_homology(fld):
+    # The diagonal sweep ranks relative chains (bases of sigma against the
+    # spanning (r + 1)-subsets of sigma); the exhaustive mode ranks the
+    # absolute homology of V|sigma in every degree; the Euler oracle does no
+    # linear algebra at all. All three fine tables must agree.
+    for m in _differential_cases():
+        fast = hochster_betti(m, fld, fine=True)
+        full = hochster_betti(m, fld, fine=True, exhaustive=True)
+        assert fast.fine == full.fine == euler_fine_betti(m), (m.provenance, m.n)
+        assert fast.coarse == full.coarse
+
+
 @pytest.mark.parametrize(
     "fld",
     [GF3, PrimeField(5), PrimeField(7), PrimeField(13), PrimeField(17), PrimeField(2**61 - 1)],
@@ -170,9 +198,10 @@ def test_field_independence(fld):
 
 
 def test_sweep_reads_each_face_level_once(monkeypatch):
-    # The diagonal sweep needs at most the faces of sizes r - 2, r - 1 and r
-    # of the Alexander dual, and tests each such subset of the ground set
-    # once, not once per multidegree containing it.
+    # The diagonal sweep reads the bases through the rank oracle and builds
+    # no Alexander dual at all, so it asks no face question per multidegree;
+    # the bound is the one a sweep over face levels of sizes r - 2, r - 1 and
+    # r would have to meet.
     calls = 0
     is_face = SimplicialComplex.is_face
 
@@ -187,6 +216,62 @@ def test_sweep_reads_each_face_level_once(monkeypatch):
     table = hochster_betti(m)
     assert table.global_ == (393, 1459, 2187, 1652, 628, 96)
     assert calls <= comb(14, 7) + comb(14, 8) + comb(14, 9)
+
+
+def _recording_rows(monkeypatch) -> list[int]:
+    """The row count of every matrix the sweep eliminates, as it runs."""
+    rows = []
+    for name in ("gf2_rank", "modp_rank"):
+        rank = getattr(complexes, name)
+
+        def recording(columns, *p, rank=rank):
+            width = lane_width(*p) if p else 1
+            rows.append(-(-max((c.bit_length() for c in columns), default=0) // width))
+            return rank(columns, *p)
+
+        monkeypatch.setattr(complexes, name, recording)
+    return rows
+
+
+def test_sweep_ranks_bases_not_faces(monkeypatch):
+    # g1 has C(14, 9) = 2,002 candidate bases, 393 of them bases. Listing the
+    # bases once is the only bulk rank work, and rows are numbered among the
+    # bases inside sigma; a sweep over face levels of V evaluates C(14, 8) +
+    # C(14, 9) = 5,005 sets and builds matrices of C(14, 8) = 3,003 rows.
+    g1 = cycle_matroid(fixture("g1"))
+    evaluated = set()
+
+    def oracle(sigma: int) -> int:
+        evaluated.add(sigma)
+        return g1.rank(sigma)
+
+    m = Matroid(g1.n, oracle)
+    rows = _recording_rows(monkeypatch)
+    table = hochster_betti(m)
+    assert table.global_ == (393, 1459, 2187, 1652, 628, 96)
+    assert len(evaluated) <= comb(14, 9) + 28
+    assert rows
+    assert max(rows) <= len(g1.bases()) == 393
+
+
+# A 12-vertex ring with 5 chords: 17 edges, rank 11, 3,343 spanning trees.
+# The size-10 faces of V number C(17, 10) = 19,448, which is what a sweep
+# over absolute homology would use as rows.
+CHORDED_RING_17 = (
+    [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9), (9, 10), (10, 11)]
+    + [(11, 0), (0, 3), (0, 6), (2, 8), (4, 10), (7, 11)]
+)
+
+
+def test_17_edge_ring_over_gf3(monkeypatch):
+    m = graph_matroid(12, CHORDED_RING_17)
+    assert (m.n, m.full_rank, len(m.bases())) == (17, 11, 3343)
+    rows = _recording_rows(monkeypatch)
+    table = hochster_betti(m, GF3, fine=True)
+    assert table.fine == euler_fine_betti(m)
+    assert table.global_ == (3343, 16533, 34391, 38472, 24388, 8300, 1184)
+    assert rows
+    assert max(rows) <= 3343
 
 
 # -- block product ---------------------------------------------------------------

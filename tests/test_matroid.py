@@ -25,6 +25,7 @@ from util import (
     assert_rank_axioms,
     graph_matroid,
     multiblock_suite,
+    random_multigraph,
     two_triangles,
 )
 
@@ -153,29 +154,12 @@ def test_blocks_cover_ground_set():
         assert union == m.full_mask
 
 
-def _random_graph_matroid(rng: random.Random) -> Matroid:
-    """A seeded multigraph of up to 9 edges with loops, parallel edges and,
-    being sparse, usually some bridges."""
-    vertices = rng.randint(1, 6)
-    edges: list[tuple[int, int]] = []
-    for _ in range(rng.randint(0, 9)):
-        roll = rng.random()
-        if roll < 0.15:
-            u = rng.randrange(vertices)
-            edges.append((u, u))
-        elif roll < 0.3 and edges:
-            edges.append(rng.choice(edges))
-        else:
-            edges.append((rng.randrange(vertices), rng.randrange(vertices)))
-    return graph_matroid(vertices, edges)
-
-
 def test_blocks_match_the_circuit_relation():
     # Blocks from one basis's fundamental circuits against the defining
     # relation (a union-find over every circuit).
     rng = random.Random(SEED + 41)
     cases = [uniform(0, 0), uniform(0, 4), uniform(4, 4), uniform(1, 1), uniform(0, 1)]
-    cases += [_random_graph_matroid(rng) for _ in range(120)]
+    cases += [random_multigraph(rng) for _ in range(120)]
     for _ in range(30):
         sizes = rng.choices(range(1, 5), k=rng.randint(1, 3))
         cases.append(multi_uniform([(rng.randint(0, k), k) for k in sizes]))

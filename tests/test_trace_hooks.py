@@ -40,3 +40,16 @@ def test_trace_hooks_install_and_restore(capsys):
     assert [dict(vars(owner)) for owner in owners] == before
     assert tracer.counters["matroid.rank"][0] > 0
     assert "matroid.blocks" in {span[0] for span in tracer.spans}
+
+
+def test_trace_hooks_see_the_sweep_eliminations(capsys):
+    # g3 resolves to the Hochster sweep, whose odd-prime eliminations must
+    # reach the counter the hooks put on ``complexes.modp_rank``.
+    tracer = _tracing_module().Tracer()
+    tracer.install()
+    try:
+        assert main(["betti", "--input", "g3", "--field", "3"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.counters["linalg.modp_rank"][0] > 0

@@ -28,6 +28,23 @@ def graph_matroid(vertices: int, edges) -> Matroid:
     return cycle_matroid(Graph(vertices, tuple(edges)))
 
 
+def random_multigraph(rng: random.Random) -> Matroid:
+    """A seeded multigraph of up to 9 edges with loops, parallel edges and,
+    being sparse, usually some bridges."""
+    vertices = rng.randint(1, 6)
+    edges: list[tuple[int, int]] = []
+    for _ in range(rng.randint(0, 9)):
+        roll = rng.random()
+        if roll < 0.15:
+            u = rng.randrange(vertices)
+            edges.append((u, u))
+        elif roll < 0.3 and edges:
+            edges.append(rng.choice(edges))
+        else:
+            edges.append((rng.randrange(vertices), rng.randrange(vertices)))
+    return graph_matroid(vertices, edges)
+
+
 def _component_pool() -> list[tuple[int, object]]:
     return [
         (1, lambda: uniform(0, 1)),  # a loop
