@@ -568,7 +568,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_weights.add_argument(
         "--crosscheck",
         action="store_true",
-        help="compare the subset sweep against the circuit-family and block routes",
+        help=(
+            "compare the cyclic-flat route (reported as 'sweep') against the "
+            "circuit-family, block and cactus routes; exit 3 on mismatch"
+        ),
     )
     p_weights.set_defaults(func=_cmd_weights)
 

@@ -4,10 +4,12 @@ Everything here deliberately avoids the library's own computational routes:
 homology of the generator-subset (Taylor) complex over the rationals instead
 of induced-subcomplex homology over GF(p), a multi-index convolution instead
 of iterated polynomial products, and dense Fraction/GF(2)/GF(p) eliminations
-over lists instead of the packed-integer pivoting in the package, and blocks
+over lists instead of the packed-integer pivoting in the package, blocks
 from a union-find over every circuit instead of over the fundamental circuits
-of one basis. Agreement between these and the library is therefore a genuine
-two-route check.
+of one basis, and circuits and weight hierarchies read off every subset by
+their definitions instead of by circuit elimination and cyclic flats.
+Agreement between these and the library is therefore a genuine two-route
+check.
 """
 
 from __future__ import annotations
@@ -15,7 +17,14 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
-from matroidbetti import Matroid, SimplicialComplex, bits
+from matroidbetti import (
+    Matroid,
+    SimplicialComplex,
+    ValidationError,
+    WeightHierarchy,
+    bits,
+    k_subsets,
+)
 
 
 def fraction_rank(rows: list[list[Fraction]]) -> int:
@@ -246,3 +255,39 @@ def euler_fine_betti(m: Matroid) -> dict[tuple[int, int], int]:
             for sigma in range(base + bit, base + (bit << 1)):
                 g[sigma] += g[sigma - bit]
     return {(sigma.bit_count() - r, sigma): abs(v) for sigma, v in enumerate(g) if v}
+
+
+def brute_circuits(m: Matroid) -> tuple[int, ...]:
+    """Every minimal dependent set of ``m``, by testing each nonempty subset
+    and each of its one-element deletions; ordered by size, then mask."""
+    out = []
+    for k in range(1, m.n + 1):
+        for s in k_subsets(m.n, k):
+            if m.rank(s) < k and all(m.rank(s ^ (1 << e)) == k - 1 for e in bits(s)):
+                out.append(s)
+    return tuple(out)
+
+
+def sweep_weights(m: Matroid) -> WeightHierarchy:
+    """All weights d_1..d_{n-r} by a size-ascending subset sweep.
+
+    For each cardinality s in increasing order, every subset of size s is
+    inspected and the first time a nullity value appears its weight is
+    recorded. The sweep stops once all n - r values are known.
+    """
+    n, r = m.n, m.full_rank
+    corank = n - r
+    if corank == 0:
+        return WeightHierarchy(())
+    found: dict[int, int] = {}
+    for s in range(1, n + 1):
+        for sigma in k_subsets(n, s):
+            nullity = s - m.rank(sigma)
+            if nullity >= 1 and nullity not in found:
+                found[nullity] = s
+                if len(found) == corank:
+                    return WeightHierarchy(tuple(found[i] for i in range(1, corank + 1)))
+    raise ValidationError(
+        f"rank oracle is inconsistent: found nullities {sorted(found)} "
+        f"but corank is {corank}"
+    )

@@ -36,7 +36,14 @@ from matroidbetti import (
 )
 
 from oracles import convolve_naive, euler_fine_betti, taylor_fine_betti, taylor_global_betti
-from util import SEED, graph_matroid, multiblock_suite, random_multigraph, two_triangles
+from util import (
+    SEED,
+    counting,
+    graph_matroid,
+    multiblock_suite,
+    random_multigraph,
+    two_triangles,
+)
 
 GF3 = PrimeField(3)
 
@@ -239,13 +246,7 @@ def test_sweep_ranks_bases_not_faces(monkeypatch):
     # bases inside sigma; a sweep over face levels of V evaluates C(14, 8) +
     # C(14, 9) = 5,005 sets and builds matrices of C(14, 8) = 3,003 rows.
     g1 = cycle_matroid(fixture("g1"))
-    evaluated = set()
-
-    def oracle(sigma: int) -> int:
-        evaluated.add(sigma)
-        return g1.rank(sigma)
-
-    m = Matroid(g1.n, oracle)
+    m, evaluated = counting(g1)
     rows = _recording_rows(monkeypatch)
     table = hochster_betti(m)
     assert table.global_ == (393, 1459, 2187, 1652, 628, 96)
@@ -477,6 +478,20 @@ def test_hilbert_series_check_rejects_tampered_tables():
     assert not hilbert_check(wrong_count, m)
     wrong_degree = BettiTable(2, 3, {(0, 2): 3, (1, 4): 2}, (3, 2), None)
     assert not hilbert_check(wrong_degree, m)
+
+
+def test_hilbert_check_asks_only_large_sets():
+    # Every set of fewer than r = 9 elements is a face, so only the
+    # sum of C(14, k) over k >= 9, 3,473 sets, goes to the oracle; counting
+    # every face by the oracle asks about all 16,384.
+    g1 = cycle_matroid(fixture("g1"))
+    table = betti(g1, "hochster")
+    m, evaluated = counting(g1)
+    assert hilbert_check(table, m)
+    assert len(evaluated) <= sum(comb(14, k) for k in range(9, 15)) == 3473
+    coarse = {**table.coarse, (0, 9): 392}
+    tampered = BettiTable(9, 14, coarse, (392,) + table.global_[1:], None)
+    assert not hilbert_check(tampered, m)
 
 
 def test_dual_minimum_distance_small_cases():

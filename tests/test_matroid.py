@@ -6,6 +6,7 @@ import random
 import pytest
 
 from matroidbetti import (
+    Block,
     Matroid,
     ValidationError,
     bits,
@@ -19,13 +20,16 @@ from matroidbetti import (
     uniform,
 )
 
-from oracles import circuit_blocks
+from oracles import brute_circuits, circuit_blocks
 from util import (
     SEED,
+    STRUCTURE_FAMILIES,
     assert_rank_axioms,
+    counting,
     graph_matroid,
     multiblock_suite,
     random_multigraph,
+    structure_cases,
     two_triangles,
 )
 
@@ -173,16 +177,10 @@ def test_blocks_match_the_circuit_relation():
 
 
 def test_blocks_and_resolve_never_list_circuits(monkeypatch):
-    # g1 is one block of 14 edges; listing its circuits takes 15,914 rank
-    # evaluations, the fundamental circuits of one basis fewer than 100.
-    g1 = cycle_matroid(fixture("g1"))
-    evaluated = []
-
-    def oracle(sigma: int) -> int:
-        evaluated.append(sigma)
-        return g1.rank(sigma)
-
-    m = Matroid(g1.n, oracle)
+    # g1 is one block of 14 edges. The fundamental circuits of one basis
+    # decide that in fewer than 100 rank evaluations, without closing them
+    # into the whole circuit family.
+    m, evaluated = counting(cycle_matroid(fixture("g1")))
 
     def refuse(self):
         raise AssertionError("circuits() must not be called")
@@ -202,6 +200,39 @@ def test_block_kinds():
     assert [b.kind for b in part.blocks] == ["loop", "coloop", "circuit", "general"]
     assert [b.kind for b in uniform(1, 2).blocks().blocks] == ["circuit"]
     assert [b.kind for b in uniform(2, 4).blocks().blocks] == ["general"]
+
+
+def test_circuit_kind_reads_one_rank():
+    # A block has no coloop, so rank k - 1 alone makes it a circuit.
+    m, evaluated = counting(graph_matroid(6, [(i, (i + 1) % 6) for i in range(6)]))
+    assert Block(m.full_mask, m).kind == "circuit"
+    assert len(evaluated) <= 2
+
+
+@pytest.mark.parametrize("family", STRUCTURE_FAMILIES)
+def test_circuits_match_brute_force(family):
+    for m in structure_cases(family):
+        assert m.circuits() == brute_circuits(m), (m.provenance, m.n, m.full_rank)
+
+
+def test_circuits_take_both_paths(monkeypatch):
+    # Elimination closes g1's 5 fundamental circuits into its 17 circuits;
+    # U(6, 12) has 792 circuits, so the closure passes the work bound and
+    # the scan over sets of at most 7 elements runs instead.
+    scans = []
+    scan = Matroid._scan_circuits
+
+    def recording(self):
+        scans.append(self.n)
+        return scan(self)
+
+    monkeypatch.setattr(Matroid, "_scan_circuits", recording)
+    g1 = cycle_matroid(fixture("g1"))
+    assert len(g1.circuits()) == 17
+    assert scans == []
+    u = uniform(6, 12)
+    assert u.circuits() == brute_circuits(u)
+    assert scans == [12]
 
 
 def test_direct_sum_ranks_add():

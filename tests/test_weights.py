@@ -1,4 +1,5 @@
-"""Weight hierarchies: the subset sweep against the circuit-family search,
+"""Weight hierarchies: the cyclic-flat route against the circuit-family
+search and the subset sweep of the definition, the work each route does,
 non-redundancy, the block min-plus rule, and the sorted-prefix closed form."""
 
 import random
@@ -6,12 +7,14 @@ import random
 import pytest
 
 from matroidbetti import (
+    Matroid,
     ValidationError,
     WeightHierarchy,
     block_weights,
     cactus_weights,
     cycle_matroid,
     degree_of_nonredundancy,
+    fixture,
     is_nonredundant,
     mask_of,
     multi_uniform,
@@ -20,8 +23,16 @@ from matroidbetti import (
     weights_via_circuits,
 )
 
-from oracles import minplus_naive
-from util import SEED, graph_matroid, multiblock_suite, two_triangles
+from oracles import minplus_naive, sweep_weights
+from util import (
+    SEED,
+    STRUCTURE_FAMILIES,
+    counting,
+    graph_matroid,
+    multiblock_suite,
+    structure_cases,
+    two_triangles,
+)
 
 
 def two_triangles_matroid():
@@ -132,6 +143,54 @@ def test_sweep_matches_circuit_search():
             m.provenance,
             m.n,
         )
+
+
+@pytest.mark.parametrize("family", STRUCTURE_FAMILIES)
+def test_weights_match_subset_sweep(family):
+    for m in structure_cases(family):
+        assert weight_hierarchy(m) == sweep_weights(m), (m.provenance, m.n, m.full_rank)
+
+
+def test_inconsistent_oracle_is_rejected():
+    # Not monotone: {0, 2} has rank 0 below its member {0} of rank 1. The
+    # corank is 2, yet no cyclic flat the oracle admits has nullity 2.
+    table = (0, 1, 0, 1, 0, 0, 2, 1)
+    m = Matroid(3, table.__getitem__)
+    with pytest.raises(ValidationError, match="inconsistent"):
+        weight_hierarchy(m)
+
+
+# The 16-edge cactus on 12 vertices: five circuits (a loop, a parallel pair
+# and cycles of 3, 4 and 4 edges) and two bridges.
+CACTUS_16 = (
+    (8, 10), (6, 7), (5, 6), (3, 0), (5, 5), (0, 1), (6, 11), (5, 1),
+    (9, 2), (2, 3), (4, 5), (2, 9), (8, 5), (1, 4), (7, 8), (1, 2),
+)
+
+
+# name: (matroid, weights, bound on distinct rank evaluations, scans). A
+# subset sweep makes 2^n - 1 evaluations: 16,383 on g1 and U(6, 14), 65,535
+# on the cactus. U(6, 14) has 3,432 circuits, so elimination gives up and the
+# scan over sets of at most 7 elements runs, within the sweep's 16,383.
+WORK_CASES = {
+    "g1": (lambda: cycle_matroid(fixture("g1")), (3, 6, 8, 11, 14), 1000, 0),
+    "cactus16": (lambda: graph_matroid(12, CACTUS_16), (1, 3, 6, 10, 14), 500, 0),
+    "U6_14": (lambda: uniform(6, 14), (7, 8, 9, 10, 11, 12, 13, 14), 2**14 - 1, 1),
+}
+
+
+@pytest.mark.parametrize("name", WORK_CASES)
+def test_weights_work_bound(monkeypatch, name):
+    make, weights, bound, scans = WORK_CASES[name]
+    calls = []
+    scan = Matroid._scan_circuits
+    monkeypatch.setattr(Matroid, "_scan_circuits", lambda m: calls.append(m) or scan(m))
+    m, evaluated = counting(make())
+    assert weight_hierarchy(m).weights == weights
+    assert m.circuits()
+    assert weights_via_circuits(m).weights == weights
+    assert len(evaluated) <= bound
+    assert len(calls) == scans
 
 
 def test_circuit_search_handles_larger_uniforms():

@@ -9,11 +9,15 @@ import random
 from matroidbetti import (
     Graph,
     Matroid,
+    bits,
     cycle_matroid,
     direct_sum,
+    from_bases,
     multi_uniform,
     uniform,
 )
+
+from oracles import dense_modp_rank
 
 SEED = 20260816
 SUITE_SIZE = 52
@@ -43,6 +47,28 @@ def random_multigraph(rng: random.Random) -> Matroid:
         else:
             edges.append((rng.randrange(vertices), rng.randrange(vertices)))
     return graph_matroid(vertices, edges)
+
+
+def random_linear(rng: random.Random, p: int) -> Matroid:
+    """The column matroid of a seeded matrix over GF(p) with up to 11
+    columns and up to 5 rows; small p gives zero and parallel columns."""
+    n = rng.randint(1, 11)
+    rows = rng.randint(0, min(n, 5))
+    cols = [[rng.randrange(p) for _ in range(rows)] for _ in range(n)]
+    return Matroid(n, lambda s: dense_modp_rank([cols[e] for e in bits(s)], p))
+
+
+def counting(m: Matroid) -> tuple[Matroid, set[int]]:
+    """A fresh copy of ``m`` (cold cache) and the set of subsets its rank
+    oracle has been asked about; a matroid caches ranks, so the set's size is
+    the number of distinct evaluations."""
+    evaluated: set[int] = set()
+
+    def oracle(sigma: int) -> int:
+        evaluated.add(sigma)
+        return m.rank(sigma)
+
+    return Matroid(m.n, oracle), evaluated
 
 
 def _component_pool() -> list[tuple[int, object]]:
@@ -103,6 +129,31 @@ def multiblock_suite() -> list[Matroid]:
     while len(out) < SUITE_SIZE:
         out.append(random_multiblock(rng))
     return out
+
+
+def structure_cases(family: str) -> list[Matroid]:
+    """Seeded matroids of one family, for checking derived structure
+    (circuits, weights) against its definition."""
+    rng = random.Random(SEED + 53)
+    if family == "multigraphs":
+        return [random_multigraph(rng) for _ in range(120)]
+    if family == "uniform":
+        return [uniform(r, n) for n in range(9) for r in range(n + 1)]
+    if family == "multiblock":
+        return multiblock_suite()
+    if family == "from_bases":
+        cases = [random_multigraph(rng) for _ in range(20)] + multiblock_suite()[::5]
+        return [from_bases(m.n, [list(bits(b)) for b in m.bases()]) for m in cases]
+    if family == "free_and_rank0":
+        return [uniform(k, k) for k in range(6)] + [uniform(0, k) for k in range(1, 6)]
+    p = int(family.removeprefix("gf"))
+    return [random_linear(rng, p) for _ in range(25)]
+
+
+STRUCTURE_FAMILIES = (
+    "multigraphs", "uniform", "multiblock", "from_bases", "free_and_rank0",
+    "gf2", "gf3", "gf5", "gf7",
+)
 
 
 def rank_table(m: Matroid) -> dict[int, int]:
