@@ -28,16 +28,7 @@ from .betti import (
     resolve_algorithm,
 )
 from .bitset import bits, k_subsets, mask_of
-from .complexes import (
-    GF2,
-    FVector,
-    PrimeField,
-    SimplicialComplex,
-    boundary_rank,
-    dual_alexander_complex,
-    face_numbers,
-    reduced_betti,
-)
+from .complexes import GF2, PrimeField
 from .errors import ValidationError
 from .graphs import (
     CactusCertificate,
@@ -45,7 +36,6 @@ from .graphs import (
     cycle_matroid,
     fixture,
     is_cactus,
-    random_cactus,
 )
 from .matroid import (
     Block,
@@ -60,7 +50,6 @@ from .weights import (
     WeightHierarchy,
     block_weights,
     cactus_weights,
-    degree_of_nonredundancy,
     is_nonredundant,
     weight_hierarchy,
     weights_via_circuits,
@@ -74,27 +63,21 @@ __all__ = [
     "BlockPartition",
     "CactusCertificate",
     "CycleProfile",
-    "FVector",
     "GF2",
     "Graph",
     "Matroid",
     "PrimeField",
-    "SimplicialComplex",
     "ValidationError",
     "WeightHierarchy",
     "betti",
     "bits",
     "block_product_betti",
     "block_weights",
-    "boundary_rank",
     "cactus_betti",
     "cactus_weights",
     "cycle_matroid",
-    "degree_of_nonredundancy",
     "direct_sum",
-    "dual_alexander_complex",
     "dual_min_distance",
-    "face_numbers",
     "fixture",
     "from_bases",
     "hilbert_check",
@@ -106,8 +89,6 @@ __all__ = [
     "k_subsets",
     "mask_of",
     "multi_uniform",
-    "random_cactus",
-    "reduced_betti",
     "resolve_algorithm",
     "uniform",
     "weight_hierarchy",

@@ -34,10 +34,8 @@ from .bitset import bits, k_subsets
 from .complexes import (
     GF2,
     PrimeField,
-    SimplicialComplex,
     _rank,
-    boundary_rank,
-    dual_alexander_complex,
+    boundary_rank,  # noqa: F401  perfbench/tracing.py wraps betti.boundary_rank
     face_numbers,  # noqa: F401  perfbench/tracing.py wraps betti.face_numbers
 )
 from .errors import ValidationError
@@ -182,28 +180,6 @@ class CycleProfile:
 # -- Hochster sweep -----------------------------------------------------------
 
 
-def _faces_within(V: SimplicialComplex, members: Sequence[int], k: int) -> list[int]:
-    """Faces of V with exactly k elements, all drawn from ``members``."""
-    if k < 0 or k > len(members):
-        return []
-    if k == 0:
-        return [0] if V.is_face(0) else []
-    out = []
-    for combo in combinations(members, k):
-        m = 0
-        for e in combo:
-            m |= 1 << e
-        if V.is_face(m):
-            out.append(m)
-    return out
-
-
-def _unit_table(n: int, fine: bool) -> BettiTable:
-    # The ideal generated by the empty-set monomial is the whole ring: one
-    # generator in degree zero and nothing else.
-    return BettiTable(0, n, {(0, 0): 1}, (1,), {(0, 0): 1} if fine else None)
-
-
 def _relative_homology(m: Matroid, fld: PrimeField) -> Callable[[int], int]:
     """sigma -> dim H~_{r-2}(V|sigma) over GF(p), for |sigma| >= r, as the
     number of bases inside sigma minus the rank of the boundary from the
@@ -256,11 +232,10 @@ def hochster_betti(
     fld: PrimeField = GF2,
     *,
     fine: bool = False,
-    exhaustive: bool = False,
 ) -> BettiTable:
     """Betti table of the basis-monomial ideal via Hochster's formula.
 
-    The default sweep visits only multidegrees sigma with |sigma| = rank + i
+    The sweep visits only multidegrees sigma with |sigma| = rank + i
     (the resolution is linear, and the tests verify that off-diagonal
     homology vanishes), all in degree r - 2 (r the rank). The simplex 2^sigma
     is acyclic and every set of fewer than r elements is a face of V, so the
@@ -270,52 +245,30 @@ def hochster_betti(
     degree r - 2, so the entry is the number of bases inside sigma minus the
     rank of one boundary map (``_relative_homology``). Exact sequences and
     the acyclicity of a simplex hold with any coefficients, so the identity
-    holds over every GF(p), and the sweep still tests field independence. With
-    ``exhaustive=True`` every pair (i, sigma) is swept through the absolute
-    homology of V|sigma and whatever is nonzero is recorded; on a matroid the
-    result equals the diagonal sweep, and the exhaustive mode exists so the
-    tests can check that rather than assume it.
+    holds over every GF(p), and the sweep still tests field independence.
     """
     n, r = m.n, m.full_rank
     if r == 0:
-        return _unit_table(n, fine)
+        # The ideal generated by the empty-set monomial is the whole ring: one
+        # generator in degree zero and nothing else.
+        return BettiTable(0, n, {(0, 0): 1}, (1,), {(0, 0): 1} if fine else None)
     # Greedy probe: a sane rank oracle always yields a basis; a broken one
     # would make the ideal zero and the sweep meaningless.
     if m.rank(m.greedy_basis()) != r:
         raise ValidationError("zero ideal: the rank oracle admits no basis")
     fine_map: dict[tuple[int, int], int] = {}
     coarse: dict[tuple[int, int], int] = {}
-    if exhaustive:
-        V = dual_alexander_complex(m)
-        p = fld.p
-        for sigma in range(1 << n):
-            members = tuple(bits(sigma))
-            sz = len(members)
-            F = [_faces_within(V, members, k) for k in range(sz + 1)]
-            R = [0] * (sz + 2)
-            for k in range(1, sz + 1):
-                R[k] = boundary_rank(F[k], F[k - 1], sz, p)
-            for i in range(n + 1):
-                d = sz - i - 2
-                if d < -1 or d > sz - 1:
-                    continue
-                h = len(F[d + 1]) - R[d + 1] - R[d + 2]
-                if h:
+    homology = _relative_homology(m, fld)
+    for i in range(n - r + 1):
+        total = 0
+        for sigma in k_subsets(n, r + i):
+            h = homology(sigma)
+            if h:
+                total += h
+                if fine:
                     fine_map[(i, sigma)] = h
-                    key = (i, sz)
-                    coarse[key] = coarse.get(key, 0) + h
-    else:
-        homology = _relative_homology(m, fld)
-        for i in range(n - r + 1):
-            total = 0
-            for sigma in k_subsets(n, r + i):
-                h = homology(sigma)
-                if h:
-                    total += h
-                    if fine:
-                        fine_map[(i, sigma)] = h
-            if total:
-                coarse[(i, r + i)] = total
+        if total:
+            coarse[(i, r + i)] = total
     glob = _trim([coarse.get((i, r + i), 0) for i in range(n - r + 1)])
     return BettiTable(r, n, coarse, glob, fine_map if fine else None)
 

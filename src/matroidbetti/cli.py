@@ -13,6 +13,7 @@ cactus Betti vector), 3 cross-check or verification mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -165,9 +166,11 @@ def _betti_routes(
     routes = {resolved: primary}
     if "hochster" not in routes:
         routes["hochster"] = betti(m, "hochster", fld)
-    if "blocks" not in routes:
+    part = m.blocks()
+    # On a single block the blocks route is the Hochster sweep run again.
+    if "blocks" not in routes and len(part.blocks) >= 2:
         routes["blocks"] = betti(m, "blocks", fld)
-    if "cactus" not in routes and _cactus_profile(m.blocks()) is not None:
+    if "cactus" not in routes and _cactus_profile(part) is not None:
         routes["cactus"] = betti(m, "cactus", fld)
     return routes
 
@@ -537,7 +540,9 @@ def _add_common(sub: argparse.ArgumentParser, with_input: bool = True) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it as it was)."""
     parser = argparse.ArgumentParser(
         prog="matroidbetti",
         description=(

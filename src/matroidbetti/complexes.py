@@ -1,34 +1,13 @@
-"""Simplicial complexes as membership oracles, with exact reduced homology.
-
-Conventions used throughout the package:
-
-* The empty set is a face of every complex except the void complex, which
-  has no faces at all.
-* A face with k elements spans chain degree k - 1, so the complex whose only
-  face is the empty set has a one-dimensional chain group in degree -1 and
-  reduced homology of dimension 1 there.
-* The void complex has vanishing reduced homology in every degree, and
-  ``reduced_betti`` returns 0 for any degree outside -1..dim rather than
-  erroring.
-* The chain complex includes the augmentation, so ``h~_0`` of k isolated
-  points is k - 1.
+"""Prime fields, simplicial complexes as membership oracles, and boundary ranks.
 
 Boundary matrices are assembled with the standard orientation (vertices of
 a face in ascending order; removing the j-th smallest vertex carries sign
 (-1)^j), one packed int per column in the lane format of ``linalg``, and
-ranks are computed exactly over a prime field.
-
-The Hochster sweep in ``betti`` needs only one degree of the complex V of
-non-spanning sets of a rank-r matroid, and reads it as relative homology.
-The simplex 2^sigma is acyclic and every set of fewer than r elements is a
-face of V, so the long exact sequence of the pair (2^sigma, V|sigma) gives
-H~_{r-2}(V|sigma) = H_{r-1}(2^sigma, V|sigma). The relative chains are the
-non-faces: the bases inside sigma in degree r - 1, the spanning
-(r + 1)-subsets of sigma in degree r, and none in degree r - 2, so the
-homology is the number of bases minus the rank of one boundary map. Exact
-sequences and the acyclicity of a simplex hold with any coefficients, so
-the identity holds over every GF(p). The sweep eliminates through this
-module's ``_rank``, as ``boundary_rank`` does.
+ranks are computed exactly over a prime field. The Hochster sweep in
+``betti`` eliminates through this module's ``_rank``, as ``boundary_rank``
+does. The library builds no complex itself: ``SimplicialComplex``,
+``face_numbers`` and ``boundary_rank`` carry the reference homology of the
+tests, and the benchmark's trace hooks wrap them by these names.
 """
 
 from __future__ import annotations
@@ -64,7 +43,8 @@ class SimplicialComplex:
 
     The oracle answers "is this mask a face". Answers are cached, and faces
     are enumerated per cardinality on demand. The oracle must be downward
-    closed; nothing here enforces that, but the homology routines assume it.
+    closed; nothing here enforces that, but homology computed from the
+    complex assumes it.
     """
 
     __slots__ = ("n", "labels", "_oracle", "_cache", "_by_size")
@@ -112,13 +92,6 @@ class FVector:
 
     counts: tuple[int, ...]
 
-    def f(self, dim: int) -> int:
-        """Number of faces of the given dimension (f_{-1} counts the empty face)."""
-        k = dim + 1
-        if 0 <= k < len(self.counts):
-            return self.counts[k]
-        return 0
-
     def reduced_euler(self) -> int:
         """Alternating sum over all faces, empty face included with sign -1."""
         return sum((1 if k % 2 else -1) * c for k, c in enumerate(self.counts))
@@ -127,20 +100,6 @@ class FVector:
 def face_numbers(c: SimplicialComplex) -> FVector:
     """The f-vector of the complex, computed by full enumeration."""
     return FVector(tuple(len(c.faces_of_size(k)) for k in range(c.n + 1)))
-
-
-def dual_alexander_complex(m) -> SimplicialComplex:
-    """The Alexander dual of the dual matroid of ``m``, as a complex on E.
-
-    A subset sigma is a face exactly when its complement is dependent in the
-    dual matroid. Since rank*(E - sigma) = |E - sigma| + rank(sigma) - rank(E),
-    that holds exactly when sigma does not span, so the faces are read off the
-    rank oracle of ``m`` itself. The minimal non-faces are precisely the bases
-    of ``m``, so this is the complex whose Stanley-Reisner ideal is generated
-    by the basis monomials of ``m``.
-    """
-    r = m.full_rank
-    return SimplicialComplex(m.n, lambda sigma: m.rank(sigma) < r)
 
 
 def _rank(columns: list[int], p: int) -> int:
@@ -183,17 +142,3 @@ def boundary_rank(
         packed.append(v)
     return _rank(packed, p)
 
-
-def reduced_betti(c: SimplicialComplex, d: int, fld: PrimeField = GF2) -> int:
-    """Dimension over GF(p) of the reduced homology of ``c`` in degree ``d``.
-
-    Computed as dim ker - dim im from the two boundary maps touching degree
-    d: h~_d = f_d - rank(boundary_d) - rank(boundary_{d+1}), with the faces of
-    sizes d, d + 1 and d + 2 read through ``faces_of_size``.
-    """
-    below, chains, above = (c.faces_of_size(k) for k in (d, d + 1, d + 2))
-    return (
-        len(chains)
-        - boundary_rank(chains, below, c.n, fld.p)
-        - boundary_rank(above, chains, c.n, fld.p)
-    )

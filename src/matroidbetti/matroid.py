@@ -73,13 +73,6 @@ class Matroid:
             self._full = self.rank(self.full_mask)
         return self._full
 
-    def is_independent(self, sigma: int) -> bool:
-        return self.rank(sigma) == sigma.bit_count()
-
-    def nullity(self, sigma: int) -> int:
-        """Size minus rank of the subset."""
-        return sigma.bit_count() - self.rank(sigma)
-
     # -- derived data ------------------------------------------------------
 
     def greedy_basis(self) -> int:
@@ -322,7 +315,7 @@ def multi_uniform(profile: Iterable[tuple[int, int]]) -> Matroid:
 
 
 def from_bases(n: int, bases: Iterable[Iterable[int]]) -> Matroid:
-    """Matroid from an explicit basis family, validated exhaustively.
+    """Matroid from an explicit basis family, checked on every pair of bases.
 
     The family must be non-empty, equicardinal, and satisfy the basis
     exchange axiom: for all bases B1, B2 and e in B1 - B2 there is an

@@ -12,9 +12,9 @@ An independent description goes through circuits: call a family of circuits
 non-redundant when every member keeps an element outside the union of the
 others. The degree of non-redundancy of a subset (the largest non-redundant
 family of circuits inside it) equals its nullity, and consequently d_i is
-the smallest union of a non-redundant family of i circuits. Both routes are
-implemented here and cross-checked in the tests against a sweep over every
-subset.
+the smallest union of a non-redundant family of i circuits
+(``weights_via_circuits``). The tests check that identity and cross-check
+both routes against a sweep over every subset.
 
 For direct sums the hierarchy is the min-plus convolution of the parts, and
 for a disjoint union of circuits with lengths n_1 <= ... <= n_t it is simply
@@ -143,45 +143,6 @@ def weight_hierarchy(m: Matroid) -> WeightHierarchy:
             )
         weights.append(i + min(ranks))
     return WeightHierarchy(tuple(weights))
-
-
-def degree_of_nonredundancy(m: Matroid, sigma: int) -> int:
-    """Size of the largest non-redundant family of circuits inside ``sigma``.
-
-    Equals the nullity of ``sigma``; the tests verify that identity, so this
-    function deliberately stays on the circuit side and never consults the
-    rank of ``sigma`` itself.
-    """
-    cands = [c for c in m.circuits() if c & ~sigma == 0]
-    if not cands:
-        return 0
-    total_union = 0
-    for c in cands:
-        total_union |= c
-    # Any non-redundant family contains some full circuit plus one private
-    # element per additional member, so its size is at most:
-    ub = total_union.bit_count() - min(c.bit_count() for c in cands) + 1
-    best = 1  # a single circuit is always non-redundant
-    k = len(cands)
-
-    def extend(start: int, family: list[int]) -> None:
-        nonlocal best
-        if len(family) > best:
-            best = len(family)
-        if best >= ub:
-            return
-        for idx in range(start, k):
-            if len(family) + (k - idx) <= best:
-                break
-            family.append(cands[idx])
-            if is_nonredundant(family):
-                extend(idx + 1, family)
-            family.pop()
-            if best >= ub:
-                return
-
-    extend(0, [])
-    return best
 
 
 def weights_via_circuits(m: Matroid) -> WeightHierarchy:

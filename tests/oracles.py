@@ -2,14 +2,17 @@
 
 Everything here deliberately avoids the library's own computational routes:
 homology of the generator-subset (Taylor) complex over the rationals instead
-of induced-subcomplex homology over GF(p), a multi-index convolution instead
-of iterated polynomial products, and dense Fraction/GF(2)/GF(p) eliminations
-over lists instead of the packed-integer pivoting in the package, blocks
-from a union-find over every circuit instead of over the fundamental circuits
-of one basis, and circuits and weight hierarchies read off every subset by
-their definitions instead of by circuit elimination and cyclic flats.
-Agreement between these and the library is therefore a genuine two-route
-check.
+of induced-subcomplex homology over GF(p), absolute homology of every induced
+subcomplex in every degree instead of the relative chains of the diagonal
+sweep (only the boundary ranks come from the library), a multi-index
+convolution instead of iterated polynomial products, dense Fraction/GF(2)/
+GF(p) eliminations over lists instead of the packed-integer pivoting in the
+package, blocks from a union-find over every circuit instead of over the
+fundamental circuits of one basis, circuits and weight hierarchies read off
+every subset by their definitions instead of by circuit elimination and
+cyclic flats, and the degree of non-redundancy by a search over circuit
+families instead of the rank. Agreement between these and the library is
+therefore a genuine two-route check.
 """
 
 from __future__ import annotations
@@ -18,13 +21,17 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from matroidbetti import (
+    GF2,
+    BettiTable,
     Matroid,
-    SimplicialComplex,
+    PrimeField,
     ValidationError,
     WeightHierarchy,
     bits,
+    is_nonredundant,
     k_subsets,
 )
+from matroidbetti.complexes import SimplicialComplex, boundary_rank
 
 
 def fraction_rank(rows: list[list[Fraction]]) -> int:
@@ -221,6 +228,47 @@ def circuit_blocks(m: Matroid) -> tuple[int, ...]:
     return tuple(sorted(groups.values(), key=lambda g: g & -g))
 
 
+def dual_alexander_complex(m: Matroid) -> SimplicialComplex:
+    """The Alexander dual of the dual matroid of ``m``, as a complex on E.
+
+    A subset sigma is a face exactly when its complement is dependent in the
+    dual matroid. Since rank*(E - sigma) = |E - sigma| + rank(sigma) - rank(E),
+    that holds exactly when sigma does not span, so the faces are read off the
+    rank oracle of ``m`` itself. The minimal non-faces are precisely the bases
+    of ``m``, so this is the complex whose Stanley-Reisner ideal is generated
+    by the basis monomials of ``m``.
+    """
+    r = m.full_rank
+    return SimplicialComplex(m.n, lambda sigma: m.rank(sigma) < r)
+
+
+def reduced_betti(c: SimplicialComplex, d: int, fld: PrimeField = GF2) -> int:
+    """Dimension over GF(p) of the reduced homology of ``c`` in degree ``d``.
+
+    Conventions:
+
+    * The empty set is a face of every complex except the void complex, which
+      has no faces at all.
+    * A face with k elements spans chain degree k - 1, so the complex whose
+      only face is the empty set has a one-dimensional chain group in degree
+      -1 and reduced homology of dimension 1 there.
+    * The void complex has vanishing reduced homology in every degree, and
+      any degree outside -1..dim gives 0 rather than an error.
+    * The chain complex includes the augmentation, so h~_0 of k isolated
+      points is k - 1.
+
+    Computed as dim ker - dim im from the two boundary maps touching degree
+    d: h~_d = f_d - rank(boundary_d) - rank(boundary_{d+1}), with the faces of
+    sizes d, d + 1 and d + 2 read through ``faces_of_size``.
+    """
+    below, chains, above = (c.faces_of_size(k) for k in (d, d + 1, d + 2))
+    return (
+        len(chains)
+        - boundary_rank(chains, below, c.n, fld.p)
+        - boundary_rank(above, chains, c.n, fld.p)
+    )
+
+
 def induced(c: SimplicialComplex, sigma: int) -> SimplicialComplex:
     """The induced subcomplex of ``c`` on the vertex subset ``sigma``,
     relabelled to 0..|sigma|-1; ``labels`` maps new vertices to old ones."""
@@ -230,6 +278,35 @@ def induced(c: SimplicialComplex, sigma: int) -> SimplicialComplex:
         return c.is_face(sum(1 << members[i] for i in bits(sub)))
 
     return SimplicialComplex(len(members), oracle, labels=members)
+
+
+def absolute_betti(m: Matroid, fld: PrimeField = GF2) -> BettiTable:
+    """The Betti table of the basis-monomial ideal of ``m`` with its fine map,
+    from Hochster's formula read in absolute homology: every pair (i, sigma)
+    with h~_{|sigma|-i-2}(V|sigma) nonzero, V the non-spanning complex.
+
+    No degree is assumed: every sigma and every homological position is
+    visited, so agreement with the library's diagonal sweep also shows that
+    nothing lies off the diagonal |sigma| = rank + i.
+    """
+    n, r = m.n, m.full_rank
+    if r == 0:
+        return BettiTable(0, n, {(0, 0): 1}, (1,), {(0, 0): 1})
+    V = dual_alexander_complex(m)
+    fine: dict[tuple[int, int], int] = {}
+    coarse: dict[tuple[int, int], int] = {}
+    for sigma in range(1, 1 << n):
+        sub = induced(V, sigma)
+        s = sigma.bit_count()
+        for i in range(s):
+            h = reduced_betti(sub, s - i - 2, fld)
+            if h:
+                fine[(i, sigma)] = h
+                coarse[(i, s)] = coarse.get((i, s), 0) + h
+    glob = [coarse.get((i, r + i), 0) for i in range(n - r + 1)]
+    while len(glob) > 1 and not glob[-1]:
+        glob.pop()
+    return BettiTable(r, n, coarse, tuple(glob), fine)
 
 
 def euler_fine_betti(m: Matroid) -> dict[tuple[int, int], int]:
@@ -291,3 +368,42 @@ def sweep_weights(m: Matroid) -> WeightHierarchy:
         f"rank oracle is inconsistent: found nullities {sorted(found)} "
         f"but corank is {corank}"
     )
+
+
+def degree_of_nonredundancy(m: Matroid, sigma: int) -> int:
+    """Size of the largest non-redundant family of circuits inside ``sigma``.
+
+    Equals the nullity of ``sigma``; the tests verify that identity, so this
+    function deliberately stays on the circuit side and never consults the
+    rank of ``sigma`` itself.
+    """
+    cands = [c for c in m.circuits() if c & ~sigma == 0]
+    if not cands:
+        return 0
+    total_union = 0
+    for c in cands:
+        total_union |= c
+    # Any non-redundant family contains some full circuit plus one private
+    # element per additional member, so its size is at most:
+    ub = total_union.bit_count() - min(c.bit_count() for c in cands) + 1
+    best = 1  # a single circuit is always non-redundant
+    k = len(cands)
+
+    def extend(start: int, family: list[int]) -> None:
+        nonlocal best
+        if len(family) > best:
+            best = len(family)
+        if best >= ub:
+            return
+        for idx in range(start, k):
+            if len(family) + (k - idx) <= best:
+                break
+            family.append(cands[idx])
+            if is_nonredundant(family):
+                extend(idx + 1, family)
+            family.pop()
+            if best >= ub:
+                return
+
+    extend(0, [])
+    return best

@@ -19,8 +19,6 @@ from matroidbetti import (
     block_weights,
     cactus_betti,
     cycle_matroid,
-    degree_of_nonredundancy,
-    dual_alexander_complex,
     dual_min_distance,
     fixture,
     hilbert_check,
@@ -28,12 +26,18 @@ from matroidbetti import (
     hochster_betti,
     invert_cactus_betti,
     multi_uniform,
-    reduced_betti,
     uniform,
     weight_hierarchy,
 )
 
-from oracles import convolve_naive, induced
+from oracles import (
+    absolute_betti,
+    convolve_naive,
+    degree_of_nonredundancy,
+    dual_alexander_complex,
+    induced,
+    reduced_betti,
+)
 from util import SEED, multiblock_suite
 
 GF3 = PrimeField(3)
@@ -181,7 +185,7 @@ def test_criterion_10_linearity_and_field_independence(suite_tables):
         if m.n <= 8:
             # Exhaustive: sweep every (i, subset) pair; nothing may appear off
             # the diagonal |subset| = rank + i.
-            full = hochster_betti(m, fine=True, exhaustive=True)
+            full = absolute_betti(m)
             assert full.fine == over_2.fine, (m.provenance, m.n)
             assert full.is_linear()
             exhaustive_count += 1

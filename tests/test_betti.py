@@ -9,6 +9,7 @@ from math import comb
 import pytest
 
 from matroidbetti import complexes
+from matroidbetti.complexes import SimplicialComplex
 from matroidbetti.linalg import lane_width
 from matroidbetti import (
     BettiTable,
@@ -16,7 +17,6 @@ from matroidbetti import (
     GF2,
     Matroid,
     PrimeField,
-    SimplicialComplex,
     ValidationError,
     betti,
     bits,
@@ -35,7 +35,13 @@ from matroidbetti import (
     uniform,
 )
 
-from oracles import convolve_naive, euler_fine_betti, taylor_fine_betti, taylor_global_betti
+from oracles import (
+    absolute_betti,
+    convolve_naive,
+    euler_fine_betti,
+    taylor_fine_betti,
+    taylor_global_betti,
+)
 from util import (
     SEED,
     counting,
@@ -141,7 +147,7 @@ def test_two_triangle_fine_multiplicities():
     assert table.global_ == (9, 12, 4)
 
 
-# -- exhaustive sweep vs the linear-diagonal shortcut ---------------------------
+# -- absolute homology in every degree vs the linear-diagonal sweep ------------
 
 
 @pytest.mark.parametrize(
@@ -157,11 +163,11 @@ def test_two_triangle_fine_multiplicities():
     ids=lambda m: f"n{m.n}r{m.full_rank}",
 )
 def test_exhaustive_sweep_equals_diagonal_sweep(m):
-    # The shortcut only visits supports of size rank + i; the exhaustive mode
+    # The sweep only visits supports of size rank + i; ``absolute_betti``
     # visits every (i, subset) pair and keeps whatever is nonzero. They must
     # produce identical tables, which also certifies off-diagonal vanishing.
     fast = hochster_betti(m, fine=True)
-    full = hochster_betti(m, fine=True, exhaustive=True)
+    full = absolute_betti(m)
     assert full.coarse == fast.coarse
     assert full.fine == fast.fine
     assert full.global_ == fast.global_
@@ -182,12 +188,12 @@ def _differential_cases() -> list[Matroid]:
 @pytest.mark.parametrize("fld", [GF2, GF3, PrimeField(5)], ids=lambda f: f"GF{f.p}")
 def test_relative_chains_match_absolute_homology(fld):
     # The diagonal sweep ranks relative chains (bases of sigma against the
-    # spanning (r + 1)-subsets of sigma); the exhaustive mode ranks the
+    # spanning (r + 1)-subsets of sigma); ``absolute_betti`` ranks the
     # absolute homology of V|sigma in every degree; the Euler oracle does no
     # linear algebra at all. All three fine tables must agree.
     for m in _differential_cases():
         fast = hochster_betti(m, fld, fine=True)
-        full = hochster_betti(m, fld, fine=True, exhaustive=True)
+        full = absolute_betti(m, fld)
         assert fast.fine == full.fine == euler_fine_betti(m), (m.provenance, m.n)
         assert fast.coarse == full.coarse
 

@@ -1,6 +1,7 @@
 """Command line front end: every subcommand, both output formats, all four
 exit codes, and byte determinism."""
 
+import importlib
 import io
 import json
 import pathlib
@@ -83,6 +84,24 @@ def test_betti_crosscheck_and_field(capsys):
     assert "field: GF(3)" in out
     assert "crosscheck: agreement across" in out
     assert "hilbert check passed" in out
+
+
+def test_crosscheck_sweeps_a_single_block_once(capsys, monkeypatch):
+    # g1 is one block, so a blocks route would only rerun the same sweep.
+    betti_mod = importlib.import_module("matroidbetti.betti")
+    sweep = betti_mod.hochster_betti
+    calls = 0
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(betti_mod, "hochster_betti", counting)
+    code, out, _ = run(capsys, "betti", "--input", "g1", "--crosscheck")
+    assert code == 0
+    assert calls == 1
+    assert "crosscheck: agreement across hochster; hilbert check passed" in out
 
 
 def test_betti_blocks_input(capsys):

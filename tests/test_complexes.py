@@ -8,14 +8,10 @@ import pytest
 from matroidbetti import (
     GF2,
     PrimeField,
-    SimplicialComplex,
-    boundary_rank,
-    dual_alexander_complex,
-    face_numbers,
     mask_of,
-    reduced_betti,
     uniform,
 )
+from matroidbetti.complexes import SimplicialComplex, boundary_rank, face_numbers
 
 from matroidbetti.linalg import (
     PRIME_TEST_BOUND,
@@ -25,7 +21,13 @@ from matroidbetti.linalg import (
     modp_rank,
 )
 
-from oracles import dense_gf2_rank, dense_modp_rank, induced
+from oracles import (
+    dense_gf2_rank,
+    dense_modp_rank,
+    dual_alexander_complex,
+    induced,
+    reduced_betti,
+)
 from util import graph_matroid, two_triangles
 
 GF3 = PrimeField(3)

@@ -17,12 +17,11 @@ from matroidbetti import (
     fixture,
     is_cactus,
     mask_of,
-    random_cactus,
     uniform,
     weight_hierarchy,
 )
 
-from util import SEED, two_triangles
+from util import SEED, random_cactus, two_triangles
 
 
 # -- the graph container ----------------------------------------------------------

@@ -13,7 +13,6 @@ from matroidbetti import (
     block_weights,
     cactus_weights,
     cycle_matroid,
-    degree_of_nonredundancy,
     fixture,
     is_nonredundant,
     mask_of,
@@ -23,7 +22,7 @@ from matroidbetti import (
     weights_via_circuits,
 )
 
-from oracles import minplus_naive, sweep_weights
+from oracles import degree_of_nonredundancy, minplus_naive, sweep_weights
 from util import (
     SEED,
     STRUCTURE_FAMILIES,

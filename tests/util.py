@@ -1,6 +1,7 @@
 """Shared fixtures and helpers for the test suite: a seeded pool of
 multi-block matroids (direct sums of small uniforms and graphic matroids),
-matroid axiom checks, and a couple of named graphs."""
+seeded graph generators, matroid axiom checks, and a couple of named
+graphs."""
 
 from __future__ import annotations
 
@@ -26,6 +27,40 @@ SUITE_SIZE = 52
 def two_triangles() -> Graph:
     """Two triangles glued at one vertex: the smallest interesting cactus."""
     return Graph(5, ((0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)))
+
+
+def random_cactus(
+    rng: random.Random,
+    cycles: int,
+    length_range: tuple[int, int] = (2, 6),
+    bridges: int = 0,
+    loops: int = 0,
+) -> Graph:
+    """A random connected cactus with the requested number of cycles (each of
+    a length drawn from ``length_range``), bridge edges and self-loops."""
+    lo, hi = length_range
+    if cycles < 0 or bridges < 0 or loops < 0 or lo < 2 or hi < lo:
+        raise ValueError("invalid cactus parameters")
+    vertices = [0]
+    edges: list[tuple[int, int]] = []
+    for _ in range(cycles):
+        attach = rng.choice(vertices)
+        length = rng.randint(lo, hi)
+        ring = [attach]
+        for _ in range(length - 1):
+            vertices.append(len(vertices))
+            ring.append(vertices[-1])
+        for i in range(length):
+            edges.append((ring[i], ring[(i + 1) % length]))
+    for _ in range(bridges):
+        attach = rng.choice(vertices)
+        vertices.append(len(vertices))
+        edges.append((attach, vertices[-1]))
+    for _ in range(loops):
+        attach = rng.choice(vertices)
+        edges.append((attach, attach))
+    rng.shuffle(edges)
+    return Graph(len(vertices), tuple(edges))
 
 
 def graph_matroid(vertices: int, edges) -> Matroid:
