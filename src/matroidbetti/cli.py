@@ -190,7 +190,9 @@ def _check_betti_agreement(routes: dict[str, BettiTable]) -> list[str]:
 def _weights_routes(m: Matroid, primary: WeightHierarchy) -> dict[str, WeightHierarchy]:
     routes = {"sweep": primary, "circuits": weights_via_circuits(m)}
     part = m.blocks()
-    routes["blocks"] = block_weights(weight_hierarchy(b.matroid) for b in part.blocks)
+    # On a single block the blocks route is the sweep route run again.
+    if len(part.blocks) >= 2:
+        routes["blocks"] = block_weights(weight_hierarchy(b.matroid) for b in part.blocks)
     info = _cactus_profile(part)
     if info is not None:
         routes["cactus"] = cactus_weights(info[0])

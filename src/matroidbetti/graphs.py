@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .betti import CycleProfile
-from .bitset import bits
 from .errors import ValidationError
 from .matroid import Matroid
 
@@ -110,29 +109,34 @@ class Graph:
 
 def cycle_matroid(graph: Graph) -> Matroid:
     """The cycle matroid on the edge set: the rank of an edge subset is the
-    size of a spanning forest of the subgraph it induces."""
-    edges = graph.edges
+    size of a spanning forest of the subgraph it induces.
+
+    The rank is counted by union-find over a fresh copy of one prebuilt
+    parent list, taking the edges of the mask from its lowest bit up, with
+    path halving written out inline: the oracle is the innermost call of
+    every sweep over graphs."""
+    ends = graph.edges
+    singletons = list(range(graph.vertex_count))
 
     def rank_fn(mask: int) -> int:
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            root = x
-            while parent.setdefault(root, root) != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
+        parent = singletons[:]
         rank = 0
-        for e in bits(mask):
-            ru, rv = find(edges[e][0]), find(edges[e][1])
-            if ru != rv:
-                parent[ru] = rv
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            u, v = ends[low.bit_length() - 1]
+            # Halving. Targets bind left to right: parent[u] is set before u
+            # moves; ``u = parent[u] = ...`` would write the wrong slot.
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                parent[u] = v
                 rank += 1
         return rank
 
-    return Matroid(len(edges), rank_fn, provenance="cycle_matroid")
+    return Matroid(len(ends), rank_fn, provenance="cycle_matroid")
 
 
 @dataclass(frozen=True)

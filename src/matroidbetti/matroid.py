@@ -3,8 +3,8 @@
 A matroid is stored as its rank function on subsets (bit masks). Bases,
 circuits and blocks are derived from the oracle, so every constructor gets
 identical treatment and derived data always agrees with the oracle.
-Instances are immutable; rank values, bases and circuits are cached on first
-use.
+Instances are immutable; rank values, bases, circuits and the block masks
+are cached on first use.
 
 Blocks are the classes of the connectivity relation: two elements are
 related when some circuit contains both. They are found without listing the
@@ -33,7 +33,10 @@ Provenance = str  # "graphic" | "uniform" | "multi_uniform" | "explicit_bases"
 class Matroid:
     """A matroid presented by its rank oracle."""
 
-    __slots__ = ("n", "provenance", "labels", "_rank_fn", "_cache", "_full", "_bases", "_circuits")
+    __slots__ = (
+        "n", "provenance", "labels", "_rank_fn", "_cache", "_full", "_bases", "_circuits",
+        "_blocks",
+    )
 
     def __init__(
         self,
@@ -51,6 +54,7 @@ class Matroid:
         self._full: int | None = None
         self._bases: tuple[int, ...] | None = None
         self._circuits: tuple[int, ...] | None = None
+        self._blocks: tuple[int, ...] | None = None
 
     # -- rank oracle -------------------------------------------------------
 
@@ -212,7 +216,20 @@ class Matroid:
         union-find components of these joins (the components of the
         fundamental graph of B). Blocks are ordered by their smallest element
         and carry their restricted matroid.
+
+        The member masks are found once and kept; each call wraps them in
+        fresh restrictions. A kept restriction would refer back to this
+        matroid through its oracle, a cycle that reference counting cannot
+        free, so every matroid that had its blocks read would live until the
+        cycle collector ran.
         """
+        if self._blocks is None:
+            self._blocks = self._block_masks()
+        return BlockPartition(
+            self.n, tuple(Block(m, self.restrict(m)) for m in self._blocks)
+        )
+
+    def _block_masks(self) -> tuple[int, ...]:
         parent = list(range(self.n))
 
         def find(x: int) -> int:
@@ -231,10 +248,7 @@ class Matroid:
         for e in range(self.n):
             root = find(e)
             groups[root] = groups.get(root, 0) | (1 << e)
-        masks = sorted(groups.values(), key=lambda m: m & -m)
-        return BlockPartition(
-            self.n, tuple(Block(m, self.restrict(m)) for m in masks)
-        )
+        return tuple(sorted(groups.values(), key=lambda m: m & -m))
 
     def __repr__(self) -> str:
         return f"Matroid(n={self.n}, rank={self.full_rank}, provenance={self.provenance!r})"

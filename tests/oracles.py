@@ -7,8 +7,9 @@ subcomplex in every degree instead of the relative chains of the diagonal
 sweep (only the boundary ranks come from the library), a multi-index
 convolution instead of iterated polynomial products, dense Fraction/GF(2)/
 GF(p) eliminations over lists instead of the packed-integer pivoting in the
-package, blocks from a union-find over every circuit instead of over the
-fundamental circuits of one basis, circuits and weight hierarchies read off
+package, graph ranks by breadth-first search instead of union-find, blocks
+from a union-find over every circuit instead of over the fundamental
+circuits of one basis, circuits and weight hierarchies read off
 every subset by their definitions instead of by circuit elimination and
 cyclic flats, and the degree of non-redundancy by a search over circuit
 families instead of the rank. Agreement between these and the library is
@@ -17,6 +18,7 @@ therefore a genuine two-route check.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -206,6 +208,31 @@ def minplus_naive(parts: list[list[int]]) -> list[int]:
         if best[i] is None or total < best[i]:
             best[i] = total
     return [b for b in best[1:]]
+
+
+def graph_rank(vertex_count: int, edges, mask: int) -> int:
+    """Rank of an edge subset in the cycle matroid, as the number of vertices
+    its edges touch minus the number of connected components they form,
+    found by breadth-first search."""
+    chosen = [edges[e] for e in bits(mask)]
+    adjacent: dict[int, set[int]] = {}
+    for u, v in chosen:
+        adjacent.setdefault(u, set()).add(v)
+        adjacent.setdefault(v, set()).add(u)
+    components = 0
+    seen: set[int] = set()
+    for start in adjacent:
+        if start in seen:
+            continue
+        components += 1
+        seen.add(start)
+        queue = deque([start])
+        while queue:
+            for w in adjacent[queue.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+    return len(adjacent) - components
 
 
 def circuit_blocks(m: Matroid) -> tuple[int, ...]:

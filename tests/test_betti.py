@@ -37,6 +37,7 @@ from matroidbetti import (
 
 from oracles import (
     absolute_betti,
+    brute_circuits,
     convolve_naive,
     euler_fine_betti,
     taylor_fine_betti,
@@ -48,6 +49,7 @@ from util import (
     graph_matroid,
     multiblock_suite,
     random_multigraph,
+    structure_cases,
     two_triangles,
 )
 
@@ -506,3 +508,15 @@ def test_dual_minimum_distance_small_cases():
     assert dual_min_distance(multi_uniform([(1, 1), (2, 3)])) == 1
     with pytest.raises(ValidationError, match="no circuits"):
         dual_min_distance(uniform(0, 4))
+
+
+def test_dual_minimum_distance_stops_at_first_dependent_set():
+    # Every pair of g1's dual is tested only until the first dependent one;
+    # counting all C(14, 2) pairs takes 106 distinct evaluations.
+    m, evaluated = counting(cycle_matroid(fixture("g1")))
+    assert dual_min_distance(m) == 2
+    assert len(evaluated) <= 20
+    for m in structure_cases("multigraphs")[:40]:
+        cocircuits = brute_circuits(m.dual())
+        if cocircuits:
+            assert dual_min_distance(m) == cocircuits[0].bit_count()

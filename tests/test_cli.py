@@ -211,6 +211,29 @@ def test_weights_text_and_crosscheck(capsys):
     assert "crosscheck: agreement across" in out
 
 
+def test_weights_crosscheck_computes_a_single_block_once(capsys, monkeypatch):
+    # g1 is one block, so a blocks route would only rerun the sweep route.
+    cli_mod = importlib.import_module("matroidbetti.cli")
+    hierarchy = cli_mod.weight_hierarchy
+    calls = 0
+
+    def counting(m):
+        nonlocal calls
+        calls += 1
+        return hierarchy(m)
+
+    monkeypatch.setattr(cli_mod, "weight_hierarchy", counting)
+    code, out, _ = run(capsys, "weights", "--input", "g1", "--crosscheck")
+    assert code == 0
+    assert calls == 1
+    assert "crosscheck: agreement across circuits, sweep" in out
+    code, data, _ = run_json(
+        capsys, "weights", "--input", TWO_TRIANGLES_JSON, "--crosscheck"
+    )
+    assert code == 0
+    assert data["crosscheck"]["routes"] == ["blocks", "cactus", "circuits", "sweep"]
+
+
 def test_weights_json(capsys):
     code, data, _ = run_json(capsys, "weights", "--input", "g1")
     assert code == 0

@@ -21,7 +21,8 @@ from matroidbetti import (
     weight_hierarchy,
 )
 
-from util import SEED, random_cactus, two_triangles
+from oracles import graph_rank
+from util import SEED, random_cactus, random_graph, two_triangles
 
 
 # -- the graph container ----------------------------------------------------------
@@ -101,6 +102,29 @@ def test_cycle_matroid_loops_and_parallels():
 def test_cycle_matroid_disconnected_rank():
     m = cycle_matroid(Graph(4, ((0, 1), (2, 3))))
     assert m.full_rank == 2  # vertices minus components
+
+
+def test_cycle_matroid_matches_breadth_first_rank():
+    # Every subset of 120 seeded multigraphs and of g3, against vertices
+    # touched minus components. The sample must reach every shape the
+    # union-find has to handle.
+    rng = random.Random(SEED + 7)
+    graphs = [random_graph(rng) for _ in range(120)] + [fixture("g3")]
+    shapes = set()
+    for g in graphs:
+        m = cycle_matroid(g)
+        for s in range(1 << g.edge_count):
+            assert m.rank(s) == graph_rank(g.vertex_count, g.edges, s), (g, s)
+        touched = {v for e in g.edges for v in e}
+        if any(u == v for u, v in g.edges):
+            shapes.add("loop")
+        if len(set(g.edges)) < g.edge_count:
+            shapes.add("parallel")
+        if len(touched) < g.vertex_count:
+            shapes.add("isolated")
+        if len(touched) - m.full_rank > 1:  # two components with edges
+            shapes.add("disconnected")
+    assert {"loop", "parallel", "isolated", "disconnected"} <= shapes
 
 
 # -- bundled benchmark graphs ---------------------------------------------------------

@@ -1,7 +1,9 @@
 """Matroid core: rank oracles, bases, circuits, duality, restriction,
 blocks, and the constructors."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -9,6 +11,7 @@ from matroidbetti import (
     Block,
     Matroid,
     ValidationError,
+    betti,
     bits,
     cycle_matroid,
     direct_sum,
@@ -189,6 +192,34 @@ def test_blocks_and_resolve_never_list_circuits(monkeypatch):
     assert m.blocks().masks() == (m.full_mask,)
     assert resolve_algorithm(m) == "hochster"
     assert len(evaluated) <= 100
+
+
+def test_blocks_are_found_once(monkeypatch):
+    # ``betti`` reads the partition to choose its route and again to run
+    # the blocks route; both reads share one search, and neither keeps a
+    # restriction that refers back to ``m``.
+    searches = []
+    fundamental = Matroid._fundamental_circuits
+
+    def recording(self):
+        searches.append(self.n)
+        return fundamental(self)
+
+    monkeypatch.setattr(Matroid, "_fundamental_circuits", recording)
+    m = cycle_matroid(two_triangles())
+    assert m.blocks().masks() == m.blocks().masks() == (0b111, 0b111000)
+    assert resolve_algorithm(m) == "blocks"
+    assert betti(m).global_ == (9, 12, 4)
+    assert searches == [6]
+    # With the cycle collector off, ``m`` (and so its oracle) is freed by
+    # reference counting alone.
+    probe = weakref.ref(m._rank_fn)
+    gc.disable()
+    try:
+        del m
+        assert probe() is None
+    finally:
+        gc.enable()
 
 
 def test_block_kinds():

@@ -53,3 +53,18 @@ def test_trace_hooks_see_the_sweep_eliminations(capsys):
         tracer.uninstall()
     capsys.readouterr()
     assert tracer.counters["linalg.modp_rank"][0] > 0
+
+
+def test_trace_hooks_see_the_graph_oracle_and_gf2_eliminations(capsys):
+    # The benchmark's oracle and GF(2) per-layer metrics read these two
+    # counters: the graph oracle is reached through ``Matroid.__init__`` and
+    # the sweep's GF(2) eliminations through ``complexes.gf2_rank``.
+    tracer = _tracing_module().Tracer()
+    tracer.install()
+    try:
+        assert main(["betti", "--input", "g3"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.counters["graphs.rank_fn"][0] > 0
+    assert tracer.counters["linalg.gf2_rank"][0] > 0

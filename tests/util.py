@@ -68,8 +68,14 @@ def graph_matroid(vertices: int, edges) -> Matroid:
 
 
 def random_multigraph(rng: random.Random) -> Matroid:
+    """The cycle matroid of ``random_graph(rng)``."""
+    return cycle_matroid(random_graph(rng))
+
+
+def random_graph(rng: random.Random) -> Graph:
     """A seeded multigraph of up to 9 edges with loops, parallel edges and,
-    being sparse, usually some bridges."""
+    being sparse, usually some bridges, isolated vertices and several
+    components."""
     vertices = rng.randint(1, 6)
     edges: list[tuple[int, int]] = []
     for _ in range(rng.randint(0, 9)):
@@ -81,7 +87,7 @@ def random_multigraph(rng: random.Random) -> Matroid:
             edges.append(rng.choice(edges))
         else:
             edges.append((rng.randrange(vertices), rng.randrange(vertices)))
-    return graph_matroid(vertices, edges)
+    return Graph(vertices, tuple(edges))
 
 
 def random_linear(rng: random.Random, p: int) -> Matroid:
