@@ -15,11 +15,12 @@ as 0 <- S(-(m-1))^m <- S(-m)^(m-1) <- 0.
 
 Three independent algorithms produce the same table and are cross-checked in
 the tests and the command line tool: the Hochster sweep, a block-by-block
-product (convolution of the per-block global vectors), and a closed form in
-elementary symmetric polynomials of cycle lengths for matroids all of whose
-blocks are circuits, loops or single coloops (cycle matroids of cactus
-graphs). The closed form also inverts: given a cactus Betti vector and the
-number of loops, the multiset of cycle lengths is recovered exactly.
+product (convolution of the per-block global vectors), and a closed form for
+matroids all of whose blocks are circuits, loops or single coloops (cycle
+matroids of cactus graphs). The closed form is the block product with one
+factor n + (n - 1)x per circuit of length n, and it inverts: given a cactus
+Betti vector and the number of loops, the multiset of cycle lengths is
+recovered exactly.
 """
 
 from __future__ import annotations
@@ -45,12 +46,6 @@ from .linalg import lane_width
 from .matroid import BlockPartition, Matroid
 
 
-def _comb0(n: int, k: int) -> int:
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return comb(n, k)
-
-
 def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -60,24 +55,14 @@ def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def _trim(vec: Sequence[int]) -> tuple[int, ...]:
-    """Drop trailing zeros but always keep the index-0 entry."""
-    last = 0
-    for i, v in enumerate(vec):
-        if v:
-            last = i
-    return tuple(vec[: last + 1])
-
-
 @dataclass
 class BettiTable:
     """A graded Betti table of a linear resolution.
 
     ``coarse`` maps (homological position i, total degree j) to a positive
     multiplicity; zero entries are omitted. ``global_`` lists the ungraded
-    numbers beta_0, beta_1, ... (a presentation detail: the cactus closed
-    form keeps indices up to the number of cycles, including trailing zeros
-    contributed by loops, while the other producers trim trailing zeros).
+    numbers beta_0 .. beta_{n-r}, always n - r + 1 of them: the resolution
+    has length at most n - r, and trailing zeros (one per loop) are kept.
     ``fine`` maps (i, subset mask) to multiplicities when requested.
     """
 
@@ -160,14 +145,8 @@ class CycleProfile:
         if any(x < 1 for x in ls):
             raise ValidationError(f"cycle lengths must be >= 1, got {ls}")
         object.__setattr__(self, "lengths", ls)
-        # Coefficients of prod_i (1 + length_i * X), built one factor at a time.
-        sig = [1]
-        for length in ls:
-            sig = (
-                [1]
-                + [sig[j] + length * sig[j - 1] for j in range(1, len(sig))]
-                + [length * sig[-1]]
-            )
+        # The coefficients of prod_k (1 + n_k X).
+        sig = reduce(_poly_mul, ([1, x] for x in ls), [1])
         object.__setattr__(self, "sigma", tuple(sig))
 
     @property
@@ -177,6 +156,55 @@ class CycleProfile:
     @property
     def loops(self) -> int:
         return sum(1 for x in self.lengths if x == 1)
+
+
+@dataclass(frozen=True)
+class CactusCertificate:
+    """The blocks of a matroid sorted by kind: ``cycles`` holds the member
+    masks of the circuits (loops appear here as single-bit masks),
+    ``bridges`` the single coloops, and ``offending`` the blocks that are
+    neither, which is nonempty exactly when ``is_cactus`` is False. For a
+    graph the cycles are its cycles and self-loops, the bridges its bridges.
+    """
+
+    is_cactus: bool
+    cycles: tuple[int, ...]
+    bridges: tuple[int, ...]
+    offending: tuple[int, ...]
+
+    @property
+    def loops(self) -> int:
+        return sum(1 for c in self.cycles if c.bit_count() == 1)
+
+    def profile(self) -> CycleProfile:
+        if not self.is_cactus:
+            raise ValidationError(
+                "graph is not a cactus: some block is not a single cycle "
+                f"(offending edge masks: {list(self.offending)})"
+            )
+        return CycleProfile(c.bit_count() for c in self.cycles)
+
+
+def _cactus_certificate(part: BlockPartition) -> CactusCertificate:
+    """Sort the blocks into cycles (circuits and loops), bridges (coloops)
+    and offending (general) blocks."""
+    cycles: list[int] = []
+    bridges: list[int] = []
+    offending: list[int] = []
+    for block in part.blocks:
+        kind = block.kind
+        if kind == "coloop":
+            bridges.append(block.members)
+        elif kind == "general":
+            offending.append(block.members)
+        else:
+            cycles.append(block.members)  # a circuit, or a loop
+    return CactusCertificate(
+        is_cactus=not offending,
+        cycles=tuple(cycles),
+        bridges=tuple(bridges),
+        offending=tuple(offending),
+    )
 
 
 # -- Hochster sweep -----------------------------------------------------------
@@ -295,7 +323,7 @@ def hochster_betti(
     if r == 0:
         # The ideal generated by the empty-set monomial is the whole ring: one
         # generator in degree zero and nothing else.
-        return BettiTable(0, n, {(0, 0): 1}, (1,), {(0, 0): 1} if fine else None)
+        return BettiTable(0, n, {(0, 0): 1}, (1,) + (0,) * n, {(0, 0): 1} if fine else None)
     # Greedy probe: a sane rank oracle always yields a basis; a broken one
     # would make the ideal zero and the sweep meaningless.
     if m.rank(m.greedy_basis()) != r:
@@ -311,11 +339,17 @@ def hochster_betti(
                     fine_map[(i, sigma)] = h
         if total:
             coarse[(i, r + i)] = total
-    glob = _trim([coarse.get((i, r + i), 0) for i in range(n - r + 1)])
+    glob = tuple(coarse.get((i, r + i), 0) for i in range(n - r + 1))
     return BettiTable(r, n, coarse, glob, fine_map if fine else None)
 
 
 # -- block product ------------------------------------------------------------
+
+
+def _linear_table(rank: int, n: int, glob: Sequence[int]) -> BettiTable:
+    """The coarse table of a linear resolution with global vector ``glob``."""
+    coarse = {(i, rank + i): v for i, v in enumerate(glob) if v}
+    return BettiTable(rank, n, coarse, tuple(glob), None)
 
 
 def block_product_betti(tables: Sequence[BettiTable]) -> BettiTable:
@@ -335,14 +369,8 @@ def block_product_betti(tables: Sequence[BettiTable]) -> BettiTable:
             )
     if len(ts) == 1:
         return ts[0]
-    rank = sum(t.rank_r for t in ts)
-    n = sum(t.n for t in ts)
-    g: list[int] = [1]
-    for t in ts:
-        g = _poly_mul(g, list(t.global_))
-    glob = _trim(g)
-    coarse = {(i, rank + i): v for i, v in enumerate(glob) if v}
-    return BettiTable(rank, n, coarse, glob, None)
+    glob = reduce(_poly_mul, (t.global_ for t in ts), [1])
+    return _linear_table(sum(t.rank_r for t in ts), sum(t.n for t in ts), glob)
 
 
 # -- cactus closed form -------------------------------------------------------
@@ -351,28 +379,34 @@ def block_product_betti(tables: Sequence[BettiTable]) -> BettiTable:
 def cactus_betti(profile: CycleProfile | Iterable[int]) -> BettiTable:
     """Closed-form Betti table for a disjoint union of circuits (a cactus).
 
-    With t cycles of lengths n_1..n_t and sigma_j their elementary symmetric
-    polynomials,
+    A circuit of length n resolves as 0 <- S(-(n-1))^n <- S(-n)^(n-1) <- 0,
+    so by the block product the global vector of t circuits of lengths
+    n_1..n_t is the coefficient list of
 
-        beta_i = sum_{j=0}^{i} (-1)^j C(t-j, i-j) sigma_{t-j},   i = 0..t.
+        prod_k (n_k + (n_k - 1) x)  =  sum_j sigma_j (1 + x)^j (-x)^(t-j),
 
-    Loops enter as length-1 cycles and force beta_t = ... = beta_{t-l+1} = 0;
-    those trailing zeros are retained so the indices run all the way to t.
+    with sigma_j the elementary symmetric polynomials of the lengths
+    (``CycleProfile.sigma``). A loop enters as a cycle of length 1, the
+    factor 1 + 0x, so the vector keeps all t + 1 entries, one trailing zero
+    per loop.
     """
     if not isinstance(profile, CycleProfile):
         profile = CycleProfile(profile)
-    t = profile.t
-    if t == 0:
+    if profile.t == 0:
         raise ValidationError("cactus Betti numbers need at least one cycle")
-    sig = profile.sigma
-    beta = [
-        sum(((-1) ** j) * _comb0(t - j, i - j) * sig[t - j] for j in range(i + 1))
-        for i in range(t + 1)
-    ]
-    rank = sum(x - 1 for x in profile.lengths)
     n = sum(profile.lengths)
-    coarse = {(i, rank + i): v for i, v in enumerate(beta) if v}
-    return BettiTable(rank, n, coarse, tuple(beta), None)
+    beta = reduce(_poly_mul, ([x, x - 1] for x in profile.lengths), [1])
+    return _linear_table(n - profile.t, n, beta)
+
+
+def _cactus_table(cert: CactusCertificate) -> BettiTable:
+    """The table of a matroid whose blocks are circuits, loops and single
+    coloops: ``cactus_betti`` of the cycles, and each bridge (a coloop, the
+    factor 1 of the block product) adds 1 to the rank and to n. With no
+    cycle at all (a free matroid) the product is empty: one generator."""
+    b = len(cert.bridges)
+    core = cactus_betti(cert.profile()) if cert.cycles else _linear_table(0, 0, [1])
+    return _linear_table(core.rank_r + b, core.n + b, core.global_)
 
 
 def _shift_nonnegative(poly: list[int], x: int) -> bool:
@@ -405,14 +439,16 @@ def invert_cactus_betti(global_betti: Iterable[int], loops: int) -> CycleProfile
     """Recover the cycle lengths of a cactus from its global Betti vector.
 
     The loop count cannot be read off the vector (loops only contribute
-    trailing zeros), so it is an explicit argument. The elementary symmetric
-    polynomials are recovered by the triangular recursion
+    trailing zeros), so it is an explicit argument: without its trailing
+    zeros the vector has t + 1 - loops entries, t the number of cycles.
+    The closed form of ``cactus_betti`` at x = -X / (X - 1), times
+    (X - 1)^t, is
 
-        sigma_t = beta_0,
-        sigma_{t-i} = (-1)^i ( beta_i - sum_{j<i} (-1)^j C(t-j, i-j) sigma_{t-j} ),
+        P(X) = prod_k (X - n_k) = sum_i (-1)^i beta_i X^i (X - 1)^(t-i),
 
-    and the lengths are the integer roots of
-    P(X) = X^t - sigma_1 X^{t-1} + ... + (-1)^t sigma_t. They are found
+    so the elementary symmetric polynomials are read off the coefficients
+    of the right-hand side, X^t - sigma_1 X^{t-1} + ... + (-1)^t sigma_t,
+    and the lengths are the integer roots of P. They are found
     largest first, each by bisection on [1, sigma_1]: when P splits over the
     reals, P(x + Y) has no negative coefficient exactly when x is at least
     its largest root, and the least such x is checked to be a root and
@@ -430,26 +466,18 @@ def invert_cactus_betti(global_betti: Iterable[int], loops: int) -> CycleProfile
     if not vals:
         raise ValidationError("not a cactus Betti vector: no nonzero entry")
     t = len(vals) - 1 + loops
-
-    def beta(i: int) -> int:
-        return vals[i] if i < len(vals) else 0
-
-    sig = [0] * (t + 1)  # sig[j] = sigma_j
-    for i in range(t + 1):
-        acc = beta(i)
-        for j in range(i):
-            acc -= ((-1) ** j) * _comb0(t - j, i - j) * sig[t - j]
-        sig[t - i] = ((-1) ** i) * acc
-        if sig[t - i] <= 0:
-            raise ValidationError(
-                f"not a cactus Betti vector: sigma_{t - i} = {sig[t - i]}"
-            )
+    # P little-endian: (X - 1)^(t-i) contributes (-1)^(t-i-k) C(t-i, k) X^k.
+    poly = [0] * (t + 1)
+    for i, b in enumerate(vals):
+        for k in range(t - i + 1):
+            poly[i + k] += (-1) ** (t - k) * comb(t - i, k) * b
+    sig = [(-1) ** j * poly[t - j] for j in range(t + 1)]  # sig[j] = sigma_j
+    for j in range(t, -1, -1):
+        if sig[j] <= 0:
+            raise ValidationError(f"not a cactus Betti vector: sigma_{j} = {sig[j]}")
     if sig[0] != 1:
         raise ValidationError(f"not a cactus Betti vector: sigma_0 = {sig[0]}")
 
-    # Monic polynomial with the sigmas as signed coefficients, little-endian:
-    # coeff of X^k is (-1)^(t-k) sigma_{t-k}. Its roots are the lengths.
-    poly = [((-1) ** (t - k)) * sig[t - k] for k in range(t + 1)]
     roots: list[int] = []
     hi = sig[1] if t else 0  # positive roots summing to sigma_1 are <= sigma_1
     while len(poly) > 1:
@@ -480,25 +508,6 @@ def invert_cactus_betti(global_betti: Iterable[int], loops: int) -> CycleProfile
 # -- dispatcher ---------------------------------------------------------------
 
 
-def _cactus_profile(part: BlockPartition) -> tuple[list[int], int] | None:
-    """Cycle lengths and coloop count when every block is a circuit, a loop
-    or a single coloop; None otherwise."""
-    lengths: list[int] = []
-    coloops = 0
-    for block in part.blocks:
-        kind = block.kind
-        if kind == "general":
-            return None
-        if kind == "coloop":
-            coloops += 1
-        else:
-            lengths.append(block.matroid.n)  # a loop is a cycle of length 1
-    return lengths, coloops
-
-
-_COLOOP_TABLE = BettiTable(1, 1, {(0, 1): 1}, (1,), None)
-
-
 def resolve_algorithm(m: Matroid, algorithm: str = "auto", *, fine: bool = False) -> str:
     """The concrete algorithm ``betti`` will run for this matroid.
 
@@ -518,7 +527,7 @@ def resolve_algorithm(m: Matroid, algorithm: str = "auto", *, fine: bool = False
     part = m.blocks()
     if len(part.blocks) >= 2:
         return "blocks"
-    if _cactus_profile(part) is not None:
+    if _cactus_certificate(part).is_cactus:
         return "cactus"
     return "hochster"
 
@@ -547,20 +556,13 @@ def betti(
     if algorithm == "blocks":
         tables = [hochster_betti(b.matroid, fld) for b in m.blocks().blocks]
         return block_product_betti(tables)
-    info = _cactus_profile(m.blocks())
-    if info is None:
+    cert = _cactus_certificate(m.blocks())
+    if not cert.is_cactus:
         raise ValidationError(
             "cactus algorithm requires every block to be a circuit, a loop "
             "or a single coloop"
         )
-    lengths, coloops = info
-    if not lengths:
-        # Nothing but coloops (a free matroid): a single generator.
-        return BettiTable(m.full_rank, m.n, {(0, m.full_rank): 1}, (1,), None)
-    table = cactus_betti(CycleProfile(lengths))
-    if coloops:
-        table = block_product_betti([table] + [_COLOOP_TABLE] * coloops)
-    return table
+    return _cactus_table(cert)
 
 
 # -- consistency checks and derived invariants --------------------------------

@@ -16,12 +16,14 @@ import argparse
 import functools
 import json
 import sys
-from typing import Sequence
+from operator import attrgetter
+from typing import Callable, Sequence
 
 from .betti import (
     BettiTable,
     CycleProfile,
-    _cactus_profile,
+    _cactus_certificate,
+    _cactus_table,
     betti,
     cactus_betti,
     dual_min_distance,
@@ -54,6 +56,17 @@ _FIXTURE_NAMES = ("g1", "g2", "g3", "g4")
 # -- input handling -----------------------------------------------------------
 
 
+def _rank_size(item: object, message: str) -> tuple[int, int]:
+    """``item`` as a [rank, size] pair of ints; ValueError(message) if not."""
+    if (
+        not isinstance(item, (list, tuple))
+        or len(item) != 2
+        or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)
+    ):
+        raise ValueError(message)
+    return item[0], item[1]
+
+
 def _from_dict(data: object, label: str) -> tuple[Matroid, Graph | None]:
     if not isinstance(data, dict):
         raise ValueError(f"{label}: expected a JSON object, got {type(data).__name__}")
@@ -61,27 +74,16 @@ def _from_dict(data: object, label: str) -> tuple[Matroid, Graph | None]:
         g = Graph.from_json_dict(data)
         return cycle_matroid(g), g
     if "uniform" in data:
-        pair = data["uniform"]
-        if (
-            not isinstance(pair, (list, tuple))
-            or len(pair) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in pair)
-        ):
-            raise ValueError(f"{label}: 'uniform' must be a [rank, size] pair")
-        return uniform(pair[0], pair[1]), None
+        r, n = _rank_size(data["uniform"], f"{label}: 'uniform' must be a [rank, size] pair")
+        return uniform(r, n), None
     if "blocks" in data:
         profile = data["blocks"]
         if not isinstance(profile, list) or not profile:
             raise ValueError(f"{label}: 'blocks' must be a non-empty list of [rank, size] pairs")
-        pairs = []
-        for item in profile:
-            if (
-                not isinstance(item, (list, tuple))
-                or len(item) != 2
-                or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)
-            ):
-                raise ValueError(f"{label}: block {item!r} is not a [rank, size] pair")
-            pairs.append((item[0], item[1]))
+        pairs = [
+            _rank_size(item, f"{label}: block {item!r} is not a [rank, size] pair")
+            for item in profile
+        ]
         return multi_uniform(pairs), None
     if "bases" in data:
         n = data.get("n")
@@ -170,21 +172,10 @@ def _betti_routes(
     # On a single block the blocks route is the Hochster sweep run again.
     if "blocks" not in routes and len(part.blocks) >= 2:
         routes["blocks"] = betti(m, "blocks", fld)
-    if "cactus" not in routes and _cactus_profile(part) is not None:
-        routes["cactus"] = betti(m, "cactus", fld)
+    cert = _cactus_certificate(part)
+    if "cactus" not in routes and cert.is_cactus:
+        routes["cactus"] = _cactus_table(cert)
     return routes
-
-
-def _check_betti_agreement(routes: dict[str, BettiTable]) -> list[str]:
-    names = sorted(routes)
-    ref = routes["hochster"]
-    for name in names:
-        if not routes[name].agrees_with(ref):
-            raise CrosscheckError(
-                f"betti tables disagree: {name} gives {routes[name].global_} "
-                f"but hochster gives {ref.global_}"
-            )
-    return names
 
 
 def _weights_routes(m: Matroid, primary: WeightHierarchy) -> dict[str, WeightHierarchy]:
@@ -193,20 +184,23 @@ def _weights_routes(m: Matroid, primary: WeightHierarchy) -> dict[str, WeightHie
     # On a single block the blocks route is the sweep route run again.
     if len(part.blocks) >= 2:
         routes["blocks"] = block_weights(weight_hierarchy(b.matroid) for b in part.blocks)
-    info = _cactus_profile(part)
-    if info is not None:
-        routes["cactus"] = cactus_weights(info[0])
+    cert = _cactus_certificate(part)
+    if cert.is_cactus:
+        routes["cactus"] = cactus_weights(cert.profile().lengths)
     return routes
 
 
-def _check_weights_agreement(routes: dict[str, WeightHierarchy]) -> list[str]:
+def _check_agreement(
+    routes: dict, ref: str, agree: Callable, show: Callable, what: str
+) -> list[str]:
+    """The sorted route names when every route agrees with ``routes[ref]``;
+    CrosscheckError naming the first (in that order) that does not."""
     names = sorted(routes)
-    ref = routes["sweep"]
     for name in names:
-        if routes[name].weights != ref.weights:
+        if not agree(routes[name], routes[ref]):
             raise CrosscheckError(
-                f"weight hierarchies disagree: {name} gives "
-                f"{routes[name].weights} but sweep gives {ref.weights}"
+                f"{what} disagree: {name} gives {show(routes[name])} "
+                f"but {ref} gives {show(routes[ref])}"
             )
     return names
 
@@ -243,7 +237,9 @@ def _cmd_betti(args: argparse.Namespace) -> int:
             lines.append(f"beta[{i}, {{{elems}}}] = {v}")
     if args.crosscheck:
         routes = _betti_routes(m, fld, table, resolved)
-        names = _check_betti_agreement(routes)
+        names = _check_agreement(
+            routes, "hochster", BettiTable.agrees_with, attrgetter("global_"), "betti tables"
+        )
         hilbert_ok = hilbert_check(table, m)
         if not hilbert_ok:
             raise CrosscheckError(
@@ -275,7 +271,13 @@ def _cmd_weights(args: argparse.Namespace) -> int:
     ]
     if args.crosscheck:
         routes = _weights_routes(m, hierarchy)
-        names = _check_weights_agreement(routes)
+        names = _check_agreement(
+            routes,
+            "sweep",
+            lambda a, b: a.weights == b.weights,
+            attrgetter("weights"),
+            "weight hierarchies",
+        )
         payload["crosscheck"] = {"routes": names, "agree": True}
         lines.append(f"crosscheck: agreement across {', '.join(names)}")
     _emit(args, payload, lines)
@@ -308,7 +310,7 @@ def _cmd_blocks(args: argparse.Namespace) -> int:
 
 
 def _cmd_cactus(args: argparse.Namespace) -> int:
-    m, g, label = _parse_input(args.input)
+    _, g, label = _parse_input(args.input)
     if g is None:
         raise ValueError("the cactus command needs a graph input")
     cert = is_cactus(g)
@@ -336,7 +338,7 @@ def _cmd_cactus(args: argparse.Namespace) -> int:
     lines.append(f"bridges: {len(cert.bridges)}")
     lines.append(f"loops: {cert.loops}")
     payload["profile"] = list(profile.lengths)
-    table = betti(m, "cactus")
+    table = _cactus_table(cert)
     hierarchy = cactus_weights(profile.lengths)
     payload["table"] = table.to_json_dict()
     payload["d"] = list(hierarchy.weights)

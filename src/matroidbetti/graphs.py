@@ -1,5 +1,10 @@
 """Graphs, their cycle matroids, and cactus recognition.
 
+A connected graph is a cactus when the blocks of its cycle matroid are all
+cycles, self-loops and bridges. ``is_cactus`` checks connectivity and returns
+the ``CactusCertificate`` into which ``betti`` sorts those blocks, so the
+recognition and the closed form read one classification.
+
 Internally vertices are 0-indexed; the JSON and edge-list text formats are
 1-indexed because that is how such inputs are usually written by hand. The
 ground set of the cycle matroid is the edge list in order, so everything the
@@ -11,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .betti import CycleProfile
+from .betti import CactusCertificate, _cactus_certificate
 from .errors import ValidationError
 from .matroid import Matroid
 
@@ -139,38 +144,10 @@ def cycle_matroid(graph: Graph) -> Matroid:
     return Matroid(len(ends), rank_fn, provenance="cycle_matroid")
 
 
-@dataclass(frozen=True)
-class CactusCertificate:
-    """Outcome of cactus recognition on a connected graph.
-
-    ``cycles`` holds the edge masks of the blocks that are circuits (self-
-    loops appear here as single-bit masks), ``bridges`` the single coloop
-    edges, and ``offending`` the blocks that are neither, which is nonempty
-    exactly when ``is_cactus`` is False.
-    """
-
-    is_cactus: bool
-    cycles: tuple[int, ...]
-    bridges: tuple[int, ...]
-    offending: tuple[int, ...]
-
-    @property
-    def loops(self) -> int:
-        return sum(1 for c in self.cycles if c.bit_count() == 1)
-
-    def profile(self) -> CycleProfile:
-        if not self.is_cactus:
-            raise ValidationError(
-                "graph is not a cactus: some block is not a single cycle "
-                f"(offending edge masks: {list(self.offending)})"
-            )
-        return CycleProfile(c.bit_count() for c in self.cycles)
-
-
 def is_cactus(graph: Graph) -> CactusCertificate:
     """Decide whether a connected graph is a cactus (every edge lies on at
     most one cycle) by checking that every block of its cycle matroid is a
-    circuit or a single coloop.
+    circuit, a loop or a single coloop.
 
     Raises ValidationError when the graph is not connected, since the notion
     is only defined for connected graphs here.
@@ -192,23 +169,7 @@ def is_cactus(graph: Graph) -> CactusCertificate:
             f"graph is not connected: vertices {[v + 1 for v in missing]} are "
             "unreachable from vertex 1"
         )
-    cycles: list[int] = []
-    bridges: list[int] = []
-    offending: list[int] = []
-    for block in cycle_matroid(graph).blocks().blocks:
-        kind = block.kind
-        if kind == "coloop":
-            bridges.append(block.members)
-        elif kind == "general":
-            offending.append(block.members)
-        else:
-            cycles.append(block.members)  # a circuit, or a self-loop
-    return CactusCertificate(
-        is_cactus=not offending,
-        cycles=tuple(cycles),
-        bridges=tuple(bridges),
-        offending=tuple(offending),
-    )
+    return _cactus_certificate(cycle_matroid(graph).blocks())
 
 
 def _ring(k: int) -> list[tuple[int, int]]:

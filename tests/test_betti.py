@@ -83,7 +83,7 @@ def test_free_matroid_single_generator():
 def test_rank_zero_gives_unit_ideal_table():
     t = hochster_betti(uniform(0, 3))
     assert t.rank_r == 0
-    assert t.global_ == (1,)
+    assert t.global_ == (1, 0, 0, 0)
     assert t.coarse == {(0, 0): 1}
     tf = hochster_betti(uniform(0, 3), fine=True)
     assert tf.fine == {(0, 0): 1}
@@ -134,7 +134,8 @@ def test_sweep_agrees_with_taylor_strand_oracle(m):
     gens = m.bases()
     table = hochster_betti(m, fine=True)
     assert table.fine == taylor_fine_betti(gens)
-    assert table.global_ == taylor_global_betti(gens)
+    oracle = taylor_global_betti(gens)
+    assert table.global_ == oracle + (0,) * (m.n - m.full_rank + 1 - len(oracle))
 
 
 def test_two_triangle_fine_multiplicities():
@@ -411,6 +412,34 @@ def test_invert_roundtrip_small_profiles():
             p = CycleProfile(lengths)
             back = invert_cactus_betti(cactus_betti(p).global_, p.loops)
             assert back == p, lengths
+
+
+def test_invert_is_a_left_inverse_on_seeded_vectors():
+    # Random short vectors, cactus vectors, and cactus vectors nudged by one
+    # at one entry, with 0-2 loops: every answer is either a refusal or a profile whose
+    # closed form gives the input back up to trailing zeros.
+    rng = random.Random(SEED + 8)
+    answered = refused = 0
+    for k in range(3000):
+        loops = rng.randint(0, 2)
+        if k % 2:
+            vec = [rng.randint(0, 30) for _ in range(rng.randint(1, 5))]
+        else:
+            lengths = [rng.randint(2, 9) for _ in range(rng.randint(1, 4))]
+            vec = list(cactus_betti(lengths + [1] * loops).global_)
+            if k % 4:
+                vec[rng.randrange(len(vec))] += rng.choice((-1, 1))
+        try:
+            p = invert_cactus_betti(vec, loops)
+        except ValidationError:
+            refused += 1
+            continue
+        answered += 1
+        back = cactus_betti(p).global_ if p.t else (1,)
+        assert p.loops == loops, (vec, loops)
+        assert back[: len(vec)] == tuple(vec)[: len(back)], (vec, loops)
+        assert not any(back[len(vec) :]) and not any(vec[len(back) :]), (vec, loops)
+    assert answered >= 700 and refused >= 700
 
 
 def test_invert_rejects_malformed_vectors():

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from matroidbetti import WeightHierarchy
+from matroidbetti import BettiTable, Matroid, WeightHierarchy
 from matroidbetti.cli import main
 
 TWO_TRIANGLES_JSON = (
@@ -201,6 +201,45 @@ def test_weights_crosscheck_mismatch_exits_3(capsys, monkeypatch):
     assert "mismatch" in err
 
 
+def test_betti_crosscheck_mismatch_exits_3(capsys, monkeypatch):
+    import matroidbetti.cli as cli_mod
+
+    real = cli_mod.betti
+
+    def skewed(m, algorithm="auto", *args, **kwargs):
+        table = real(m, algorithm, *args, **kwargs)
+        if algorithm == "hochster":
+            return BettiTable(table.rank_r, table.n, {(0, table.rank_r): 1}, (1,))
+        return table
+
+    monkeypatch.setattr(cli_mod, "betti", skewed)
+    code, out, err = run(
+        capsys, "betti", "--input", TWO_TRIANGLES_JSON, "--crosscheck"
+    )
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "mismatch: betti tables disagree: blocks gives (9, 12, 4) "
+        "but hochster gives (1,)\n"
+    )
+
+
+def test_weights_crosscheck_mismatch_message(capsys, monkeypatch):
+    import matroidbetti.cli as cli_mod
+
+    monkeypatch.setattr(
+        cli_mod, "weights_via_circuits", lambda m: WeightHierarchy((1, 2))
+    )
+    code, _, err = run(
+        capsys, "weights", "--input", TWO_TRIANGLES_JSON, "--crosscheck"
+    )
+    assert code == 3
+    assert err == (
+        "mismatch: weight hierarchies disagree: circuits gives (1, 2) "
+        "but sweep gives (3, 6)\n"
+    )
+
+
 # -- weights, blocks, cactus, invert, dual-d1 ------------------------------------
 
 
@@ -304,6 +343,50 @@ def test_cactus_command_negative_still_exits_0(capsys):
     assert code == 0
     assert "is_cactus: no" in out
     assert "offending block" in out
+
+
+def test_cactus_command_finds_blocks_once(capsys, monkeypatch):
+    # Recognition sorts the blocks once, and the table is read off that sort.
+    find = Matroid._block_masks
+    calls = 0
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        return find(self)
+
+    monkeypatch.setattr(Matroid, "_block_masks", counting)
+    code, data, _ = run_json(capsys, "cactus", "--input", TWO_TRIANGLES_JSON)
+    assert code == 0
+    assert data["table"]["global"] == [9, 12, 4]
+    assert calls == 1
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        '{"vertices": 3, "edges": [[1,2],[2,3],[3,1],[1,1]]}',
+        '{"vertices": 4, "edges": [[1,2],[2,3],[3,1],[1,1],[3,4]]}',
+        '{"vertices": 5, "edges": [[1,2],[2,2],[2,3],[3,1],[3,4],[4,5],[5,3],[5,5]]}',
+    ],
+    ids=["loop", "loop-and-bridge", "two-loops-two-triangles"],
+)
+def test_betti_and_cactus_print_one_global_vector(capsys, graph):
+    # Loops contribute trailing zeros, and every route keeps them: the
+    # vector always has n - r + 1 entries.
+    lines = {}
+    for command in ("betti", "cactus"):
+        code, out, _ = run(capsys, command, "--input", graph)
+        assert code == 0
+        lines[command] = [line for line in out.splitlines() if line.startswith("global: ")]
+    assert len(lines["betti"]) == 1
+    assert lines["betti"] == lines["cactus"]
+    _, betti_data, _ = run_json(capsys, "betti", "--input", graph)
+    _, cactus_data, _ = run_json(capsys, "cactus", "--input", graph)
+    table = betti_data["table"]
+    assert table["global"] == cactus_data["table"]["global"]
+    assert len(table["global"]) == table["n"] - table["rank"] + 1
+    assert table["global"][-1] == 0
 
 
 def test_cactus_needs_a_graph(capsys):
