@@ -4,7 +4,8 @@ The ideal generated by the basis monomials of a matroid M (its facet ideal)
 is the Stanley-Reisner ideal of the Alexander dual of the dual matroid. Its
 minimal free resolution is linear: step i sits in total degree rank + i, so
 the whole table is determined by the vector of global Betti numbers plus the
-rank.
+rank, and ``BettiTable`` stores just that vector; every producer and check
+here reads it.
 
 Fine Betti numbers come from Hochster's formula. With V the Alexander dual
 of the dual matroid, the multidegree-sigma entry in homological position i is
@@ -26,7 +27,7 @@ recovered exactly.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, combinations, count, repeat
 from math import comb
@@ -57,44 +58,39 @@ def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 @dataclass
 class BettiTable:
-    """A graded Betti table of a linear resolution.
+    """A graded Betti table of a linear resolution, stored as its global vector.
 
-    ``coarse`` maps (homological position i, total degree j) to a positive
-    multiplicity; zero entries are omitted. ``global_`` lists the ungraded
-    numbers beta_0 .. beta_{n-r}, always n - r + 1 of them: the resolution
-    has length at most n - r, and trailing zeros (one per loop) are kept.
-    ``fine`` maps (i, subset mask) to multiplicities when requested.
+    ``global_`` lists the ungraded numbers beta_0 .. beta_{n-r}, always
+    n - r + 1 of them: the resolution has length at most n - r, and trailing
+    zeros (one per loop) are kept. Step i sits in total degree rank + i, so
+    the graded table ``coarse`` is read off the vector. ``fine`` maps
+    (i, subset mask) to multiplicities when requested.
     """
 
     rank_r: int
     n: int
-    coarse: dict[tuple[int, int], int]
     global_: tuple[int, ...]
     fine: dict[tuple[int, int], int] | None = None
 
+    @property
+    def coarse(self) -> dict[tuple[int, int], int]:
+        """(homological position i, total degree rank + i) to beta_i, for
+        each nonzero beta_i."""
+        return {(i, self.rank_r + i): v for i, v in enumerate(self.global_) if v}
+
     def degrees(self) -> tuple[int, int]:
         """Smallest and largest total degree carrying a generator."""
-        if not self.coarse:
+        nonzero = [self.rank_r + i for i, v in enumerate(self.global_) if v]
+        if not nonzero:
             return (self.rank_r, self.rank_r)
-        js = [j for _, j in self.coarse]
-        return (min(js), max(js))
-
-    def is_linear(self) -> bool:
-        """True when every entry sits in total degree rank + i."""
-        if any(j != self.rank_r + i for (i, j) in self.coarse):
-            return False
-        if self.fine is not None and any(
-            s.bit_count() != self.rank_r + i for (i, s) in self.fine
-        ):
-            return False
-        return True
+        return (nonzero[0], nonzero[-1])
 
     def agrees_with(self, other: "BettiTable") -> bool:
-        """Cross-algorithm equality: same rank, ground size and coarse table."""
+        """Cross-algorithm equality: same rank, ground size and global vector."""
         return (
             self.rank_r == other.rank_r
             and self.n == other.n
-            and self.coarse == other.coarse
+            and self.global_ == other.global_
         )
 
     def to_json_dict(self, include_fine: bool = False) -> dict:
@@ -132,22 +128,23 @@ class BettiTable:
 @dataclass(frozen=True)
 class CycleProfile:
     """A multiset of cycle lengths, each >= 1, with loops encoded as length 1.
-
-    ``sigma`` holds the elementary symmetric polynomials of the lengths,
-    sigma_0 = 1 through sigma_t = product of the lengths.
+    The empty multiset is the profile of a forest (no cycle at all).
     """
 
     lengths: tuple[int, ...]
-    sigma: tuple[int, ...] = field(init=False)
 
     def __init__(self, lengths: Iterable[int]):
         ls = tuple(sorted(int(x) for x in lengths))
         if any(x < 1 for x in ls):
             raise ValidationError(f"cycle lengths must be >= 1, got {ls}")
         object.__setattr__(self, "lengths", ls)
-        # The coefficients of prod_k (1 + n_k X).
-        sig = reduce(_poly_mul, ([1, x] for x in ls), [1])
-        object.__setattr__(self, "sigma", tuple(sig))
+
+    @property
+    def sigma(self) -> tuple[int, ...]:
+        """The elementary symmetric polynomials of the lengths, sigma_0 = 1
+        through sigma_t = their product: the coefficients of
+        prod_k (1 + n_k X), computed on each access."""
+        return tuple(reduce(_poly_mul, ([1, x] for x in self.lengths), [1]))
 
     @property
     def t(self) -> int:
@@ -167,10 +164,13 @@ class CactusCertificate:
     graph the cycles are its cycles and self-loops, the bridges its bridges.
     """
 
-    is_cactus: bool
     cycles: tuple[int, ...]
     bridges: tuple[int, ...]
     offending: tuple[int, ...]
+
+    @property
+    def is_cactus(self) -> bool:
+        return not self.offending
 
     @property
     def loops(self) -> int:
@@ -199,12 +199,7 @@ def _cactus_certificate(part: BlockPartition) -> CactusCertificate:
             offending.append(block.members)
         else:
             cycles.append(block.members)  # a circuit, or a loop
-    return CactusCertificate(
-        is_cactus=not offending,
-        cycles=tuple(cycles),
-        bridges=tuple(bridges),
-        offending=tuple(offending),
-    )
+    return CactusCertificate(tuple(cycles), tuple(bridges), tuple(offending))
 
 
 # -- Hochster sweep -----------------------------------------------------------
@@ -323,13 +318,13 @@ def hochster_betti(
     if r == 0:
         # The ideal generated by the empty-set monomial is the whole ring: one
         # generator in degree zero and nothing else.
-        return BettiTable(0, n, {(0, 0): 1}, (1,) + (0,) * n, {(0, 0): 1} if fine else None)
+        return BettiTable(0, n, (1,) + (0,) * n, {(0, 0): 1} if fine else None)
     # Greedy probe: a sane rank oracle always yields a basis; a broken one
     # would make the ideal zero and the sweep meaningless.
     if m.rank(m.greedy_basis()) != r:
         raise ValidationError("zero ideal: the rank oracle admits no basis")
     fine_map: dict[tuple[int, int], int] = {}
-    coarse: dict[tuple[int, int], int] = {}
+    glob: list[int] = []
     for i, level in enumerate(_relative_homology(m, fld)):
         total = 0
         for sigma, h in level:
@@ -337,40 +332,27 @@ def hochster_betti(
                 total += h
                 if fine:
                     fine_map[(i, sigma)] = h
-        if total:
-            coarse[(i, r + i)] = total
-    glob = tuple(coarse.get((i, r + i), 0) for i in range(n - r + 1))
-    return BettiTable(r, n, coarse, glob, fine_map if fine else None)
+        glob.append(total)
+    return BettiTable(r, n, tuple(glob), fine_map if fine else None)
 
 
 # -- block product ------------------------------------------------------------
-
-
-def _linear_table(rank: int, n: int, glob: Sequence[int]) -> BettiTable:
-    """The coarse table of a linear resolution with global vector ``glob``."""
-    coarse = {(i, rank + i): v for i, v in enumerate(glob) if v}
-    return BettiTable(rank, n, coarse, tuple(glob), None)
 
 
 def block_product_betti(tables: Sequence[BettiTable]) -> BettiTable:
     """Combine per-block tables of a direct sum into the table of the whole.
 
     The global vector of the sum is the convolution (polynomial product) of
-    the per-block global vectors; ranks and ground sizes add. Inputs must be
-    linear. A single input is returned unchanged.
+    the per-block global vectors; ranks and ground sizes add. A single input
+    is returned unchanged.
     """
     ts = list(tables)
     if not ts:
         raise ValueError("block_product_betti needs at least one table")
-    for t in ts:
-        if not t.is_linear():
-            raise ValidationError(
-                f"block Betti table is not linear: rank {t.rank_r}, coarse {t.coarse}"
-            )
     if len(ts) == 1:
         return ts[0]
-    glob = reduce(_poly_mul, (t.global_ for t in ts), [1])
-    return _linear_table(sum(t.rank_r for t in ts), sum(t.n for t in ts), glob)
+    glob = reduce(_poly_mul, (t.global_ for t in ts))
+    return BettiTable(sum(t.rank_r for t in ts), sum(t.n for t in ts), tuple(glob))
 
 
 # -- cactus closed form -------------------------------------------------------
@@ -388,25 +370,23 @@ def cactus_betti(profile: CycleProfile | Iterable[int]) -> BettiTable:
     with sigma_j the elementary symmetric polynomials of the lengths
     (``CycleProfile.sigma``). A loop enters as a cycle of length 1, the
     factor 1 + 0x, so the vector keeps all t + 1 entries, one trailing zero
-    per loop.
+    per loop. With no cycle at all the product is empty: the unit table
+    of rank 0 on no elements, one generator.
     """
     if not isinstance(profile, CycleProfile):
         profile = CycleProfile(profile)
-    if profile.t == 0:
-        raise ValidationError("cactus Betti numbers need at least one cycle")
     n = sum(profile.lengths)
     beta = reduce(_poly_mul, ([x, x - 1] for x in profile.lengths), [1])
-    return _linear_table(n - profile.t, n, beta)
+    return BettiTable(n - profile.t, n, tuple(beta))
 
 
 def _cactus_table(cert: CactusCertificate) -> BettiTable:
     """The table of a matroid whose blocks are circuits, loops and single
     coloops: ``cactus_betti`` of the cycles, and each bridge (a coloop, the
-    factor 1 of the block product) adds 1 to the rank and to n. With no
-    cycle at all (a free matroid) the product is empty: one generator."""
+    factor 1 of the block product) adds 1 to the rank and to n."""
     b = len(cert.bridges)
-    core = cactus_betti(cert.profile()) if cert.cycles else _linear_table(0, 0, [1])
-    return _linear_table(core.rank_r + b, core.n + b, core.global_)
+    core = cactus_betti(cert.profile())
+    return BettiTable(core.rank_r + b, core.n + b, core.global_)
 
 
 def _shift_nonnegative(poly: list[int], x: int) -> bool:
@@ -439,22 +419,24 @@ def invert_cactus_betti(global_betti: Iterable[int], loops: int) -> CycleProfile
     """Recover the cycle lengths of a cactus from its global Betti vector.
 
     The loop count cannot be read off the vector (loops only contribute
-    trailing zeros), so it is an explicit argument: without its trailing
-    zeros the vector has t + 1 - loops entries, t the number of cycles.
-    The closed form of ``cactus_betti`` at x = -X / (X - 1), times
-    (X - 1)^t, is
+    trailing zeros), so it is an explicit argument. The closed form of
+    ``cactus_betti`` at x = -X / (X - 1), times (X - 1)^t, t the number of
+    cycles, is
 
-        P(X) = prod_k (X - n_k) = sum_i (-1)^i beta_i X^i (X - 1)^(t-i),
+        prod_k (X - n_k) = sum_i (-1)^i beta_i X^i (X - 1)^(t-i).
 
-    so the elementary symmetric polynomials are read off the coefficients
-    of the right-hand side, X^t - sigma_1 X^{t-1} + ... + (-1)^t sigma_t,
-    and the lengths are the integer roots of P. They are found
-    largest first, each by bisection on [1, sigma_1]: when P splits over the
-    reals, P(x + Y) has no negative coefficient exactly when x is at least
-    its largest root, and the least such x is checked to be a root and
-    divided out. Any failure along the way (a non-positive sigma,
-    sigma_0 != 1, or a root that is not a positive integer) raises
-    ValidationError: the vector is not a cactus Betti vector.
+    Every term carries (X - 1)^loops, the loops' known roots, so that factor
+    is divided out first: with t the index of the last nonzero beta, the
+    right-hand side is then P(X) = X^t - sigma_1 X^{t-1} + ... +
+    (-1)^t sigma_t, sigma_j the elementary symmetric polynomials of the other
+    lengths, and those lengths are the roots of P. They are found largest
+    first, each by bisection on [1, sigma_1]: when P splits over the reals,
+    P(x + Y) has no negative coefficient exactly when x is at least its
+    largest root, and the least such x is checked to be a root and divided
+    out. Any failure along the way (a non-positive sigma, sigma_0 != 1, or a
+    root that is not a positive integer) raises ValidationError: the vector
+    is not a cactus Betti vector. The vector (1,) with no loops inverts to
+    the empty profile, that of a forest.
     """
     vals = [int(v) for v in global_betti]
     if not isinstance(loops, int) or isinstance(loops, bool) or loops < 0:
@@ -465,7 +447,7 @@ def invert_cactus_betti(global_betti: Iterable[int], loops: int) -> CycleProfile
         vals.pop()
     if not vals:
         raise ValidationError("not a cactus Betti vector: no nonzero entry")
-    t = len(vals) - 1 + loops
+    t = len(vals) - 1
     # P little-endian: (X - 1)^(t-i) contributes (-1)^(t-i-k) C(t-i, k) X^k.
     poly = [0] * (t + 1)
     for i, b in enumerate(vals):
@@ -502,7 +484,7 @@ def invert_cactus_betti(global_betti: Iterable[int], loops: int) -> CycleProfile
             "not a cactus Betti vector: the length polynomial does not split "
             "over the positive integers"
         )
-    return CycleProfile(roots)
+    return CycleProfile(roots + [1] * loops)
 
 
 # -- dispatcher ---------------------------------------------------------------
@@ -575,37 +557,35 @@ def hilbert_check_counts(
 
     ``face_counts[k]`` is the number of k-element non-spanning subsets (the
     faces of the complex whose minimal non-faces are the bases). The
-    alternating sum of the table must reproduce the numerator of the Hilbert
-    series of the quotient by the ideal:
+    alternating sum of the global vector, step i in degree r + i, must
+    reproduce the numerator of the Hilbert series of the quotient by the
+    ideal:
 
-        1 - sum_i (-1)^i beta_{i,j} s^j  ==  sum_k count_k s^k (1-s)^(n-k).
+        1 - sum_i (-1)^i beta_i s^(r+i)  ==  sum_k count_k s^k (1-s)^(n-k),
 
-    Both sides are integer polynomials and the comparison is exact. This
-    entry point exists for ground sets too large to enumerate directly, where
-    the caller can obtain the counts some other exact way (for a direct sum,
-    say, by convolving per-block counts).
+    where the coefficient of s^j on the right is
+    sum_{k<=j} (-1)^(j-k) C(n-k, j-k) count_k. Both sides are integer
+    polynomials and the comparison is exact; a table whose last step lies
+    past degree n fails it. This entry point exists for ground sets too
+    large to enumerate directly, where the caller can obtain the counts some
+    other exact way (for a direct sum, say, by convolving per-block counts).
     """
-    if any(j > n or j < 0 for (_, j) in table.coarse):
+    r = table.rank_r
+    if r < 0 or r + len(table.global_) - 1 > n:
         return False
     if len(face_counts) > n + 1:
         raise ValueError(
             f"face_counts has {len(face_counts)} entries but the ground set "
             f"has only {n} elements"
         )
-    one_minus_s = [1, -1]
-    powers = [[1]]
-    for _ in range(n):
-        powers.append(_poly_mul(powers[-1], one_minus_s))
-    lhs = [0] * (n + 1)
-    for k, count in enumerate(face_counts):
-        if count:
-            base = powers[n - k]
-            for idx, coef in enumerate(base):
-                lhs[k + idx] += count * coef
+    lhs = [
+        sum((-1) ** (j - k) * comb(n - k, j - k) * f for k, f in enumerate(face_counts[: j + 1]))
+        for j in range(n + 1)
+    ]
     rhs = [0] * (n + 1)
     rhs[0] = 1
-    for (i, j), v in table.coarse.items():
-        rhs[j] -= ((-1) ** i) * v
+    for i, v in enumerate(table.global_):
+        rhs[r + i] -= (-1) ** i * v
     return lhs == rhs
 
 

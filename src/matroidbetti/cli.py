@@ -365,19 +365,20 @@ def _cmd_invert(args: argparse.Namespace) -> int:
         raise ValueError("--loops must be non-negative")
     profile = invert_cactus_betti(values, args.loops)
     roundtrip = cactus_betti(profile)
+    sigma = profile.sigma
     payload = {
         "command": "invert",
         "betti": values,
         "loops": args.loops,
         "lengths": list(profile.lengths),
-        "sigma": list(profile.sigma),
+        "sigma": list(sigma),
         "roundtrip": list(roundtrip.global_),
     }
     lines = [
         f"input betti: {_fmt_vec(values)}",
         f"loops: {args.loops}",
         f"cycle lengths: {_fmt_vec(profile.lengths)}",
-        f"sigma: {_fmt_vec(profile.sigma)}",
+        f"sigma: {_fmt_vec(sigma)}",
         f"roundtrip betti: {_fmt_vec(roundtrip.global_)}",
     ]
     _emit(args, payload, lines)

@@ -24,7 +24,6 @@ from itertools import combinations, product
 
 from matroidbetti import (
     GF2,
-    BettiTable,
     Matroid,
     PrimeField,
     ValidationError,
@@ -307,21 +306,21 @@ def induced(c: SimplicialComplex, sigma: int) -> SimplicialComplex:
     return SimplicialComplex(len(members), oracle, labels=members)
 
 
-def absolute_betti(m: Matroid, fld: PrimeField = GF2) -> BettiTable:
-    """The Betti table of the basis-monomial ideal of ``m`` with its fine map,
-    from Hochster's formula read in absolute homology: every pair (i, sigma)
-    with h~_{|sigma|-i-2}(V|sigma) nonzero, V the non-spanning complex.
+def absolute_betti(m: Matroid, fld: PrimeField = GF2) -> dict[tuple[int, int], int]:
+    """The fine Betti numbers of the basis-monomial ideal of ``m``, from
+    Hochster's formula read in absolute homology: every pair (i, sigma) with
+    h~_{|sigma|-i-2}(V|sigma) nonzero, V the non-spanning complex, mapped to
+    that dimension.
 
     No degree is assumed: every sigma and every homological position is
-    visited, so agreement with the library's diagonal sweep also shows that
-    nothing lies off the diagonal |sigma| = rank + i.
+    visited, so a key with |sigma| != rank + i would show homology off the
+    diagonal that the library's sweep never visits.
     """
-    n, r = m.n, m.full_rank
-    if r == 0:
-        return BettiTable(0, n, {(0, 0): 1}, (1,), {(0, 0): 1})
+    n = m.n
+    if m.full_rank == 0:
+        return {(0, 0): 1}
     V = dual_alexander_complex(m)
     fine: dict[tuple[int, int], int] = {}
-    coarse: dict[tuple[int, int], int] = {}
     for sigma in range(1, 1 << n):
         sub = induced(V, sigma)
         s = sigma.bit_count()
@@ -329,11 +328,7 @@ def absolute_betti(m: Matroid, fld: PrimeField = GF2) -> BettiTable:
             h = reduced_betti(sub, s - i - 2, fld)
             if h:
                 fine[(i, sigma)] = h
-                coarse[(i, s)] = coarse.get((i, s), 0) + h
-    glob = [coarse.get((i, r + i), 0) for i in range(n - r + 1)]
-    while len(glob) > 1 and not glob[-1]:
-        glob.pop()
-    return BettiTable(r, n, coarse, tuple(glob), fine)
+    return fine
 
 
 def euler_fine_betti(m: Matroid) -> dict[tuple[int, int], int]:

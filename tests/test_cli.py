@@ -209,7 +209,7 @@ def test_betti_crosscheck_mismatch_exits_3(capsys, monkeypatch):
     def skewed(m, algorithm="auto", *args, **kwargs):
         table = real(m, algorithm, *args, **kwargs)
         if algorithm == "hochster":
-            return BettiTable(table.rank_r, table.n, {(0, table.rank_r): 1}, (1,))
+            return BettiTable(table.rank_r, table.n, (1,))
         return table
 
     monkeypatch.setattr(cli_mod, "betti", skewed)
@@ -406,6 +406,16 @@ def test_invert_command(capsys):
     code, out, _ = run(capsys, "invert", "--betti", "3, 2, 0", "--loops", "1")
     assert code == 0
     assert "cycle lengths: 1 3" in out
+
+
+def test_invert_unit_vector_is_a_forest(capsys):
+    # ``cactus`` prints global 1 for a tree; its inverse is the empty profile.
+    code, out, _ = run(
+        capsys, "invert", "--betti", "1", "--loops", "0", "--output", "json"
+    )
+    assert code == 0
+    assert '"lengths":[]' in out
+    assert '"roundtrip":[1]' in out
 
 
 def test_invert_rejects_non_cactus_vector(capsys):

@@ -8,6 +8,7 @@ from __future__ import annotations
 import random
 
 from matroidbetti import (
+    BettiTable,
     Graph,
     Matroid,
     bits,
@@ -195,6 +196,20 @@ STRUCTURE_FAMILIES = (
     "multigraphs", "uniform", "multiblock", "from_bases", "free_and_rank0",
     "gf2", "gf3", "gf5", "gf7",
 )
+
+
+def assert_diagonal_fine(table: BettiTable, fine: dict[tuple[int, int], int]) -> None:
+    """Check a sweep's table against an exhaustive fine map (as from
+    ``oracles.absolute_betti``): the two maps are equal, every key (i, sigma)
+    has |sigma| = rank + i, so nothing lies off the diagonal, and the sums
+    over each level i are the global vector."""
+    assert fine == table.fine
+    r = table.rank_r
+    assert all(sigma.bit_count() == r + i for i, sigma in fine), sorted(fine)
+    sums = [0] * len(table.global_)
+    for (i, _), v in fine.items():
+        sums[i] += v
+    assert tuple(sums) == table.global_
 
 
 def rank_table(m: Matroid) -> dict[int, int]:
