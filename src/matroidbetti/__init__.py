@@ -22,7 +22,6 @@ from .betti import (
     cactus_betti,
     dual_min_distance,
     hilbert_check,
-    hilbert_check_counts,
     hochster_betti,
     invert_cactus_betti,
     resolve_algorithm,
@@ -81,7 +80,6 @@ __all__ = [
     "fixture",
     "from_bases",
     "hilbert_check",
-    "hilbert_check_counts",
     "hochster_betti",
     "invert_cactus_betti",
     "is_cactus",

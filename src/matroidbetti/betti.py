@@ -22,6 +22,10 @@ matroids of cactus graphs). The closed form is the block product with one
 factor n + (n - 1)x per circuit of length n, and it inverts: given a cactus
 Betti vector and the number of loops, the multiset of cycle lengths is
 recovered exactly.
+
+The resolution is linear, so summing Hochster's formula over the sigma of
+each size gives beta_i = sum_k (-1)^(r+k) C(n-k, r+i-k) s_k, s_k the number
+of spanning k-sets; ``hilbert_check`` compares a table with that image.
 """
 
 from __future__ import annotations
@@ -144,7 +148,11 @@ class CycleProfile:
         """The elementary symmetric polynomials of the lengths, sigma_0 = 1
         through sigma_t = their product: the coefficients of
         prod_k (1 + n_k X), computed on each access."""
-        return tuple(reduce(_poly_mul, ([1, x] for x in self.lengths), [1]))
+        loops = self.loops
+        row = [1]  # the loops' (1 + X)^L, by C(L, j + 1) = C(L, j)(L - j)/(j + 1)
+        for j in range(loops):
+            row.append(row[-1] * (loops - j) // (j + 1))
+        return tuple(reduce(_poly_mul, ([1, x] for x in self.lengths if x > 1), row))
 
     @property
     def t(self) -> int:
@@ -323,6 +331,9 @@ def hochster_betti(
     # would make the ideal zero and the sweep meaningless.
     if m.rank(m.greedy_basis()) != r:
         raise ValidationError("zero ideal: the rank oracle admits no basis")
+    if not fine and len(m.bases()) == comb(n, r):
+        # Every r-set is a basis: C(n, k) sigma of k elements, each with C(k - 1, r - 1).
+        return BettiTable(r, n, tuple(comb(n, k) * comb(k - 1, r - 1) for k in range(r, n + 1)))
     fine_map: dict[tuple[int, int], int] = {}
     glob: list[int] = []
     for i, level in enumerate(_relative_homology(m, fld)):
@@ -376,8 +387,8 @@ def cactus_betti(profile: CycleProfile | Iterable[int]) -> BettiTable:
     if not isinstance(profile, CycleProfile):
         profile = CycleProfile(profile)
     n = sum(profile.lengths)
-    beta = reduce(_poly_mul, ([x, x - 1] for x in profile.lengths), [1])
-    return BettiTable(n - profile.t, n, tuple(beta))
+    beta = reduce(_poly_mul, ([x, x - 1] for x in profile.lengths if x > 1), [1])
+    return BettiTable(n - profile.t, n, tuple(beta) + (0,) * profile.loops)
 
 
 def _cactus_table(cert: CactusCertificate) -> BettiTable:
@@ -550,58 +561,30 @@ def betti(
 # -- consistency checks and derived invariants --------------------------------
 
 
-def hilbert_check_counts(
-    table: BettiTable, n: int, face_counts: Sequence[int]
-) -> bool:
-    """Exact Hilbert-series consistency check from precomputed face counts.
+def _spanning_counts(m: Matroid) -> list[int]:
+    """s_0 .. s_n, s_k the number of spanning k-sets. No set of fewer than r
+    elements spans, so the oracle is asked only about the larger sets."""
+    n, r = m.n, m.full_rank
+    return [0] * r + [sum(m.rank(s) == r for s in k_subsets(n, k)) for k in range(r, n + 1)]
 
-    ``face_counts[k]`` is the number of k-element non-spanning subsets (the
-    faces of the complex whose minimal non-faces are the bases). The
-    alternating sum of the global vector, step i in degree r + i, must
-    reproduce the numerator of the Hilbert series of the quotient by the
-    ideal:
 
-        1 - sum_i (-1)^i beta_i s^(r+i)  ==  sum_k count_k s^k (1-s)^(n-k),
-
-    where the coefficient of s^j on the right is
-    sum_{k<=j} (-1)^(j-k) C(n-k, j-k) count_k. Both sides are integer
-    polynomials and the comparison is exact; a table whose last step lies
-    past degree n fails it. This entry point exists for ground sets too
-    large to enumerate directly, where the caller can obtain the counts some
-    other exact way (for a direct sum, say, by convolving per-block counts).
-    """
-    r = table.rank_r
-    if r < 0 or r + len(table.global_) - 1 > n:
-        return False
-    if len(face_counts) > n + 1:
-        raise ValueError(
-            f"face_counts has {len(face_counts)} entries but the ground set "
-            f"has only {n} elements"
-        )
-    lhs = [
-        sum((-1) ** (j - k) * comb(n - k, j - k) * f for k, f in enumerate(face_counts[: j + 1]))
-        for j in range(n + 1)
-    ]
-    rhs = [0] * (n + 1)
-    rhs[0] = 1
-    for i, v in enumerate(table.global_):
-        rhs[r + i] -= (-1) ** i * v
-    return lhs == rhs
+def _global_from_spanning(n: int, r: int, spanning: Sequence[int]) -> tuple[int, ...]:
+    """beta_0 .. beta_{n-r} from the spanning counts (see the module docstring)."""
+    return tuple(
+        sum((-1) ** (r + k) * comb(n - k, r + i - k) * spanning[k] for k in range(r, r + i + 1))
+        for i in range(n - r + 1)
+    )
 
 
 def hilbert_check(table: BettiTable, m: Matroid) -> bool:
-    """Exact Hilbert-series consistency check of a Betti table against ``m``,
-    counting the faces of the Alexander dual of the dual matroid (the sets
-    that do not span). A set of fewer than r elements never spans, so those
-    C(n, k) are counted without the oracle, which is asked only about the
-    sets of r or more elements. See ``hilbert_check_counts`` for the
-    identity being tested."""
+    """Exact consistency check of a Betti table against ``m``: the same rank
+    and ground size, and the global vector the image of the spanning counts
+    of ``m``. Equation i of that map is the coefficient of s^(r+i) in the
+    Hilbert-series identity 1 - sum_i (-1)^i beta_i s^(r+i) =
+    sum_k f_k s^k (1-s)^(n-k), f_k the number of non-spanning k-sets."""
     n, r = m.n, m.full_rank
-    counts = [
-        comb(n, k) if k < r else sum(1 for s in k_subsets(n, k) if m.rank(s) < r)
-        for k in range(n + 1)
-    ]
-    return hilbert_check_counts(table, n, counts)
+    expected = _global_from_spanning(n, r, _spanning_counts(m))
+    return (table.rank_r, table.n, table.global_) == (r, n, expected)
 
 
 def dual_min_distance(m: Matroid) -> int:

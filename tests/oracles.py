@@ -11,8 +11,10 @@ package, graph ranks by breadth-first search instead of union-find, blocks
 from a union-find over every circuit instead of over the fundamental
 circuits of one basis, circuits and weight hierarchies read off
 every subset by their definitions instead of by circuit elimination and
-cyclic flats, and the degree of non-redundancy by a search over circuit
-families instead of the rank. Agreement between these and the library is
+cyclic flats, the degree of non-redundancy by a search over circuit
+families instead of the rank, and global Betti vectors read off the
+Hilbert-series numerator over every degree instead of the library's map
+from spanning counts. Agreement between these and the library is
 therefore a genuine two-route check.
 """
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 from matroidbetti import (
     GF2,
@@ -354,6 +357,24 @@ def euler_fine_betti(m: Matroid) -> dict[tuple[int, int], int]:
             for sigma in range(base + bit, base + (bit << 1)):
                 g[sigma] += g[sigma - bit]
     return {(sigma.bit_count() - r, sigma): abs(v) for sigma, v in enumerate(g) if v}
+
+
+def hilbert_global(n: int, r: int, spanning: list[int]) -> tuple[int, ...]:
+    """beta_0 .. beta_{n-r} read off the Hilbert series of the quotient by
+    the basis-monomial ideal of a rank-r matroid on n elements, of which
+    ``spanning[k]`` k-sets span. The non-spanning sets are the faces of the
+    complex of the ideal, f_k = C(n, k) - spanning[k] in size k, so the
+    numerator of the Hilbert series is sum_k f_k s^k (1 - s)^(n - k); a
+    linear resolution makes it 1 - sum_i (-1)^i beta_i s^(r+i), and every
+    coefficient below s^r but the constant 1 must vanish."""
+    f = [comb(n, k) - c for k, c in enumerate(spanning)]
+    h = [
+        sum((-1) ** (j - k) * comb(n - k, j - k) * f[k] for k in range(j + 1))
+        for j in range(n + 1)
+    ]
+    h[0] -= 1
+    assert not any(h[:r]), f"Hilbert numerator has terms below degree {r}: {h[:r]}"
+    return tuple((-1) ** (i + 1) * h[r + i] for i in range(n - r + 1))
 
 
 def brute_circuits(m: Matroid) -> tuple[int, ...]:

@@ -2,6 +2,7 @@
 the block product, the closed form for circuit unions, and its inversion."""
 
 import dataclasses
+import importlib
 import random
 import time
 from itertools import combinations_with_replacement
@@ -41,6 +42,7 @@ from oracles import (
     brute_circuits,
     convolve_naive,
     euler_fine_betti,
+    hilbert_global,
     taylor_fine_betti,
     taylor_global_betti,
 )
@@ -56,6 +58,8 @@ from util import (
 )
 
 GF3 = PrimeField(3)
+# The package attribute ``matroidbetti.betti`` is the function, not the module.
+BETTI_MODULE = importlib.import_module("matroidbetti.betti")
 
 
 def two_triangles_matroid():
@@ -241,6 +245,36 @@ def test_sweep_reads_each_face_level_once(monkeypatch):
     table = hochster_betti(m)
     assert table.global_ == (393, 1459, 2187, 1652, 628, 96)
     assert calls <= comb(14, 7) + comb(14, 8) + comb(14, 9)
+
+
+def test_all_bases_levels_are_summed(monkeypatch):
+    # When every r-set is a basis, level i is C(n, r + i) sets sigma of
+    # homology C(r + i - 1, i) each: the coarse sweep sums them and lists no
+    # set past the bases, while the fine sweep still lists every sigma.
+    listed = []
+    k_subsets = BETTI_MODULE.k_subsets
+    monkeypatch.setattr(
+        BETTI_MODULE, "k_subsets", lambda n, k: listed.append(k) or k_subsets(n, k)
+    )
+    for n in range(1, 10):
+        for r in range(n + 1):
+            listed.clear()
+            coarse = hochster_betti(uniform(r, n))
+            assert [k for k in listed if k > r] == [], (r, n)
+            fine = hochster_betti(uniform(r, n), fine=True).fine
+            levels = [0] * (n - r + 1)
+            for (i, _), h in fine.items():
+                levels[i] += h
+            assert coarse.global_ == tuple(levels), (r, n)
+
+
+def test_uniform_26_is_answered_at_once():
+    # Listing the 2^26 sets sigma one level at a time takes seconds.
+    start = time.perf_counter()
+    t = betti(uniform(3, 26))
+    assert time.perf_counter() - start < 1.0
+    spanning = [comb(26, k) if k >= 3 else 0 for k in range(27)]
+    assert t.global_ == hilbert_global(26, 3, spanning)
 
 
 def _recording_rows(monkeypatch) -> list[int]:
@@ -534,6 +568,16 @@ def test_hilbert_series_check_rejects_tampered_tables():
     # A vector running past degree n = 3 is refused, not indexed past the end.
     wrong_degree = BettiTable(2, 3, (3, 2, 1))
     assert not hilbert_check(wrong_degree, m)
+
+
+def test_hilbert_check_rejects_the_true_vector_under_a_wrong_rank_or_size():
+    for m in [uniform(2, 3), cycle_matroid(fixture("g3"))]:
+        t = hochster_betti(m)
+        assert hilbert_check(t, m)
+        assert not hilbert_check(BettiTable(t.rank_r - 1, t.n, t.global_), m)
+        assert not hilbert_check(BettiTable(t.rank_r + 1, t.n, t.global_), m)
+        assert not hilbert_check(BettiTable(t.rank_r, t.n + 1, t.global_), m)
+        assert not hilbert_check(BettiTable(t.rank_r, t.n - 1, t.global_), m)
 
 
 def test_hilbert_check_asks_only_large_sets():

@@ -6,6 +6,7 @@ import io
 import json
 import pathlib
 import time
+from math import comb
 
 import pytest
 
@@ -416,6 +417,24 @@ def test_invert_unit_vector_is_a_forest(capsys):
     assert code == 0
     assert '"lengths":[]' in out
     assert '"roundtrip":[1]' in out
+
+
+def test_invert_prints_many_loops_at_once(capsys):
+    # The loops' factor of sigma is the binomial row (1 + X)^8000, built in
+    # one pass; one product per loop makes the command quadratic in the loops.
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "invert", "--betti", "2,1", "--loops", "8000")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    lines = dict(line.split(": ", 1) for line in out.splitlines())
+    assert lines["cycle lengths"] == " ".join(["1"] * 8000 + ["2"])
+    assert lines["roundtrip betti"] == " ".join(["2", "1"] + ["0"] * 8000)
+    # sigma lists the coefficients of (1 + 2X)(1 + X)^8000.
+    sigma = [int(v) for v in lines["sigma"].split()]
+    assert len(sigma) == 8002
+    assert sigma[:3] == [1, 8002, comb(8000, 2) + 2 * 8000]
+    assert sigma[-1] == 2
+    assert sum(sigma) == 3 * 2**8000
 
 
 def test_invert_rejects_non_cactus_vector(capsys):
