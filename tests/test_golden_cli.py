@@ -70,6 +70,9 @@ def commands() -> list[list[str]]:
         runs.append(["blocks", "--input", source])
         runs.append(["cactus", "--input", source])
         runs.append(["dual-d1", "--input", source])
+    # two blocks that are circuits: every route cross-checks the other two
+    for algorithm in ("hochster", "blocks", "cactus"):
+        runs.append(["betti", "--input", TWO_TRIANGLES, "--algorithm", algorithm, "--crosscheck"])
     for vector, loops in (
         ("9,12,4", "0"),
         ("60,133,98,24", "0"),
