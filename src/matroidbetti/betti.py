@@ -97,7 +97,7 @@ class BettiTable:
             and self.global_ == other.global_
         )
 
-    def to_json_dict(self, include_fine: bool = False) -> dict:
+    def to_json_dict(self) -> dict:
         coarse: dict[str, dict[str, int]] = {}
         for (i, j), v in sorted(self.coarse.items()):
             coarse.setdefault(str(i), {})[str(j)] = v
@@ -107,7 +107,7 @@ class BettiTable:
             "global": list(self.global_),
             "coarse": coarse,
         }
-        if include_fine and self.fine is not None:
+        if self.fine is not None:
             fine: dict[str, dict[str, int]] = {}
             for (i, s), v in sorted(self.fine.items()):
                 key = ",".join(str(e) for e in bits(s))
@@ -240,11 +240,6 @@ def _relative_homology(
     """
     n, r, p = m.n, m.full_rank, fld.p
     bases = m.bases()
-    if len(bases) == comb(n, r):
-        # Every r-subset is a basis: the pair is (simplex, its (r-2)-skeleton).
-        for k in range(r, n + 1):
-            yield zip(k_subsets(n, k), repeat(comb(k - 1, r - 1)))
-        return
     yield zip(bases, repeat(1))
     full = m.full_mask
     if p == 2:
@@ -331,9 +326,14 @@ def hochster_betti(
     # would make the ideal zero and the sweep meaningless.
     if m.rank(m.greedy_basis()) != r:
         raise ValidationError("zero ideal: the rank oracle admits no basis")
-    if not fine and len(m.bases()) == comb(n, r):
-        # Every r-set is a basis: C(n, k) sigma of k elements, each with C(k - 1, r - 1).
-        return BettiTable(r, n, tuple(comb(n, k) * comb(k - 1, r - 1) for k in range(r, n + 1)))
+    if len(m.bases()) == comb(n, r):
+        # Every r-set is a basis: the pair is (simplex, its (r-2)-skeleton), and
+        # each of the C(n, k) sigma of k elements carries C(k - 1, r - 1).
+        levels = range(r, n + 1)
+        return BettiTable(
+            r, n, tuple(comb(n, k) * comb(k - 1, r - 1) for k in levels),
+            {(k - r, s): comb(k - 1, r - 1) for k in levels for s in k_subsets(n, k)} if fine else None,
+        )
     fine_map: dict[tuple[int, int], int] = {}
     glob: list[int] = []
     for i, level in enumerate(_relative_homology(m, fld)):
@@ -501,28 +501,35 @@ def invert_cactus_betti(global_betti: Iterable[int], loops: int) -> CycleProfile
 # -- dispatcher ---------------------------------------------------------------
 
 
+_ALGORITHMS = ("auto", "hochster", "blocks", "cactus")
+
+
+def _routes(m: Matroid) -> Iterator[str]:
+    """The algorithms valid for ``m``, in the order ``auto`` prefers them:
+    ``blocks`` for two or more blocks, ``cactus`` when every block is a
+    circuit, a loop or a single coloop, and ``hochster`` always."""
+    part = m.blocks()
+    if len(part.blocks) >= 2:
+        yield "blocks"
+    if _cactus_certificate(part).is_cactus:
+        yield "cactus"
+    yield "hochster"
+
+
 def resolve_algorithm(m: Matroid, algorithm: str = "auto", *, fine: bool = False) -> str:
     """The concrete algorithm ``betti`` will run for this matroid.
 
-    ``auto`` picks blocks for a decomposable matroid, the closed form when
-    every block is a circuit, a loop or a single coloop, and the Hochster
-    sweep otherwise. A fine-table request pins auto to hochster, the only
-    producer of fine tables, and rejects the other algorithms.
+    ``auto`` picks the first of ``_routes(m)``. A fine-table request pins
+    auto to hochster, the only producer of fine tables, and rejects the
+    other algorithms.
     """
-    if algorithm not in ("auto", "hochster", "blocks", "cactus"):
+    if algorithm not in _ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if fine and algorithm not in ("auto", "hochster"):
         raise ValueError("fine tables are only produced by the hochster algorithm")
     if algorithm != "auto":
         return algorithm
-    if fine:
-        return "hochster"
-    part = m.blocks()
-    if len(part.blocks) >= 2:
-        return "blocks"
-    if _cactus_certificate(part).is_cactus:
-        return "cactus"
-    return "hochster"
+    return "hochster" if fine else next(_routes(m))
 
 
 def betti(

@@ -20,10 +20,12 @@ from operator import attrgetter
 from typing import Callable, Sequence
 
 from .betti import (
+    _ALGORITHMS,
     BettiTable,
     CycleProfile,
     _cactus_certificate,
     _cactus_table,
+    _routes,
     betti,
     cactus_betti,
     dual_min_distance,
@@ -166,27 +168,20 @@ def _betti_routes(
     m: Matroid, fld: PrimeField, primary: BettiTable, resolved: str
 ) -> dict[str, BettiTable]:
     routes = {resolved: primary}
-    if "hochster" not in routes:
-        routes["hochster"] = betti(m, "hochster", fld)
-    part = m.blocks()
-    # On a single block the blocks route is the Hochster sweep run again.
-    if "blocks" not in routes and len(part.blocks) >= 2:
-        routes["blocks"] = betti(m, "blocks", fld)
-    cert = _cactus_certificate(part)
-    if "cactus" not in routes and cert.is_cactus:
-        routes["cactus"] = _cactus_table(cert)
+    for name in _routes(m):
+        if name not in routes:
+            routes[name] = betti(m, name, fld)
     return routes
 
 
 def _weights_routes(m: Matroid, primary: WeightHierarchy) -> dict[str, WeightHierarchy]:
     routes = {"sweep": primary, "circuits": weights_via_circuits(m)}
+    valid = set(_routes(m))
     part = m.blocks()
-    # On a single block the blocks route is the sweep route run again.
-    if len(part.blocks) >= 2:
+    if "blocks" in valid:
         routes["blocks"] = block_weights(weight_hierarchy(b.matroid) for b in part.blocks)
-    cert = _cactus_certificate(part)
-    if cert.is_cactus:
-        routes["cactus"] = cactus_weights(cert.profile().lengths)
+    if "cactus" in valid:
+        routes["cactus"] = cactus_weights(_cactus_certificate(part).profile().lengths)
     return routes
 
 
@@ -218,7 +213,7 @@ def _cmd_betti(args: argparse.Namespace) -> int:
         "source": label,
         "algorithm": resolved,
         "field": fld.p,
-        "table": table.to_json_dict(include_fine=args.fine),
+        "table": table.to_json_dict(),
     }
     lo, hi = table.degrees()
     lines = [
@@ -231,7 +226,7 @@ def _cmd_betti(args: argparse.Namespace) -> int:
         f"degrees: {lo}..{hi}",
         f"resolution: {table.resolution_text()}",
     ]
-    if args.fine and table.fine is not None:
+    if table.fine is not None:
         for (i, sigma), v in sorted(table.fine.items()):
             elems = ",".join(str(e) for e in _elements(sigma))
             lines.append(f"beta[{i}, {{{elems}}}] = {v}")
@@ -240,11 +235,8 @@ def _cmd_betti(args: argparse.Namespace) -> int:
         names = _check_agreement(
             routes, "hochster", BettiTable.agrees_with, attrgetter("global_"), "betti tables"
         )
-        hilbert_ok = hilbert_check(table, m)
-        if not hilbert_ok:
-            raise CrosscheckError(
-                "the Betti table fails the Hilbert series consistency check"
-            )
+        if not hilbert_check(table, m):
+            raise CrosscheckError("the Betti table fails the Hilbert series consistency check")
         payload["crosscheck"] = {"algorithms": names, "agree": True, "hilbert": True}
         lines.append(
             f"crosscheck: agreement across {', '.join(names)}; hilbert check passed"
@@ -366,6 +358,12 @@ def _cmd_invert(args: argparse.Namespace) -> int:
     profile = invert_cactus_betti(values, args.loops)
     roundtrip = cactus_betti(profile)
     sigma = profile.sigma
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # str() refuses longer ints
+    if limit and max(sigma) >= 10**limit:
+        raise ValueError(
+            f"with {args.loops} loops, sigma has entries of more than {limit} digits, "
+            "the most this Python converts to text"
+        )
     payload = {
         "command": "invert",
         "betti": values,
@@ -561,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_betti)
     p_betti.add_argument(
         "--algorithm",
-        choices=("auto", "hochster", "blocks", "cactus"),
+        choices=_ALGORITHMS,
         default="auto",
     )
     p_betti.add_argument("--field", type=int, default=2, help="prime field order")

@@ -334,12 +334,14 @@ def from_bases(n: int, bases: Iterable[Iterable[int]]) -> Matroid:
     The family must be non-empty, equicardinal, and satisfy the basis
     exchange axiom: for all bases B1, B2 and e in B1 - B2 there is an
     f in B2 - B1 with B1 - e + f again a basis. A violation raises
-    ValidationError naming a violating pair.
+    ValidationError naming a violating pair, a repeated element ValueError.
     """
     check_ground(n)
     masks: list[int] = []
-    for b in bases:
+    for b in map(list, bases):
         m = mask_of(b)
+        if m.bit_count() != len(b):
+            raise ValueError(f"basis {b} repeats an element")
         check_subset(m, n)
         masks.append(m)
     if not masks:

@@ -24,8 +24,10 @@ the sequence of prefix sums of the sorted lengths.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
+from .betti import CycleProfile
 from .bitset import bits
 from .bitset import k_subsets  # noqa: F401  perfbench/tracing.py wraps weights.k_subsets
 from .errors import ValidationError
@@ -203,7 +205,7 @@ def weights_via_circuits(m: Matroid) -> WeightHierarchy:
     return WeightHierarchy(tuple(weights))
 
 
-def block_weights(parts: Iterable[WeightHierarchy | Sequence[int]]) -> WeightHierarchy:
+def block_weights(parts: Iterable[Iterable[int]]) -> WeightHierarchy:
     """Hierarchy of a direct sum: min-plus convolution of the parts.
 
     Each part enters as [0, d_1, d_2, ...] (cost of covering 0 nullity is 0)
@@ -211,10 +213,7 @@ def block_weights(parts: Iterable[WeightHierarchy | Sequence[int]]) -> WeightHie
     """
     conv = [0]
     for part in parts:
-        ws = list(part.weights) if isinstance(part, WeightHierarchy) else [
-            int(x) for x in part
-        ]
-        cur = [0, *ws]
+        cur = [0, *map(int, part)]
         out = [None] * (len(conv) + len(cur) - 1)
         for a, x in enumerate(conv):
             for b, y in enumerate(cur):
@@ -228,12 +227,4 @@ def block_weights(parts: Iterable[WeightHierarchy | Sequence[int]]) -> WeightHie
 def cactus_weights(lengths: Iterable[int]) -> WeightHierarchy:
     """Hierarchy of a disjoint union of circuits: prefix sums of the sorted
     lengths (loops count as length 1)."""
-    ls = sorted(int(x) for x in lengths)
-    if any(x < 1 for x in ls):
-        raise ValidationError(f"cycle lengths must be >= 1, got {tuple(ls)}")
-    out = []
-    acc = 0
-    for x in ls:
-        acc += x
-        out.append(acc)
-    return WeightHierarchy(tuple(out))
+    return WeightHierarchy(tuple(accumulate(CycleProfile(lengths).lengths)))

@@ -268,6 +268,21 @@ def test_all_bases_levels_are_summed(monkeypatch):
             assert coarse.global_ == tuple(levels), (r, n)
 
 
+def test_all_bases_fine_table_matches_the_relative_chain_sweep():
+    # The all-bases branch of ``hochster_betti`` against the general sweep,
+    # which ranks the relative chains of every sigma.
+    for n in range(1, 8):
+        for r in range(1, n + 1):
+            fine = hochster_betti(uniform(r, n), GF3, fine=True).fine
+            swept = {
+                (i, sigma): h
+                for i, level in enumerate(BETTI_MODULE._relative_homology(uniform(r, n), GF3))
+                for sigma, h in level
+                if h
+            }
+            assert fine == swept, (r, n)
+
+
 def test_uniform_26_is_answered_at_once():
     # Listing the 2^26 sets sigma one level at a time takes seconds.
     start = time.perf_counter()
@@ -522,6 +537,23 @@ def test_auto_algorithm_selection():
         resolve_algorithm(uniform(2, 3), "blocks", fine=True)
     with pytest.raises(ValueError, match="unknown algorithm"):
         resolve_algorithm(uniform(2, 3), "fastest")
+
+
+def test_routes_list_the_valid_algorithms_in_auto_order():
+    # blocks when there are two or more blocks, cactus when every block is a
+    # circuit, a loop or a coloop, hochster always; auto takes the first.
+    cases = [
+        (two_triangles_matroid(), ["blocks", "cactus", "hochster"]),
+        (multi_uniform([(2, 3), (2, 4)]), ["blocks", "hochster"]),
+        (uniform(4, 5), ["cactus", "hochster"]),
+        (uniform(0, 1), ["cactus", "hochster"]),
+        (cycle_matroid(fixture("g3")), ["hochster"]),
+    ]
+    for m, want in cases:
+        assert list(BETTI_MODULE._routes(m)) == want
+        assert resolve_algorithm(m) == want[0]
+        for name in want:
+            assert betti(m, name).agrees_with(betti(m, "hochster")), name
 
 
 def test_dispatcher_routes_agree():

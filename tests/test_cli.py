@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import pathlib
+import sys
 import time
 from math import comb
 
@@ -163,6 +164,12 @@ def test_field_beyond_primality_test_exits_1(capsys):
     code, _, err = run(capsys, "betti", "--input", "g3", "--field", "1" * 30)
     assert code == 1
     assert "error:" in err
+
+
+def test_repeated_basis_element_exits_1(capsys):
+    code, out, err = run(capsys, "betti", "--input", '{"n": 2, "bases": [[1, 1]]}')
+    assert (code, out) == (1, "")
+    assert "repeats an element" in err
 
 
 def test_non_matroid_bases_exit_2(capsys):
@@ -435,6 +442,21 @@ def test_invert_prints_many_loops_at_once(capsys):
     assert sigma[:3] == [1, 8002, comb(8000, 2) + 2 * 8000]
     assert sigma[-1] == 2
     assert sum(sigma) == 3 * 2**8000
+
+
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", int)() <= 4300,
+    reason="needs an int-to-str digit limit no larger than Python's default",
+)
+def test_invert_past_the_digit_limit_exits_1(capsys):
+    # (1 + X)^14400 has coefficients of more than 4,300 digits: the command
+    # refuses in plain words and leaves the interpreter's limit alone.
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "invert", "--betti", "2,1", "--loops", "14400")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "14400" in err and str(limit) in err
+    assert "set_int_max_str_digits" not in err
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_invert_rejects_non_cactus_vector(capsys):

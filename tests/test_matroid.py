@@ -308,6 +308,15 @@ def test_from_bases_rejects_malformed():
         from_bases(3, [(0, 5)])
 
 
+def test_from_bases_rejects_a_repeated_element():
+    # [0, 0, 1] is not the 2-set {0, 1}, and [1, 1] is not the basis {1}.
+    for n, bases in ((3, [[0, 0, 1], [1, 2]]), (2, [[1, 1]])):
+        with pytest.raises(ValueError, match="repeats an element") as exc:
+            from_bases(n, bases)
+        assert not isinstance(exc.value, ValidationError)
+        assert str(bases[0]) in str(exc.value)
+
+
 def test_bases_count_spanning_trees():
     # the number of bases of a cycle matroid is the spanning tree count
     m = graph_matroid(5, two_triangles().edges)
