@@ -3,6 +3,7 @@
 The package computes, in exact integer arithmetic throughout:
 
 * connectivity block decompositions of matroids given by rank oracles,
+  and from them cactus recognition,
 * graded Betti numbers of the ideal generated by the basis monomials, by
   three independent algorithms (a Hochster-formula homology sweep, a
   block-by-block product, and a closed form for disjoint unions of circuits),
@@ -29,13 +30,7 @@ from .betti import (
 from .bitset import bits, k_subsets, mask_of
 from .complexes import GF2, PrimeField
 from .errors import ValidationError
-from .graphs import (
-    CactusCertificate,
-    Graph,
-    cycle_matroid,
-    fixture,
-    is_cactus,
-)
+from .graphs import Graph, cycle_matroid, fixture, is_cactus
 from .matroid import (
     Block,
     BlockPartition,
@@ -60,7 +55,6 @@ __all__ = [
     "BettiTable",
     "Block",
     "BlockPartition",
-    "CactusCertificate",
     "CycleProfile",
     "GF2",
     "Graph",

@@ -163,53 +163,6 @@ class CycleProfile:
         return sum(1 for x in self.lengths if x == 1)
 
 
-@dataclass(frozen=True)
-class CactusCertificate:
-    """The blocks of a matroid sorted by kind: ``cycles`` holds the member
-    masks of the circuits (loops appear here as single-bit masks),
-    ``bridges`` the single coloops, and ``offending`` the blocks that are
-    neither, which is nonempty exactly when ``is_cactus`` is False. For a
-    graph the cycles are its cycles and self-loops, the bridges its bridges.
-    """
-
-    cycles: tuple[int, ...]
-    bridges: tuple[int, ...]
-    offending: tuple[int, ...]
-
-    @property
-    def is_cactus(self) -> bool:
-        return not self.offending
-
-    @property
-    def loops(self) -> int:
-        return sum(1 for c in self.cycles if c.bit_count() == 1)
-
-    def profile(self) -> CycleProfile:
-        if not self.is_cactus:
-            raise ValidationError(
-                "graph is not a cactus: some block is not a single cycle "
-                f"(offending edge masks: {list(self.offending)})"
-            )
-        return CycleProfile(c.bit_count() for c in self.cycles)
-
-
-def _cactus_certificate(part: BlockPartition) -> CactusCertificate:
-    """Sort the blocks into cycles (circuits and loops), bridges (coloops)
-    and offending (general) blocks."""
-    cycles: list[int] = []
-    bridges: list[int] = []
-    offending: list[int] = []
-    for block in part.blocks:
-        kind = block.kind
-        if kind == "coloop":
-            bridges.append(block.members)
-        elif kind == "general":
-            offending.append(block.members)
-        else:
-            cycles.append(block.members)  # a circuit, or a loop
-    return CactusCertificate(tuple(cycles), tuple(bridges), tuple(offending))
-
-
 # -- Hochster sweep -----------------------------------------------------------
 
 
@@ -391,13 +344,13 @@ def cactus_betti(profile: CycleProfile | Iterable[int]) -> BettiTable:
     return BettiTable(n - profile.t, n, tuple(beta) + (0,) * profile.loops)
 
 
-def _cactus_table(cert: CactusCertificate) -> BettiTable:
+def _cactus_table(part: BlockPartition) -> BettiTable:
     """The table of a matroid whose blocks are circuits, loops and single
     coloops: ``cactus_betti`` of the cycles, and each bridge (a coloop, the
     factor 1 of the block product) adds 1 to the rank and to n."""
-    b = len(cert.bridges)
-    core = cactus_betti(cert.profile())
-    return BettiTable(core.rank_r + b, core.n + b, core.global_)
+    core = cactus_betti(part.cycle_lengths())
+    bridges = part.n - core.n
+    return BettiTable(core.rank_r + bridges, part.n, core.global_)
 
 
 def _shift_nonnegative(poly: list[int], x: int) -> bool:
@@ -511,7 +464,7 @@ def _routes(m: Matroid) -> Iterator[str]:
     part = m.blocks()
     if len(part.blocks) >= 2:
         yield "blocks"
-    if _cactus_certificate(part).is_cactus:
+    if part.is_cactus:
         yield "cactus"
     yield "hochster"
 
@@ -556,13 +509,7 @@ def betti(
     if algorithm == "blocks":
         tables = [hochster_betti(b.matroid, fld) for b in m.blocks().blocks]
         return block_product_betti(tables)
-    cert = _cactus_certificate(m.blocks())
-    if not cert.is_cactus:
-        raise ValidationError(
-            "cactus algorithm requires every block to be a circuit, a loop "
-            "or a single coloop"
-        )
-    return _cactus_table(cert)
+    return _cactus_table(m.blocks())
 
 
 # -- consistency checks and derived invariants --------------------------------
@@ -597,16 +544,14 @@ def hilbert_check(table: BettiTable, m: Matroid) -> bool:
 def dual_min_distance(m: Matroid) -> int:
     """Smallest i at which the dual matroid has fewer than C(n, i) independent
     sets of size i; equivalently the size of the smallest circuit of the dual.
-    Each level stops at its first dependent set.
+    A set s is dependent in the dual exactly when its complement does not
+    span, so each level asks the rank of complements and stops at the first
+    that falls short of r; at i = n the complement is empty.
 
     Raises ValidationError when the dual is free (rank 0 on the primal side),
     since then the dual has no circuits at all.
     """
-    n = m.n
-    if m.full_rank == 0:
+    n, r, full = m.n, m.full_rank, m.full_mask
+    if r == 0:
         raise ValidationError("dual has no circuits; d_1 undefined")
-    mstar = m.dual()
-    for i in range(1, n + 1):
-        if any(mstar.rank(s) < i for s in k_subsets(n, i)):
-            return i
-    raise ValidationError("dual has no circuits; d_1 undefined")
+    return next(i for i in count(1) if any(m.rank(full ^ s) < r for s in k_subsets(n, i)))

@@ -7,7 +7,9 @@ inputs and flags.
 
 Exit codes: 0 success, 1 malformed input, 2 contract violation (bases that
 fail the exchange axiom, cactus mode on a non-cactus input, an invalid
-cactus Betti vector), 3 cross-check or verification mismatch.
+cactus Betti vector), 3 cross-check or verification mismatch. Usage errors
+caught by argparse (a missing ``--input``, a non-integer ``--field``) also
+exit 2, after a usage line on stderr.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .betti import (
     _ALGORITHMS,
     BettiTable,
     CycleProfile,
-    _cactus_certificate,
     _cactus_table,
     _routes,
     betti,
@@ -181,7 +182,7 @@ def _weights_routes(m: Matroid, primary: WeightHierarchy) -> dict[str, WeightHie
     if "blocks" in valid:
         routes["blocks"] = block_weights(weight_hierarchy(b.matroid) for b in part.blocks)
     if "cactus" in valid:
-        routes["cactus"] = cactus_weights(_cactus_certificate(part).profile().lengths)
+        routes["cactus"] = cactus_weights(part.cycle_lengths())
     return routes
 
 
@@ -305,33 +306,36 @@ def _cmd_cactus(args: argparse.Namespace) -> int:
     _, g, label = _parse_input(args.input)
     if g is None:
         raise ValueError("the cactus command needs a graph input")
-    cert = is_cactus(g)
+    part = is_cactus(g)
+    cactus = part.is_cactus
+    cycles = part.masks("circuit", "loop")
+    bridges = part.masks("coloop")
+    loops = len(part.masks("loop"))
     payload: dict = {
         "command": "cactus",
         "source": label,
-        "is_cactus": cert.is_cactus,
-        "cycles": [_elements(c) for c in cert.cycles],
-        "bridges": [_elements(b)[0] for b in cert.bridges],
-        "loops": cert.loops,
+        "is_cactus": cactus,
+        "cycles": [_elements(c) for c in cycles],
+        "bridges": [_elements(b)[0] for b in bridges],
+        "loops": loops,
     }
     lines = [
         f"source: {label}",
-        f"is_cactus: {'yes' if cert.is_cactus else 'no'}",
+        f"is_cactus: {'yes' if cactus else 'no'}",
     ]
-    if not cert.is_cactus:
-        payload["offending"] = [_elements(o) for o in cert.offending]
-        for o in cert.offending:
-            elems = ",".join(str(e) for e in _elements(o))
-            lines.append(f"offending block: edges {elems}")
+    if not cactus:
+        payload["offending"] = [_elements(o) for o in part.masks("general")]
+        for o in payload["offending"]:
+            lines.append(f"offending block: edges {','.join(map(str, o))}")
         _emit(args, payload, lines)
         return 0
-    profile = cert.profile()
-    lines.append(f"profile: {_fmt_vec(profile.lengths)}")
-    lines.append(f"bridges: {len(cert.bridges)}")
-    lines.append(f"loops: {cert.loops}")
-    payload["profile"] = list(profile.lengths)
-    table = _cactus_table(cert)
-    hierarchy = cactus_weights(profile.lengths)
+    lengths = part.cycle_lengths()
+    lines.append(f"profile: {_fmt_vec(lengths)}")
+    lines.append(f"bridges: {len(bridges)}")
+    lines.append(f"loops: {loops}")
+    payload["profile"] = list(lengths)
+    table = _cactus_table(part)
+    hierarchy = cactus_weights(lengths)
     payload["table"] = table.to_json_dict()
     payload["d"] = list(hierarchy.weights)
     lines.append(f"global: {_fmt_vec(table.global_)}")
@@ -432,7 +436,7 @@ def _verify_checks() -> list[tuple[str, object, object]]:
     matroids["two triangles"] = mtwo
     checks.append(("two-triangle cactus recognized", True, is_cactus(two).is_cactus))
     checks.append(
-        ("two-triangle profile", (3, 3), is_cactus(two).profile().lengths)
+        ("two-triangle profile", (3, 3), is_cactus(two).cycle_lengths())
     )
     checks.append(("two-triangle global Betti numbers", (9, 12, 4), ttwo.global_))
     checks.append(

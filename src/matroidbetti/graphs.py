@@ -2,8 +2,8 @@
 
 A connected graph is a cactus when the blocks of its cycle matroid are all
 cycles, self-loops and bridges. ``is_cactus`` checks connectivity and returns
-the ``CactusCertificate`` into which ``betti`` sorts those blocks, so the
-recognition and the closed form read one classification.
+that ``BlockPartition``, whose ``Block.kind`` is the one classification that
+the recognition, the ``cactus`` route and the closed form all read.
 
 Internally vertices are 0-indexed; the JSON and edge-list text formats are
 1-indexed because that is how such inputs are usually written by hand. The
@@ -15,10 +15,10 @@ is indexed by edge positions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
-from .betti import CactusCertificate, _cactus_certificate
 from .errors import ValidationError
-from .matroid import Matroid
+from .matroid import BlockPartition, Matroid
 
 
 @dataclass(frozen=True)
@@ -119,9 +119,14 @@ def cycle_matroid(graph: Graph) -> Matroid:
     The rank is counted by union-find over a fresh copy of one prebuilt
     parent list, taking the edges of the mask from its lowest bit up, with
     path halving written out inline: the oracle is the innermost call of
-    every sweep over graphs."""
-    ends = graph.edges
-    singletons = list(range(graph.vertex_count))
+    every sweep over graphs. The list holds only the vertices that lie on an
+    edge, numbered once here, so isolated vertices cost nothing."""
+    index: dict[int, int] = {}
+    ends = tuple(
+        (index.setdefault(u, len(index)), index.setdefault(v, len(index)))
+        for u, v in graph.edges
+    )
+    singletons = list(range(len(index)))
 
     def rank_fn(mask: int) -> int:
         parent = singletons[:]
@@ -144,13 +149,14 @@ def cycle_matroid(graph: Graph) -> Matroid:
     return Matroid(len(ends), rank_fn, provenance="cycle_matroid")
 
 
-def is_cactus(graph: Graph) -> CactusCertificate:
-    """Decide whether a connected graph is a cactus (every edge lies on at
-    most one cycle) by checking that every block of its cycle matroid is a
-    circuit, a loop or a single coloop.
+def is_cactus(graph: Graph) -> BlockPartition:
+    """The blocks of the cycle matroid of a connected graph; the graph is a
+    cactus (every edge lies on at most one cycle) when the partition's
+    ``is_cactus`` holds.
 
     Raises ValidationError when the graph is not connected, since the notion
-    is only defined for connected graphs here.
+    is only defined for connected graphs here. The message names at most ten
+    of the unreachable vertices.
     """
     reached = {0}
     frontier = [0]
@@ -163,13 +169,15 @@ def is_cactus(graph: Graph) -> CactusCertificate:
             elif b == u and a not in reached:
                 reached.add(a)
                 frontier.append(a)
-    if len(reached) != graph.vertex_count:
-        missing = sorted(set(range(graph.vertex_count)) - reached)
+    unreached = graph.vertex_count - len(reached)
+    if unreached:
+        missing = islice((v + 1 for v in range(graph.vertex_count) if v not in reached), 10)
+        more = f" and {unreached - 10} more" if unreached > 10 else ""
         raise ValidationError(
-            f"graph is not connected: vertices {[v + 1 for v in missing]} are "
+            f"graph is not connected: vertices {list(missing)}{more} are "
             "unreachable from vertex 1"
         )
-    return _cactus_certificate(cycle_matroid(graph).blocks())
+    return cycle_matroid(graph).blocks()
 
 
 def _ring(k: int) -> list[tuple[int, int]]:

@@ -14,7 +14,8 @@ of the matroid are the connected components of the graph that joins each
 such e to those b (the fundamental graph), so about n + (n - r) * r rank
 evaluations decide them. Loops and coloops lie on no edge of that graph and
 come out as singleton blocks. ``Block.kind`` names what a block is: a loop,
-a coloop, a circuit, or none of these.
+a coloop, a circuit, or none of these; ``BlockPartition`` groups the blocks
+by kind, which is all that cactus recognition and its closed forms read.
 """
 
 from __future__ import annotations
@@ -279,13 +280,35 @@ class Block:
 
 @dataclass(frozen=True)
 class BlockPartition:
-    """Pairwise-disjoint blocks whose union is the whole ground set."""
+    """Pairwise-disjoint blocks whose union is the whole ground set.
+
+    A connected graph is a cactus exactly when every block of its cycle
+    matroid is a circuit, a loop or a single coloop: its cycles, self-loops
+    and bridges.
+    """
 
     n: int
     blocks: tuple[Block, ...]
 
-    def masks(self) -> tuple[int, ...]:
-        return tuple(b.members for b in self.blocks)
+    def masks(self, *kinds: str) -> tuple[int, ...]:
+        """Member masks in block order: of the blocks whose ``kind`` is one
+        of ``kinds``, or of every block when none is given."""
+        return tuple(b.members for b in self.blocks if not kinds or b.kind in kinds)
+
+    @property
+    def is_cactus(self) -> bool:
+        """True when no block is "general"."""
+        return all(b.kind != "general" for b in self.blocks)
+
+    def cycle_lengths(self) -> tuple[int, ...]:
+        """Sorted sizes of the circuits and loops (a loop has size 1);
+        ValidationError unless ``is_cactus``."""
+        if not self.is_cactus:
+            raise ValidationError(
+                "cactus algorithm requires every block to be a circuit, a loop "
+                "or a single coloop"
+            )
+        return tuple(sorted(m.bit_count() for m in self.masks("circuit", "loop")))
 
 
 # -- constructors ------------------------------------------------------------

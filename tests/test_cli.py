@@ -11,7 +11,7 @@ from math import comb
 
 import pytest
 
-from matroidbetti import BettiTable, Matroid, WeightHierarchy
+from matroidbetti import BettiTable, Matroid, WeightHierarchy, fixture
 from matroidbetti.cli import main
 
 TWO_TRIANGLES_JSON = (
@@ -395,6 +395,22 @@ def test_betti_and_cactus_print_one_global_vector(capsys, graph):
     assert table["global"] == cactus_data["table"]["global"]
     assert len(table["global"]) == table["n"] - table["rank"] + 1
     assert table["global"][-1] == 0
+
+
+def test_isolated_vertices_cost_nothing(capsys):
+    # g1's edges among a billion vertices: the rank oracle numbers only the
+    # vertices on an edge, and the connectivity error names ten of the rest.
+    edges = fixture("g1").to_json_dict()["edges"]
+    graph = json.dumps({"vertices": 10**9, "edges": edges})
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "betti", "--input", graph)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert "global: 393 1459 2187 1652 628 96" in out
+    code, _, err = run(capsys, "cactus", "--input", graph)
+    assert code == 2
+    assert "[11, 12, 13, 14, 15, 16, 17, 18, 19, 20] and 999999980 more" in err
+    assert len(err) < 1000
 
 
 def test_cactus_needs_a_graph(capsys):

@@ -1,6 +1,7 @@
 """Graphs, cycle matroids, the bundled benchmark graphs, cactus recognition,
 and the seeded random cactus generator."""
 
+import importlib
 import math
 import random
 
@@ -23,6 +24,8 @@ from matroidbetti import (
 
 from oracles import graph_rank
 from util import SEED, random_cactus, random_graph, two_triangles
+
+BETTI_MODULE = importlib.import_module("matroidbetti.betti")
 
 
 # -- the graph container ----------------------------------------------------------
@@ -154,38 +157,39 @@ def test_fixture_lookup():
 
 
 def test_two_triangles_are_a_cactus():
-    cert = is_cactus(two_triangles())
-    assert cert.is_cactus
-    assert cert.cycles == (0b000111, 0b111000)
-    assert cert.bridges == ()
-    assert cert.offending == ()
-    assert cert.loops == 0
-    assert cert.profile().lengths == (3, 3)
+    part = is_cactus(two_triangles())
+    assert part.is_cactus
+    assert part.masks("circuit", "loop") == (0b000111, 0b111000)
+    assert part.masks("coloop") == ()
+    assert part.masks("general") == ()
+    assert part.masks("loop") == ()
+    assert part.cycle_lengths() == (3, 3)
 
 
 def test_tree_is_a_cactus_with_no_cycles():
-    cert = is_cactus(Graph(3, ((0, 1), (1, 2))))
-    assert cert.is_cactus
-    assert cert.cycles == ()
-    assert set(cert.bridges) == {0b01, 0b10}
-    assert cert.profile().lengths == ()
+    part = is_cactus(Graph(3, ((0, 1), (1, 2))))
+    assert part.is_cactus
+    assert part.masks("circuit", "loop") == ()
+    assert set(part.masks("coloop")) == {0b01, 0b10}
+    assert part.cycle_lengths() == ()
 
 
 def test_loop_and_bridge():
-    cert = is_cactus(Graph(2, ((0, 0), (0, 1))))
-    assert cert.is_cactus
-    assert cert.cycles == (0b01,)
-    assert cert.loops == 1
-    assert cert.bridges == (0b10,)
-    assert cert.profile().lengths == (1,)
+    part = is_cactus(Graph(2, ((0, 0), (0, 1))))
+    assert part.is_cactus
+    assert part.masks("circuit", "loop") == (0b01,)
+    assert part.masks("loop") == (0b01,)
+    assert part.masks("coloop") == (0b10,)
+    assert part.masks() == (0b01, 0b10)
+    assert part.cycle_lengths() == (1,)
 
 
 def test_chorded_ring_is_not_a_cactus():
-    cert = is_cactus(fixture("g1"))
-    assert not cert.is_cactus
-    assert cert.offending
-    with pytest.raises(ValidationError, match="not a cactus"):
-        cert.profile()
+    part = is_cactus(fixture("g1"))
+    assert not part.is_cactus
+    assert part.masks("general")
+    with pytest.raises(ValidationError, match="cactus algorithm requires"):
+        part.cycle_lengths()
 
 
 def test_disconnected_graph_is_rejected():
@@ -203,11 +207,11 @@ def test_random_cactus_is_recognized():
         bridges = rng.randint(0, 2)
         loops = rng.randint(0, 1)
         g = random_cactus(rng, cycles, (2, 5), bridges=bridges, loops=loops)
-        cert = is_cactus(g)
-        assert cert.is_cactus
-        assert len(cert.cycles) == cycles + loops
-        assert len(cert.bridges) == bridges
-        assert cert.loops == loops
+        part = is_cactus(g)
+        assert part.is_cactus
+        assert len(part.masks("circuit", "loop")) == cycles + loops
+        assert len(part.masks("coloop")) == bridges
+        assert len(part.masks("loop")) == loops
 
 
 def test_random_cactus_spanning_tree_count():
@@ -216,21 +220,45 @@ def test_random_cactus_spanning_tree_count():
     rng = random.Random(SEED + 1)
     for _ in range(5):
         g = random_cactus(rng, rng.randint(1, 3), (2, 4), bridges=1, loops=1)
-        lengths = is_cactus(g).profile().lengths
+        lengths = is_cactus(g).cycle_lengths()
         assert len(cycle_matroid(g).bases()) == math.prod(lengths)
 
 
 def test_random_cactus_routes_agree():
+    # One classification, read three ways: ``is_cactus``, the route list and
+    # the cactus algorithm answer alike on seeded cacti (with loops and
+    # bridges), multi-block graphs and graphs that are not cacti. On a cactus
+    # the closed forms match the sweep; bridges are coloops, which shift
+    # degrees but not the global vector and add nothing to the weights.
     rng = random.Random(SEED + 2)
-    for _ in range(3):
-        g = random_cactus(rng, 2, (2, 4), bridges=1)
+    graphs = [two_triangles(), Graph(1, ((0, 0),)), Graph(2, ((0, 1),)), fixture("g3")]
+    for _ in range(6):
+        graphs.append(
+            random_cactus(rng, rng.randint(0, 3), (2, 4), bridges=rng.randint(0, 2),
+                          loops=rng.randint(0, 2))
+        )
+    for _ in range(40):
+        g = random_graph(rng)
+        if cycle_matroid(g).full_rank == g.vertex_count - 1:  # connected
+            graphs.append(g)
+    seen = set()
+    for g in graphs:
+        part = is_cactus(g)
         m = cycle_matroid(g)
-        profile = is_cactus(g).profile()
-        assert betti(m, "hochster").agrees_with(betti(m, "cactus"))
-        # Bridges are coloops: they shift degrees but not the global vector,
-        # and they contribute nothing to the weight hierarchy.
-        assert betti(m).global_ == cactus_betti(profile).global_
-        assert weight_hierarchy(m).weights == cactus_weights(profile.lengths).weights
+        routes = list(BETTI_MODULE._routes(m))
+        assert ("cactus" in routes) == part.is_cactus, g
+        seen.add((part.is_cactus, len(part.blocks) >= 2, bool(part.masks("loop")),
+                  bool(part.masks("coloop"))))
+        if not part.is_cactus:
+            with pytest.raises(ValidationError, match="cactus algorithm requires"):
+                betti(m, "cactus")
+            continue
+        assert betti(m, "cactus").agrees_with(betti(m, "hochster")), g
+        assert betti(m).global_ == cactus_betti(part.cycle_lengths()).global_
+        assert cactus_weights(part.cycle_lengths()) == weight_hierarchy(m), g
+    # cactus and not, multi-block, with loops and with bridges all occur
+    assert {c for c, *_ in seen} == {True, False}
+    assert all(any(key[i] for key in seen) for i in (1, 2, 3)), seen
 
 
 def test_random_cactus_invalid_parameters():

@@ -1,7 +1,10 @@
 """The public names of the package: exactly the ones the library itself
-uses or hands out, each resolvable, and no test-only mode in the sweep."""
+uses or hands out, each resolvable, no test-only mode in the sweep, and
+the lower layers importing nothing from the upper ones."""
 
+import ast
 import inspect
+import pathlib
 
 import matroidbetti
 from matroidbetti import hochster_betti
@@ -10,7 +13,6 @@ PUBLIC = {
     "BettiTable",
     "Block",
     "BlockPartition",
-    "CactusCertificate",
     "CycleProfile",
     "GF2",
     "Graph",
@@ -46,7 +48,7 @@ PUBLIC = {
 
 
 def test_all_lists_exactly_the_public_names():
-    assert len(matroidbetti.__all__) == len(PUBLIC) == 35
+    assert len(matroidbetti.__all__) == len(PUBLIC) == 34
     assert set(matroidbetti.__all__) == PUBLIC
 
 
@@ -59,3 +61,15 @@ def test_sweep_has_no_exhaustive_mode():
     params = inspect.signature(hochster_betti).parameters
     assert list(params) == ["m", "fld", "fine"]
     assert "exhaustive" not in params
+
+
+def test_lower_layers_do_not_import_upper_ones():
+    # bitset, linalg, complexes, matroid and graphs sit under betti, weights
+    # and the command line; none of them may reach up by a relative import.
+    package = pathlib.Path(matroidbetti.__file__).parent
+    for name in ("bitset", "linalg", "complexes", "matroid", "graphs"):
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                named = {node.module} if node.module else {a.name for a in node.names}
+                assert not named & {"betti", "weights", "cli"}, (name, named)
