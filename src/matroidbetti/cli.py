@@ -5,11 +5,11 @@ Reports go to standard output as plain text (default) or versioned JSON
 (``--output json``); both are deterministic, byte for byte, for identical
 inputs and flags.
 
-Exit codes: 0 success, 1 malformed input, 2 contract violation (bases that
-fail the exchange axiom, cactus mode on a non-cactus input, an invalid
-cactus Betti vector), 3 cross-check or verification mismatch. Usage errors
-caught by argparse (a missing ``--input``, a non-integer ``--field``) also
-exit 2, after a usage line on stderr.
+Exit codes: 0 success, 1 malformed input (deeply nested JSON too), 2
+contract violation (bases failing the exchange axiom, cactus mode on a
+non-cactus input, an invalid cactus Betti vector), 3 cross-check or
+verification mismatch. Usage errors caught by argparse (a missing
+``--input``, a non-integer ``--field``) exit 2 after a usage line on stderr.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def _from_text(text: str, label: str) -> tuple[Matroid, Graph | None]:
     if text.lstrip().startswith("{"):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"{label}: invalid JSON: {exc}") from None
         return _from_dict(data, label)
     g = Graph.from_edge_text(text)
@@ -279,17 +279,15 @@ def _cmd_weights(args: argparse.Namespace) -> int:
 
 def _cmd_blocks(args: argparse.Namespace) -> int:
     m, _, label = _parse_input(args.input)
-    part = m.blocks()
-    rows = []
-    for block in part.blocks:
-        rows.append(
-            {
-                "elements": _elements(block.members),
-                "size": block.matroid.n,
-                "rank": block.matroid.full_rank,
-                "kind": block.kind,
-            }
-        )
+    rows = [
+        {
+            "elements": _elements(block.members),
+            "size": block.matroid.n,
+            "rank": block.matroid.full_rank,
+            "kind": block.kind,
+        }
+        for block in m.blocks().blocks
+    ]
     payload = {"command": "blocks", "source": label, "count": len(rows), "blocks": rows}
     lines = [f"source: {label}", f"elements: {m.n}", f"blocks: {len(rows)}"]
     for idx, row in enumerate(rows):
@@ -349,10 +347,17 @@ def _parse_int_list(text: str) -> list[int]:
     parts = [p for chunk in text.split(",") for p in chunk.split()]
     if not parts:
         raise ValueError("empty integer list")
-    try:
-        return [int(p) for p in parts]
-    except ValueError:
-        raise ValueError(f"not a list of integers: {text!r}") from None
+    values = []
+    for i, p in enumerate(parts, 1):
+        try:
+            values.append(int(p))
+        except ValueError:
+            limit = getattr(sys, "get_int_max_str_digits", int)()  # int() refuses longer text
+            why = "is not an integer"
+            if p.lstrip("+-").isdecimal() and 0 < limit < len(p.lstrip("+-")):
+                why = f"has more than {limit} digits, the most this Python reads"
+            raise ValueError(f"--betti entry {i}, {p[:20]!r}{'...' * (len(p) > 20)}, {why}") from None
+    return values
 
 
 def _cmd_invert(args: argparse.Namespace) -> int:
@@ -434,10 +439,9 @@ def _verify_checks() -> list[tuple[str, object, object]]:
     ttwo = hochster_betti(mtwo)
     tables["two triangles"] = ttwo
     matroids["two triangles"] = mtwo
-    checks.append(("two-triangle cactus recognized", True, is_cactus(two).is_cactus))
-    checks.append(
-        ("two-triangle profile", (3, 3), is_cactus(two).cycle_lengths())
-    )
+    ptwo = is_cactus(two)
+    checks.append(("two-triangle cactus recognized", True, ptwo.is_cactus))
+    checks.append(("two-triangle profile", (3, 3), ptwo.cycle_lengths()))
     checks.append(("two-triangle global Betti numbers", (9, 12, 4), ttwo.global_))
     checks.append(
         (
@@ -502,19 +506,17 @@ def _verify_checks() -> list[tuple[str, object, object]]:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     checks = _verify_checks()
-    failed = 0
     rows = []
     lines = []
     for name, expected, got in checks:
         ok = expected == got
-        if not ok:
-            failed += 1
         rows.append(
             {"name": name, "pass": ok, "expected": str(expected), "got": str(got)}
         )
         status = "ok  " if ok else "FAIL"
         detail = "" if ok else f"  (expected {expected}, got {got})"
         lines.append(f"{status}  {name}{detail}")
+    failed = sum(not row["pass"] for row in rows)
     lines.append(
         f"passed {len(checks) - failed} of {len(checks)} checks"
         + ("" if not failed else f"; {failed} FAILED")

@@ -3,8 +3,8 @@
 A matroid is stored as its rank function on subsets (bit masks). Bases,
 circuits and blocks are derived from the oracle, so every constructor gets
 identical treatment and derived data always agrees with the oracle.
-Instances are immutable; rank values, bases, circuits and the block masks
-are cached on first use.
+Instances are immutable; rank values, bases, circuits and the block
+partition are cached on first use.
 
 Blocks are the classes of the connectivity relation: two elements are
 related when some circuit contains both. They are found without listing the
@@ -55,7 +55,7 @@ class Matroid:
         self._full: int | None = None
         self._bases: tuple[int, ...] | None = None
         self._circuits: tuple[int, ...] | None = None
-        self._blocks: tuple[int, ...] | None = None
+        self._blocks: BlockPartition | None = None
 
     # -- rank oracle -------------------------------------------------------
 
@@ -196,15 +196,17 @@ class Matroid:
         """Restriction to the subset ``sigma``, relabelled to 0..k-1.
 
         ``labels`` on the result maps the new indices back to the old ones.
+        The result reads this matroid's oracle, not its cache.
         """
         check_subset(sigma, self.n)
         members = tuple(bits(sigma))
+        parent_rank = self._rank_fn
 
         def rank_fn(sub: int) -> int:
             m = 0
             for i in bits(sub):
                 m |= 1 << members[i]
-            return self.rank(m)
+            return parent_rank(m)
 
         return Matroid(len(members), rank_fn, "restriction_of", labels=members)
 
@@ -216,19 +218,14 @@ class Matroid:
         every b in B for which B - b + e is a basis, and the blocks are the
         union-find components of these joins (the components of the
         fundamental graph of B). Blocks are ordered by their smallest element
-        and carry their restricted matroid.
-
-        The member masks are found once and kept; each call wraps them in
-        fresh restrictions. A kept restriction would refer back to this
-        matroid through its oracle, a cycle that reference counting cannot
-        free, so every matroid that had its blocks read would live until the
-        cycle collector ran.
+        and carry their restricted matroid. The partition is built on the
+        first call and kept.
         """
         if self._blocks is None:
-            self._blocks = self._block_masks()
-        return BlockPartition(
-            self.n, tuple(Block(m, self.restrict(m)) for m in self._blocks)
-        )
+            self._blocks = BlockPartition(
+                self.n, tuple(Block(m, self.restrict(m)) for m in self._block_masks())
+            )
+        return self._blocks
 
     def _block_masks(self) -> tuple[int, ...]:
         parent = list(range(self.n))

@@ -141,6 +141,19 @@ def test_bad_inline_json_exits_1(capsys):
     assert "invalid JSON" in err
 
 
+def test_deeply_nested_json_exits_1(capsys, tmp_path):
+    # The decoder gives up on deep nesting with RecursionError, which is
+    # reported as invalid JSON, inline and from a file alike.
+    text = '{"edges": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    for source in (text, str(path)):
+        code, out, err = run(capsys, "betti", "--input", source)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "invalid JSON" in err
+        assert len(err) < 300
+
+
 def test_unrecognized_object_exits_1(capsys):
     code, _, err = run(capsys, "betti", "--input", '{"what": 1}')
     assert code == 1
@@ -368,6 +381,21 @@ def test_cactus_command_finds_blocks_once(capsys, monkeypatch):
     assert code == 0
     assert data["table"]["global"] == [9, 12, 4]
     assert calls == 1
+    # The cross-checks read one kept partition: one restriction per block.
+    restrict = Matroid.restrict
+    restrictions = 0
+
+    def counting_restrict(self, sigma):
+        nonlocal restrictions
+        restrictions += 1
+        return restrict(self, sigma)
+
+    monkeypatch.setattr(Matroid, "restrict", counting_restrict)
+    for command in ("betti", "weights"):
+        restrictions = 0
+        code, _, _ = run(capsys, command, "--input", TWO_TRIANGLES_JSON, "--crosscheck")
+        assert code == 0
+        assert restrictions == 2, command
 
 
 @pytest.mark.parametrize(
@@ -475,6 +503,19 @@ def test_invert_past_the_digit_limit_exits_1(capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", int)() <= 4300,
+    reason="needs an int-from-str digit limit no larger than Python's default",
+)
+def test_invert_overlong_entry_names_the_limit(capsys):
+    # The entry is named by its position and quoted in part, not echoed whole.
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "invert", "--betti", "3,2," + "9" * 100_000, "--loops", "0")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and len(err.encode()) < 300
+    assert "entry 3" in err and f"more than {limit} digits" in err
+
+
 def test_invert_rejects_non_cactus_vector(capsys):
     code, _, err = run(capsys, "invert", "--betti", "9,13,4", "--loops", "0")
     assert code == 2
@@ -484,6 +525,8 @@ def test_invert_rejects_non_cactus_vector(capsys):
 def test_invert_bad_arguments(capsys):
     code, _, err = run(capsys, "invert", "--betti", "a,b", "--loops", "0")
     assert code == 1
+    code, _, err = run(capsys, "invert", "--betti", "1,x", "--loops", "0")
+    assert code == 1 and "entry 2, 'x', is not an integer" in err
     code, _, err = run(capsys, "invert", "--betti", "3,2", "--loops", "-1")
     assert code == 1
 

@@ -222,6 +222,36 @@ def test_blocks_are_found_once(monkeypatch):
         gc.enable()
 
 
+def test_blocks_keep_one_partition():
+    # The partition is built once; every later call returns the same object,
+    # so each block's restriction, kind and rank are worked out once.
+    for m in (cycle_matroid(two_triangles()), multi_uniform([(1, 2), (2, 3)]), uniform(2, 4)):
+        assert m.blocks() is m.blocks()
+
+
+def test_kept_blocks_leave_no_reference_cycle():
+    # A kept block restriction reads its parent's oracle, not the parent, so
+    # matroids that had their blocks, kinds and block route read are freed by
+    # reference counting alone: the cycle collector finds nothing.
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(5):
+            for m in (
+                cycle_matroid(fixture("g1")),
+                cycle_matroid(two_triangles()),
+                multi_uniform([(1, 2), (2, 3), (0, 1)]),
+                direct_sum(uniform(1, 2), uniform(2, 3)).dual(),
+            ):
+                kinds = [b.kind for b in m.blocks().blocks]
+                if len(kinds) >= 2:
+                    betti(m, "blocks")
+        del m, kinds
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_block_kinds():
     # a loop, a bridge, a triangle and a K4, in that edge order
     k4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
