@@ -12,7 +12,9 @@ of the dual matroid, the multidegree-sigma entry in homological position i is
 the dimension of reduced homology of the induced subcomplex V|sigma in degree
 |sigma| - i - 2. This is the indexing under which a basis sigma contributes
 exactly beta_{0,sigma} = 1 and the cycle matroid of a single m-cycle resolves
-as 0 <- S(-(m-1))^m <- S(-m)^(m-1) <- 0.
+as 0 <- S(-(m-1))^m <- S(-m)^(m-1) <- 0. The sweep ranks one relative boundary
+map per sigma, first cut by unit pivots and dd = 0 to a core, a reduction that
+is exact over every field (``hochster_betti``).
 
 Three independent algorithms produce the same table and are cross-checked in
 the tests and the command line tool: the Hochster sweep, a block-by-block
@@ -30,12 +32,12 @@ of spanning k-sets; ``hilbert_check`` compares a table with that image.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, combinations, count, repeat
+from itertools import chain, combinations, count
 from math import comb
-from operator import lshift, or_
+from operator import lshift
 from typing import Iterable, Iterator, Sequence
 
 from .bitset import bits, k_subsets
@@ -166,66 +168,60 @@ class CycleProfile:
 # -- Hochster sweep -----------------------------------------------------------
 
 
-def _relative_homology(
-    m: Matroid, fld: PrimeField
-) -> Iterator[Iterable[tuple[int, int]]]:
-    """Level by level, i = 0 .. n - r: pairs (sigma, dim H~_{r-2}(V|sigma))
-    over GF(p) for spanning sets sigma of r + i elements (every other sigma
-    of that size has no homology), each homology the number of bases inside
-    sigma minus the rank of the boundary from the spanning (r + 1)-subsets
-    of sigma onto them (see ``hochster_betti``).
+def _below(s: int) -> list[int]:
+    """The one-bit masks of the elements below max s that are not in s."""
+    return [1 << e for e in bits(((1 << (s.bit_length() - 1)) - 1) & ~s)]
 
-    The bases are listed once (C(n, r) rank evaluations) and make level 0.
-    Each spanning (r + 1)-set T is stored once with the bases among its
-    facets and their signs, and its column is pushed into every sigma = T | A
-    with A an (i - 1)-subset of E - T, so every sigma visited spans and no
-    lookup fails. Each basis of sigma is a facet of some column, because
-    adding any other element of sigma to it spans.
+
+def _relative_homology(
+    m: Matroid, fld: PrimeField, fine: bool
+) -> Iterator[tuple[int, dict[int, int]]]:
+    """Level by level, i = 0 .. n - r: the sum of h(sigma) over the sets
+    sigma of r + i elements and, when ``fine``, the map sigma -> h(sigma)
+    (else empty), with h(sigma) = #(bases of sigma through max sigma) -
+    rank(core) over GF(p) (see ``hochster_betti``).
+
+    Each core column T (a spanning (r + 1)-set with T - max T not a basis) is
+    stored once with the bases among its facets and their signs, and pushed
+    into every sigma = T | A, A an (i - 1)-subset of ``_below(T)``. The level
+    total needs no count per sigma: a basis B lies in C(B.bit_length() - r, i)
+    sets of r + i elements with the same largest element. Only the fine map
+    pushes each B into those sets, B | A with A an i-subset of ``_below(B)``.
 
     Over GF(2) each column is packed once, with bit j for the j-th basis of
-    the whole matroid; the bases of sigma are then the bits of the union of
-    its columns, and no sigma renumbers or repacks anything. Over an odd
-    prime, rows are numbered per sigma in the order the bases first appear
-    among its columns, so a matrix has at most #bases(sigma) rows: a packed
-    lane there is dozens of bits wide, and the Barrett reduction of
-    ``linalg.modp_rank`` costs more the wider the int, so global row numbers
-    slow it down (on a 17-edge ring over GF(3), 3.4 s against 1.3 s).
+    the whole matroid. Over an odd prime, rows are numbered per sigma in the
+    order the bases first appear among its columns: a packed lane there is
+    dozens of bits wide, and the Barrett reduction of ``linalg.modp_rank``
+    costs more the wider the int (on a 17-edge ring over GF(3), global row
+    numbers took 3.4 s against 1.3 s, before the core was taken).
     """
     n, r, p = m.n, m.full_rank, fld.p
     bases = m.bases()
-    yield zip(bases, repeat(1))
-    full = m.full_mask
-    if p == 2:
-        columns: dict = {}
-        for j, b in enumerate(bases):
-            row = 1 << j
-            for e in bits(full ^ b):
-                t = b | (1 << e)
-                columns[t] = columns.get(t, 0) | row
-
-        def homology(cols: list[int]) -> int:
-            return reduce(or_, cols).bit_count() - _rank(cols, 2)
-
-    else:
-        width = lane_width(p)
-        sign = (1, p - 1)
-        # T - e carries the sign (-1)^t when e is the t-th smallest element of T.
-        columns = {}
-        for b in bases:
-            for e in bits(full ^ b):
-                t = b | (1 << e)
+    yield len(bases), dict.fromkeys(bases, 1) if fine else {}
+    is_basis = set(bases)
+    sign = (1, p - 1)
+    columns: dict = {}
+    for j, b in enumerate(bases):
+        for a in _below(b):
+            t = b | a
+            if t ^ (1 << (b.bit_length() - 1)) in is_basis:
+                continue
+            if p == 2:
+                columns[t] = columns.get(t, 0) | (1 << j)
+            else:
+                # T - a carries the sign (-1)^k when a is the k-th smallest element of T.
                 rows, signs = columns.setdefault(t, ([], []))
                 rows.append(b)
-                signs.append(sign[(t & ((1 << e) - 1)).bit_count() & 1])
+                signs.append(sign[(t & (a - 1)).bit_count() & 1])
+    width = lane_width(p)
 
-        def homology(cols: list[tuple[list[int], list[int]]]) -> int:
-            # The bases of sigma, in the order they first appear.
-            found = dict.fromkeys(chain.from_iterable(rows for rows, _ in cols))
-            at = dict(zip(found, count(0, width)))
-            packed = [
-                sum(map(lshift, signs, map(at.__getitem__, rows))) for rows, signs in cols
-            ]
-            return len(found) - _rank(packed, p)
+    def rank(cols: list) -> int:
+        if p == 2:
+            return _rank(cols, 2)
+        # The rows of the core, numbered in the order they first appear.
+        found = dict.fromkeys(chain.from_iterable(rows for rows, _ in cols))
+        at = dict(zip(found, count(0, width)))
+        return _rank([sum(map(lshift, s, map(at.__getitem__, rows))) for rows, s in cols], p)
 
     # Taken by reversed bit strings, the spanning sets reach each sigma in
     # the lexicographic order of A = sigma - T: for A1 and A2 of one size,
@@ -233,16 +229,20 @@ def _relative_homology(
     # in T2. Elimination cost depends on column order; over GF(3) on a
     # 17-edge ring, taking T in the order the bases first meet it was about
     # 10% slower.
-    pushes = [
-        (t, columns[t], [1 << e for e in bits(full ^ t)])
-        for t in sorted(columns, key=lambda t: f"{t:0{n}b}"[::-1])
-    ]
+    pushes = [(t, columns[t], _below(t)) for t in sorted(columns, key=lambda t: f"{t:0{n}b}"[::-1])]
+    below = Counter(b.bit_length() - r for b in bases)  # |_below(B)| = B.bit_length() - r
     for i in range(1, n - r + 1):
         pushed: defaultdict[int, list] = defaultdict(list)
         for t, col, outside in pushes:
             for a in map(sum, combinations(outside, i - 1)):
                 pushed[t | a].append(col)
-        yield ((sigma, homology(cols)) for sigma, cols in pushed.items())
+        ranks = {sigma: rank(cols) for sigma, cols in pushed.items()}
+        total = sum(c * comb(k, i) for k, c in below.items()) - sum(ranks.values())
+        tops: Counter[int] = Counter()
+        if fine:
+            tops.update(b | sum(a) for b in bases for a in combinations(_below(b), i))
+            tops.subtract(ranks)
+        yield total, tops
 
 
 def hochster_betti(
@@ -258,17 +258,21 @@ def hochster_betti(
     homology vanishes), all in degree r - 2 (r the rank). The simplex 2^sigma
     is acyclic and every set of fewer than r elements is a face of V, so the
     exact sequence of the pair gives H~_{r-2}(V|sigma) = H_{r-1}(2^sigma,
-    V|sigma). Its chains are the non-faces: the bases inside sigma in degree
-    r - 1, the spanning (r + 1)-subsets of sigma in degree r, and none in
-    degree r - 2, so the entry is the number of bases inside sigma minus the
-    rank of one boundary map (``_relative_homology``). Exact sequences and
-    the acyclicity of a simplex hold with any coefficients, so the identity
-    holds over every GF(p), and the sweep still tests field independence.
+    V|sigma). Its chains are the non-faces, the spanning subsets of sigma:
+    none in degree r - 2, the bases in degree r - 1, the spanning (r + 1)-sets
+    in degree r. So the entry is the number of bases inside sigma minus the
+    rank of one boundary map d, and a sigma that does not span has none.
 
-    A sigma that does not span has no chains, so the sweep visits only the
-    spanning sigma, reached by pushing each spanning (r + 1)-set into its
-    supersets; ``_relative_homology`` says how GF(2) and odd primes number
-    the rows, and why they differ.
+    The sweep eliminates a core of d. With x = max sigma, the columns through
+    x span the image: for a spanning (r + 1)-set T without x, U = T + x spans,
+    and dd U = 0 writes dT as a +-1 combination of the d(U - c), c != x, each
+    through x or zero. A basis B without x meets one of those, B + x, with
+    entry +-1: a unit pivot. Taking them all leaves the core, with the bases
+    of sigma through x as rows and the spanning (r + 1)-sets T through x with
+    T - x not a basis as columns, and the entry is #(bases of sigma through
+    x) - rank(core) (``_relative_homology``). Exact sequences, dd = 0 and unit
+    pivots hold with any coefficients, so this is exact over every GF(p), and
+    the sweep, still eliminating over GF(p), tests field independence.
     """
     n, r = m.n, m.full_rank
     if r == 0:
@@ -289,14 +293,9 @@ def hochster_betti(
         )
     fine_map: dict[tuple[int, int], int] = {}
     glob: list[int] = []
-    for i, level in enumerate(_relative_homology(m, fld)):
-        total = 0
-        for sigma, h in level:
-            if h:
-                total += h
-                if fine:
-                    fine_map[(i, sigma)] = h
+    for i, (total, level) in enumerate(_relative_homology(m, fld, fine)):
         glob.append(total)
+        fine_map.update(((i, sigma), h) for sigma, h in level.items() if h)
     return BettiTable(r, n, tuple(glob), fine_map if fine else None)
 
 
@@ -412,11 +411,12 @@ def invert_cactus_betti(global_betti: Iterable[int], loops: int) -> CycleProfile
     if not vals:
         raise ValidationError("not a cactus Betti vector: no nonzero entry")
     t = len(vals) - 1
-    # P little-endian: (X - 1)^(t-i) contributes (-1)^(t-i-k) C(t-i, k) X^k.
-    poly = [0] * (t + 1)
-    for i, b in enumerate(vals):
-        for k in range(t - i + 1):
-            poly[i + k] += (-1) ** (t - k) * comb(t - i, k) * b
+    # P little-endian, by Horner's rule in (X - 1): U_0 = beta_0 and
+    # U_j = (X - 1) U_{j-1} + (-1)^j beta_j X^j, so U_t = P in O(t^2) additions.
+    poly = vals[:1]
+    for j in range(1, t + 1):
+        poly = [lo - hi for lo, hi in zip([0, *poly], [*poly, 0])]
+        poly[j] += -vals[j] if j & 1 else vals[j]
     sig = [(-1) ** j * poly[t - j] for j in range(t + 1)]  # sig[j] = sigma_j
     for j in range(t, -1, -1):
         if sig[j] <= 0:

@@ -522,6 +522,16 @@ def test_invert_rejects_non_cactus_vector(capsys):
     assert "not a cactus Betti vector" in err
 
 
+def test_invert_rejects_a_long_vector_quickly(capsys):
+    # Building the length polynomial of a vector of t entries takes O(t^2)
+    # small additions, so a thousand entries are refused well within a second.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "invert", "--betti", ",".join(["1"] * 1000), "--loops", "0")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "not a cactus Betti vector" in err
+
+
 def test_invert_bad_arguments(capsys):
     code, _, err = run(capsys, "invert", "--betti", "a,b", "--loops", "0")
     assert code == 1
