@@ -39,7 +39,7 @@ from .bitset import bits
 from .complexes import PrimeField
 from .errors import ValidationError
 from .graphs import Graph, cycle_matroid, fixture, is_cactus
-from .matroid import Matroid, from_bases, multi_uniform, uniform
+from .matroid import Matroid, _from_bases, multi_uniform, uniform
 from .weights import (
     WeightHierarchy,
     block_weights,
@@ -95,19 +95,15 @@ def _from_dict(data: object, label: str) -> tuple[Matroid, Graph | None]:
         raw = data["bases"]
         if not isinstance(raw, list):
             raise ValueError(f"{label}: 'bases' must be a list of element lists")
-        converted = []
         for basis in raw:
             if not isinstance(basis, list):
                 raise ValueError(f"{label}: basis {basis!r} is not a list")
-            elems = []
             for e in basis:
                 if not isinstance(e, int) or isinstance(e, bool) or not 1 <= e <= n:
                     raise ValueError(
                         f"{label}: element {e!r} out of range 1..{n} (the format is 1-indexed)"
                     )
-                elems.append(e - 1)
-            converted.append(elems)
-        return from_bases(n, converted), None
+        return _from_bases(n, raw, 1), None
     raise ValueError(
         f"{label}: unrecognized input object; expected one of the keys "
         "'edges'/'vertices' (graph), 'uniform', 'blocks', or 'bases'"

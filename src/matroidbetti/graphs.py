@@ -120,7 +120,9 @@ def cycle_matroid(graph: Graph) -> Matroid:
     parent list, taking the edges of the mask from its lowest bit up, with
     path halving written out inline: the oracle is the innermost call of
     every sweep over graphs. The list holds only the vertices that lie on an
-    edge, numbered once here, so isolated vertices cost nothing."""
+    edge, numbered once here, so isolated vertices cost nothing. The edges go
+    in the ``_edges`` slot for ``matroid._forest_search``, set after
+    construction: ``perfbench/tracing.py`` wraps the constructor's signature."""
     index: dict[int, int] = {}
     ends = tuple(
         (index.setdefault(u, len(index)), index.setdefault(v, len(index)))
@@ -146,7 +148,9 @@ def cycle_matroid(graph: Graph) -> Matroid:
                 rank += 1
         return rank
 
-    return Matroid(len(ends), rank_fn, provenance="cycle_matroid")
+    m = Matroid(len(ends), rank_fn, provenance="cycle_matroid")
+    m._edges = ends
+    return m
 
 
 def is_cactus(graph: Graph) -> BlockPartition:

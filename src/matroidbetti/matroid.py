@@ -1,10 +1,10 @@
 """Matroids on a ground set of at most 64 elements, given by rank oracles.
 
-A matroid is stored as its rank function on subsets (bit masks). Bases,
-circuits and blocks are derived from the oracle, so every constructor gets
-identical treatment and derived data always agrees with the oracle.
-Instances are immutable; rank values, bases, circuits and the block
-partition are cached on first use.
+A matroid is stored as its rank function on subsets (bit masks). Circuits
+and blocks are derived from the oracle, and so are bases unless the matroid
+keeps graph edges in ``_edges`` (``graphs.cycle_matroid``, ``restrict``) for
+``_forest_search``. Instances are immutable; rank values, bases, circuits
+and the block partition are cached on first use.
 
 Blocks are the classes of the connectivity relation: two elements are
 related when some circuit contains both. They are found without listing the
@@ -36,7 +36,7 @@ class Matroid:
 
     __slots__ = (
         "n", "provenance", "labels", "_rank_fn", "_cache", "_full", "_bases", "_circuits",
-        "_blocks",
+        "_blocks", "_edges",
     )
 
     def __init__(
@@ -56,6 +56,7 @@ class Matroid:
         self._bases: tuple[int, ...] | None = None
         self._circuits: tuple[int, ...] | None = None
         self._blocks: BlockPartition | None = None
+        self._edges: tuple[tuple[int, int], ...] | None = None
 
     # -- rank oracle -------------------------------------------------------
 
@@ -91,10 +92,14 @@ class Matroid:
         return basis
 
     def bases(self) -> tuple[int, ...]:
-        """All maximal independent sets, ascending by bit-vector value."""
+        """All maximal independent sets, ascending by bit-vector value: by
+        ``_forest_search`` when the matroid has edges, else from C(n, r) ranks."""
         if self._bases is None:
             r = self.full_rank
-            self._bases = tuple(s for s in k_subsets(self.n, r) if self.rank(s) == r)
+            if self._edges is not None:
+                self._bases = tuple(sorted(b for b, _ in _forest_search(self._edges, r)))
+            else:
+                self._bases = tuple(s for s in k_subsets(self.n, r) if self.rank(s) == r)
         return self._bases
 
     def circuits(self) -> tuple[int, ...]:
@@ -196,7 +201,8 @@ class Matroid:
         """Restriction to the subset ``sigma``, relabelled to 0..k-1.
 
         ``labels`` on the result maps the new indices back to the old ones.
-        The result reads this matroid's oracle, not its cache.
+        The result reads this matroid's oracle, not its cache, and keeps the
+        members' edges, if any, for the forest search.
         """
         check_subset(sigma, self.n)
         members = tuple(bits(sigma))
@@ -208,7 +214,10 @@ class Matroid:
                 m |= 1 << members[i]
             return parent_rank(m)
 
-        return Matroid(len(members), rank_fn, "restriction_of", labels=members)
+        sub = Matroid(len(members), rank_fn, "restriction_of", labels=members)
+        if self._edges is not None:
+            sub._edges = tuple(self._edges[i] for i in members)
+        return sub
 
     def blocks(self) -> "BlockPartition":
         """Partition of the ground set into connectivity blocks.
@@ -250,6 +259,57 @@ class Matroid:
 
     def __repr__(self) -> str:
         return f"Matroid(n={self.n}, rank={self.full_rank}, provenance={self.provenance!r})"
+
+
+def _forest_search(edges: tuple[tuple[int, int], ...], r: int) -> list[tuple[int, int]]:
+    """The bases B of the rank-r cycle matroid of ``edges``, in no set order,
+    each with the number a of edges that may join B in a spanning set whose
+    greedy basis in index order is B (the edges after max B, and those before
+    it that close a cycle with B's earlier edges), so s_(r + t) = sum C(a, t).
+
+    The walk skips an edge inside a tree of the forest taken so far. It takes
+    one joining two trees, and skips it too when the forest and the later
+    edges still join its ends (Read and Tarjan, Networks 5, 1975), pushing
+    that branch with a copy of the forest's union-find on an explicit stack.
+    """
+    found: list[tuple[int, int]] = []
+    # (i, taken, a so far, union-find parents) of each branch that skips edge i - 1
+    stack = [(0, 0, 0, list(range(max(map(max, edges), default=-1) + 1)))]
+    while stack:
+        i, taken, a, parent = stack.pop()
+        k = taken.bit_count()
+        while k < r:
+            u, v = edges[i]
+            while parent[u] != u:
+                u = parent[u]
+            while parent[v] != v:
+                v = parent[v]
+            if u == v:
+                a += 1
+            else:
+                # The bridge test: do the forest and the later edges join u and v?
+                t = parent[:]
+                x, y = u, v
+                for p, q in edges[i + 1:]:
+                    while t[p] != p:
+                        p = t[p]
+                    while t[q] != q:
+                        q = t[q]
+                    if p != q:
+                        t[p] = q
+                        if p == x:
+                            x = q
+                        elif p == y:
+                            y = q
+                        if x == y:
+                            stack.append((i + 1, taken, a, parent[:]))
+                            break
+                parent[u] = v
+                taken |= 1 << i
+                k += 1
+            i += 1
+        found.append((taken, a + len(edges) - i))
+    return found
 
 
 @dataclass(frozen=True)
@@ -356,13 +416,18 @@ def from_bases(n: int, bases: Iterable[Iterable[int]]) -> Matroid:
     f in B2 - B1 with B1 - e + f again a basis. A violation raises
     ValidationError naming a violating pair, a repeated element ValueError.
     """
+    return _from_bases(n, bases, 0)
+
+
+def _from_bases(n: int, bases: Iterable[Iterable[int]], first: int) -> Matroid:
+    """``from_bases`` on elements numbered from ``first``, as its messages name them."""
     check_ground(n)
     masks: list[int] = []
     for b in map(list, bases):
         m = mask_of(b)
         if m.bit_count() != len(b):
             raise ValueError(f"basis {b} repeats an element")
-        check_subset(m, n)
+        check_subset(m >> first, n)
         masks.append(m)
     if not masks:
         raise ValidationError("a matroid needs at least one basis; got an empty family")
@@ -373,7 +438,7 @@ def from_bases(n: int, bases: Iterable[Iterable[int]]) -> Matroid:
                 "bases have mixed cardinalities: "
                 f"{sorted(bits(masks[0]))} vs {sorted(bits(m))}"
             )
-    bset = frozenset(masks)
+    bset = dict.fromkeys(masks)  # a set that keeps the input order for the messages
     for b1 in bset:
         for b2 in bset:
             move = b1 & ~b2
@@ -384,7 +449,7 @@ def from_bases(n: int, bases: Iterable[Iterable[int]]) -> Matroid:
                         "basis exchange fails for bases "
                         f"{sorted(bits(b1))} and {sorted(bits(b2))} at element {e}"
                     )
-    btuple = tuple(sorted(bset))
+    btuple = tuple(sorted(b >> first for b in bset))
 
     def rank_fn(sigma: int) -> int:
         return max((sigma & b).bit_count() for b in btuple)

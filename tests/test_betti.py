@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import random
 import time
+from collections import Counter
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -17,6 +18,7 @@ from matroidbetti import (
     BettiTable,
     CycleProfile,
     GF2,
+    Graph,
     Matroid,
     PrimeField,
     ValidationError,
@@ -52,6 +54,7 @@ from util import (
     counting,
     graph_matroid,
     multiblock_suite,
+    random_graph,
     random_multigraph,
     structure_cases,
     two_triangles,
@@ -637,6 +640,70 @@ def test_hilbert_check_asks_only_large_sets():
     assert len(evaluated) <= sum(comb(14, k) for k in range(9, 15)) == 3473
     tampered = BettiTable(9, 14, (392,) + table.global_[1:])
     assert not hilbert_check(tampered, m)
+
+
+def _oracle_scan(m: Matroid) -> tuple[tuple[int, ...], list[int]]:
+    """Bases and spanning counts of ``m`` from its rank oracle alone, through
+    a copy that carries no edges."""
+    copy, _ = counting(m)
+    assert copy._edges is None
+    return copy.bases(), BETTI_MODULE._spanning_counts(copy)
+
+
+def test_forest_search_matches_the_oracle_scan():
+    # 300 seeded multigraphs and the fixtures, each with all its blocks: the
+    # bases (in the scan's order) and the spanning counts from the forest
+    # search equal those of the oracle scan.
+    rng = random.Random(SEED + 15)
+    graphs = [random_graph(rng) for _ in range(300)]
+    graphs += [fixture(name) for name in ("g1", "g2", "g3", "g4")]
+    graphs += [Graph(3, ((0, 0), (1, 1), (1, 1), (2, 2))), Graph(2, ())]  # r = 0
+    shapes = Counter()
+    for g in graphs:
+        m = cycle_matroid(g)
+        on_edges = {v for e in g.edges for v in e}
+        shapes.update(
+            loops=any(u == v for u, v in g.edges),
+            parallel=len(set(map(frozenset, g.edges))) < len(g.edges),
+            isolated=len(on_edges) < g.vertex_count,
+            disconnected=m.full_rank < len(on_edges) - 1,
+            empty=not g.edges,
+        )
+        for sub in (m, *(b.matroid for b in m.blocks().blocks)):
+            assert sub._edges is not None
+            assert (sub.bases(), BETTI_MODULE._spanning_counts(sub)) == _oracle_scan(sub), g
+    assert min(shapes[k] for k in ("loops", "parallel", "isolated", "disconnected", "empty")) >= 5
+    ring = graph_matroid(12, CHORDED_RING_17)
+    assert len(ring.bases()) == 3343
+    assert (ring.bases(), BETTI_MODULE._spanning_counts(ring)) == _oracle_scan(ring)
+
+
+def test_only_graphs_and_their_restrictions_carry_edges():
+    g = cycle_matroid(fixture("g3"))
+    assert g.restrict(0b100000101)._edges == (g._edges[0], g._edges[2], g._edges[8])
+    for m in (g.dual(), direct_sum(g, g), counting(g)[0], uniform(2, 3),
+              from_bases(3, [[0, 1], [0, 2]]), g.dual().restrict(0b111)):
+        assert m._edges is None
+
+
+def test_graph_betti_and_hilbert_check_skip_the_subset_scans(monkeypatch):
+    # Listing g1's bases through the oracle asks about all C(14, 9) = 2,002
+    # 9-sets, and counting its spanning sets about 3,473 sets of 9 or more
+    # edges. The forest search asks none; what is left are the greedy basis,
+    # the blocks and the auto choice. (The counting copies of other tests
+    # still bound the scans.)
+    evaluated = set()
+    rank = Matroid.rank
+
+    def recording(self, sigma):
+        evaluated.add((id(self), sigma))
+        return rank(self, sigma)
+
+    monkeypatch.setattr(Matroid, "rank", recording)
+    m = cycle_matroid(fixture("g1"))
+    table = betti(m)
+    assert hilbert_check(table, m)
+    assert len(evaluated) <= 100
 
 
 def test_dual_minimum_distance_small_cases():

@@ -182,7 +182,7 @@ def test_field_beyond_primality_test_exits_1(capsys):
 def test_repeated_basis_element_exits_1(capsys):
     code, out, err = run(capsys, "betti", "--input", '{"n": 2, "bases": [[1, 1]]}')
     assert (code, out) == (1, "")
-    assert "repeats an element" in err
+    assert "basis [1, 1] repeats an element" in err  # named as written, from 1
 
 
 def test_non_matroid_bases_exit_2(capsys):
@@ -190,7 +190,7 @@ def test_non_matroid_bases_exit_2(capsys):
         capsys, "betti", "--input", '{"n": 4, "bases": [[1,2],[3,4]]}'
     )
     assert code == 2
-    assert "exchange" in err
+    assert "basis exchange fails for bases [1, 2] and [3, 4] at element 1" in err
 
 
 def test_cactus_algorithm_on_chorded_ring_exits_2(capsys):
