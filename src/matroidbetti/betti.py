@@ -170,7 +170,13 @@ class CycleProfile:
 
 def _below(s: int) -> list[int]:
     """The one-bit masks of the elements below max s that are not in s."""
-    return [1 << e for e in bits(((1 << (s.bit_length() - 1)) - 1) & ~s)]
+    rest = ((1 << (s.bit_length() - 1)) - 1) & ~s
+    out = []
+    while rest:
+        low = rest & -rest
+        out.append(low)
+        rest ^= low
+    return out
 
 
 def _relative_homology(
@@ -182,46 +188,77 @@ def _relative_homology(
     rank(core) over GF(p) (see ``hochster_betti``).
 
     Each core column T (a spanning (r + 1)-set with T - max T not a basis) is
-    stored once with the bases among its facets and their signs, and pushed
-    into every sigma = T | A, A an (i - 1)-subset of ``_below(T)``. The level
-    total needs no count per sigma: a basis B lies in C(B.bit_length() - r, i)
-    sets of r + i elements with the same largest element. Only the fine map
-    pushes each B into those sets, B | A with A an i-subset of ``_below(B)``.
+    packed once and pushed into every sigma = T | A, A an (i - 1)-subset of
+    ``_below(T)``. The level total needs no count per sigma: a basis B lies
+    in C(B.bit_length() - r, i) sets of r + i elements with the same largest
+    element. Only the fine map pushes each B into those sets, B | A with A an
+    i-subset of ``_below(B)``, each B's list computed once per sweep.
 
-    Over GF(2) each column is packed once, with bit j for the j-th basis of
-    the whole matroid. Over an odd prime, rows are numbered per sigma in the
-    order the bases first appear among its columns: a packed lane there is
-    dozens of bits wide, and the Barrett reduction of ``linalg.modp_rank``
-    costs more the wider the int (on a 17-edge ring over GF(3), global row
-    numbers took 3.4 s against 1.3 s, before the core was taken).
+    The rows of a core are bases through x = max sigma = max T, and the
+    sorted bases through x form one contiguous block, the masks in
+    [2^x, 2^(x+1)). Row j of a column is the j-th basis of its block, in the
+    lane format of ``linalg``, so one packed int per column serves every
+    field and every sigma that contains it, and a core's columns go to
+    ``complexes._rank`` as they are. A core of one column has rank 1 without
+    elimination, its entries being +-1, units in every field.
+
+    Over an odd prime a lane is several bits wide. A core with a row past
+    the first 96 lanes of its block has its rows renumbered in the order they
+    first appear (``_renumbered``), and a column with such a row is never
+    packed. Renumbering costs a lookup and a shift per entry, more than
+    eliminating a core of short ints, while an elimination step costs in
+    proportion to the width of the int. 96 lanes is about the highest
+    threshold at which no more work is eliminated than with every core
+    renumbered: on the tests' 17-edge ring over GF(3), rows times columns
+    summed over the eliminated matrices come to 10,304,317 against
+    10,305,514. A rule on the column count cannot do this, since it leaves
+    wide cores of two or three columns packed: "3 or more columns and 1,024
+    bits" gives 11.1 million, "4 or more and 4,096 bits" 13.1 million. In
+    process (Python 3.11, a shared 2-vCPU host), against renumbering every
+    core, this rule took 0.78 times the sweep time of a seed-1 ``sweep-odd``
+    pass of the benchmark and 0.96 to 0.97 times on the 17-edge ring and an
+    18-edge one (5,489 bases). Packing every core took 0.91 times this rule's
+    time on that pass but 1.2 to 2.2 times on those rings.
     """
     n, r, p = m.n, m.full_rank, fld.p
     bases = m.bases()
     yield len(bases), dict.fromkeys(bases, 1) if fine else {}
     is_basis = set(bases)
-    sign = (1, p - 1)
-    columns: dict = {}
-    for j, b in enumerate(bases):
-        for a in _below(b):
-            t = b | a
-            if t ^ (1 << (b.bit_length() - 1)) in is_basis:
-                continue
-            if p == 2:
-                columns[t] = columns.get(t, 0) | (1 << j)
-            else:
-                # T - a carries the sign (-1)^k when a is the k-th smallest element of T.
-                rows, signs = columns.setdefault(t, ([], []))
-                rows.append(b)
-                signs.append(sign[(t & (a - 1)).bit_count() & 1])
     width = lane_width(p)
+    tall = 96 * width  # the packed lanes of an odd-prime block
+    sign = (1, p - 1)
+    # The fine map reads each basis's list again at every level.
+    belows = list(map(_below, bases)) if fine else map(_below, bases)
+    columns: dict[int, tuple[list[int], list[int]]] = {}
+    first = top = 0
+    for j, (b, below) in enumerate(zip(bases, belows)):
+        if b.bit_length() != top:
+            top, first = b.bit_length(), j
+        x, row = 1 << (top - 1), (j - first) * width
+        for a in below:
+            t = b | a
+            if t ^ x in is_basis:
+                continue
+            rows, signs = columns.setdefault(t, ([], []))
+            rows.append(row)
+            # T - a carries the sign (-1)^k when a is the k-th smallest element of T.
+            signs.append(sign[(t & (a - 1)).bit_count() & 1])
+
+    def packed(rows: list[int], signs: list[int]):
+        # Over GF(2) a column is its packed int. Over an odd prime it keeps
+        # its rows and signs for renumbering, and a column with a row past the
+        # packed lanes sends every core through it there, so it is not packed.
+        if p == 2:
+            return sum(map(lshift, signs, rows))
+        return (sum(map(lshift, signs, rows)) if rows[-1] < tall else None, rows, signs)
 
     def rank(cols: list) -> int:
+        if len(cols) == 1:
+            return 1
         if p == 2:
             return _rank(cols, 2)
-        # The rows of the core, numbered in the order they first appear.
-        found = dict.fromkeys(chain.from_iterable(rows for rows, _ in cols))
-        at = dict(zip(found, count(0, width)))
-        return _rank([sum(map(lshift, s, map(at.__getitem__, rows))) for rows, s in cols], p)
+        lanes = [col for col, _, _ in cols]
+        return _rank(_renumbered(cols, width) if None in lanes else lanes, p)
 
     # Taken by reversed bit strings, the spanning sets reach each sigma in
     # the lexicographic order of A = sigma - T: for A1 and A2 of one size,
@@ -229,7 +266,8 @@ def _relative_homology(
     # in T2. Elimination cost depends on column order; over GF(3) on a
     # 17-edge ring, taking T in the order the bases first meet it was about
     # 10% slower.
-    pushes = [(t, columns[t], _below(t)) for t in sorted(columns, key=lambda t: f"{t:0{n}b}"[::-1])]
+    order = sorted(columns, key=lambda t: f"{t:0{n}b}"[::-1])
+    pushes = [(t, packed(*columns.pop(t)), _below(t)) for t in order]
     below = Counter(b.bit_length() - r for b in bases)  # |_below(B)| = B.bit_length() - r
     for i in range(1, n - r + 1):
         pushed: defaultdict[int, list] = defaultdict(list)
@@ -240,9 +278,17 @@ def _relative_homology(
         total = sum(c * comb(k, i) for k, c in below.items()) - sum(ranks.values())
         tops: Counter[int] = Counter()
         if fine:
-            tops.update(b | sum(a) for b in bases for a in combinations(_below(b), i))
+            tops.update(b | sum(a) for b, bs in zip(bases, belows) for a in combinations(bs, i))
             tops.subtract(ranks)
         yield total, tops
+
+
+def _renumbered(cols: list[tuple], width: int) -> list[int]:
+    """The columns of an odd-prime core, each given with its rows and signs,
+    packed with the rows numbered in the order they first appear."""
+    found = dict.fromkeys(chain.from_iterable(rows for _, rows, _ in cols))
+    at = dict(zip(found, count(0, width)))
+    return [sum(map(lshift, s, map(at.__getitem__, rows))) for _, rows, s in cols]
 
 
 def hochster_betti(

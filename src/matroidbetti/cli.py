@@ -223,7 +223,7 @@ def _cmd_betti(args: argparse.Namespace) -> int:
         f"degrees: {lo}..{hi}",
         f"resolution: {table.resolution_text()}",
     ]
-    if table.fine is not None:
+    if table.fine is not None and args.output == "text":
         for (i, sigma), v in sorted(table.fine.items()):
             elems = ",".join(str(e) for e in _elements(sigma))
             lines.append(f"beta[{i}, {{{elems}}}] = {v}")

@@ -16,6 +16,7 @@ arithmetic; there is no floating point anywhere in this package.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable, NamedTuple, Sequence
 
 # The strong probable-prime test to the first thirteen prime bases is exact
@@ -79,6 +80,7 @@ class LaneLayout(NamedTuple):
     multiplier: int
 
 
+@cache
 def lane_layout(p: int) -> LaneLayout:
     """The packed-lane parameters for GF(p), p an odd prime."""
     w = (p * (p - 1)).bit_length()

@@ -51,6 +51,7 @@ from oracles import (
 from util import (
     SEED,
     assert_diagonal_fine,
+    chorded_ring,
     counting,
     graph_matroid,
     multiblock_suite,
@@ -228,12 +229,32 @@ def test_relative_chains_match_absolute_homology(fld):
     "fld",
     [GF3, PrimeField(5), PrimeField(7), PrimeField(13), PrimeField(17), PrimeField(2**61 - 1)],
 )
-def test_field_independence(fld):
-    for m in [uniform(2, 4), two_triangles_matroid(), multi_uniform([(1, 2), (2, 3)])]:
+def test_field_independence(fld, monkeypatch):
+    # The seeded graphs' cores are eliminated as packed; the chorded rings'
+    # blocks are tall enough that some odd-prime cores are renumbered first.
+    rank, renumbered = BETTI_MODULE._rank, BETTI_MODULE._renumbered
+    paths: Counter[str] = Counter()
+
+    def ranking(cols, p):
+        paths["eliminated"] += p != 2
+        return rank(cols, p)
+
+    def renumbering(cols, width):
+        paths["renumbered"] += 1
+        return renumbered(cols, width)
+
+    monkeypatch.setattr(BETTI_MODULE, "_rank", ranking)
+    monkeypatch.setattr(BETTI_MODULE, "_renumbered", renumbering)
+    rng = random.Random(SEED)
+    cases = [uniform(2, 4), two_triangles_matroid(), multi_uniform([(1, 2), (2, 3)])]
+    cases += [random_multigraph(rng) for _ in range(40)]
+    cases += [chorded_ring(rng, v, c) for v, c in ((9, 4), (10, 4), (11, 3))]
+    for m in cases:
         over_2 = hochster_betti(m, GF2, fine=True)
         over_p = hochster_betti(m, fld, fine=True)
         assert over_2.coarse == over_p.coarse
         assert over_2.fine == over_p.fine
+    assert 0 < paths["renumbered"] < paths["eliminated"]
 
 
 def test_sweep_reads_each_face_level_once(monkeypatch):
@@ -322,10 +343,11 @@ def _recording_rows(monkeypatch) -> list[tuple[int, int]]:
 def test_sweep_ranks_bases_not_faces(monkeypatch):
     # g1 has C(14, 9) = 2,002 candidate bases, 393 of them bases. Listing the
     # bases once is the only bulk rank work, and rows are numbered among the
-    # bases inside sigma; a sweep over face levels of V evaluates C(14, 8) +
+    # bases through max sigma; a sweep over face levels of V evaluates C(14, 8) +
     # C(14, 9) = 5,005 sets and builds matrices of C(14, 8) = 3,003 rows.
-    # Cut to their unit-pivot cores, the matrices have 2,652 columns in all;
-    # the whole boundary maps have 8,096.
+    # Cut to their unit-pivot cores, the matrices have 2,451 columns in all
+    # (2,652 when one-column cores were eliminated too); the whole boundary
+    # maps have 8,096.
     g1 = cycle_matroid(fixture("g1"))
     m, evaluated = counting(g1)
     rows = _recording_rows(monkeypatch)
@@ -357,6 +379,28 @@ def test_17_edge_ring_over_gf3(monkeypatch):
     # A core's rows are the bases of sigma through its largest element: the
     # widest core has 1,922 rows, against the ring's 3,343 bases.
     assert max(height for height, _ in rows) <= 2000
+
+
+def test_sweep_hands_no_one_column_matrix_to_elimination(monkeypatch):
+    # A core of one column has rank 1 in every field, its entries being +-1.
+    # On g1 over GF(2) the sweep used to eliminate 522 matrices, 201 of them
+    # of one column.
+    g1 = cycle_matroid(fixture("g1"))
+    for fld in (GF2, GF3):
+        rows = _recording_rows(monkeypatch)
+        assert hochster_betti(g1, fld).global_ == (393, 1459, 2187, 1652, 628, 96)
+        assert rows
+        assert min(width for _, width in rows) >= 2
+
+
+def test_17_edge_ring_eliminates_no_more_than_renumbering_every_core(monkeypatch):
+    # Rows times columns summed over the matrices eliminated over GF(3): with
+    # the rows of every core renumbered, 10,305,514. Numbered within their
+    # block, and renumbered only past the first 96 lanes, 10,304,317.
+    rows = _recording_rows(monkeypatch)
+    table = hochster_betti(graph_matroid(12, CHORDED_RING_17), GF3)
+    assert table.global_ == (3343, 16533, 34391, 38472, 24388, 8300, 1184)
+    assert sum(height * width for height, width in rows) <= 10_305_514
 
 
 # -- block product ---------------------------------------------------------------
