@@ -329,7 +329,7 @@ def hochster_betti(
     # would make the ideal zero and the sweep meaningless.
     if m.rank(m.greedy_basis()) != r:
         raise ValidationError("zero ideal: the rank oracle admits no basis")
-    if len(m.bases()) == comb(n, r):
+    if m._is_uniform():
         # Every r-set is a basis: the pair is (simplex, its (r-2)-skeleton), and
         # each of the C(n, k) sigma of k elements carries C(k - 1, r - 1).
         levels = range(r, n + 1)

@@ -121,8 +121,10 @@ def cycle_matroid(graph: Graph) -> Matroid:
     path halving written out inline: the oracle is the innermost call of
     every sweep over graphs. The list holds only the vertices that lie on an
     edge, numbered once here, so isolated vertices cost nothing. The edges go
-    in the ``_edges`` slot for ``matroid._forest_search``, set after
-    construction: ``perfbench/tracing.py`` wraps the constructor's signature."""
+    in the ``_edges`` slot, set after construction (``perfbench/tracing.py``
+    wraps the constructor's signature): from them the matroid lists its bases
+    by ``matroid._forest_search`` and finds its greedy basis, fundamental
+    circuits and closures by union-find, with no rank call."""
     index: dict[int, int] = {}
     ends = tuple(
         (index.setdefault(u, len(index)), index.setdefault(v, len(index)))

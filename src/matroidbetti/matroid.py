@@ -1,10 +1,22 @@
 """Matroids on a ground set of at most 64 elements, given by rank oracles.
 
-A matroid is stored as its rank function on subsets (bit masks). Circuits
-and blocks are derived from the oracle, and so are bases unless the matroid
-keeps graph edges in ``_edges`` (``graphs.cycle_matroid``, ``restrict``) for
-``_forest_search``. Instances are immutable; rank values, bases, circuits
-and the block partition are cached on first use.
+A matroid is stored as its rank function on subsets (bit masks). A matroid
+built from a presentation also keeps it in a private slot, and answers its
+structural queries (the greedy basis, fundamental circuits, closures and the
+basis list) from it without the oracle:
+
+* ``_edges``: the edges of a graph (``graphs.cycle_matroid``), as pairs of
+  vertex indices; bases by ``_forest_search``, the rest by union-find;
+* ``_parts``: the (member mask, rank) pairs of a uniform sum (``uniform``,
+  ``multi_uniform``), each mask a run of consecutive elements, in ascending
+  order;
+* ``_bases``: the cache of ``bases()``, which ``from_bases`` fills with the
+  sorted list it was given.
+
+``restrict`` maps ``_edges`` and ``_parts``. Every other matroid (``dual``,
+``direct_sum``, ``Matroid(n, rank_fn)``) derives all of it from the oracle,
+and so do circuits past the fundamental ones. Instances are immutable; rank
+values, bases, circuits and the block partition are cached on first use.
 
 Blocks are the classes of the connectivity relation: two elements are
 related when some circuit contains both. They are found without listing the
@@ -12,10 +24,11 @@ circuits. Fix one basis B; for e outside B the fundamental circuit of e is e
 together with every b in B for which B - b + e is again a basis. The blocks
 of the matroid are the connected components of the graph that joins each
 such e to those b (the fundamental graph), so about n + (n - r) * r rank
-evaluations decide them. Loops and coloops lie on no edge of that graph and
-come out as singleton blocks. ``Block.kind`` names what a block is: a loop,
-a coloop, a circuit, or none of these; ``BlockPartition`` groups the blocks
-by kind, which is all that cactus recognition and its closed forms read.
+evaluations decide them, and none on a graph or a uniform sum. Loops and
+coloops lie on no edge of that graph and come out as singleton blocks.
+``Block.kind`` names what a block is: a loop, a coloop, a circuit, or none
+of these; ``BlockPartition`` groups the blocks by kind, which is all that
+cactus recognition and its closed forms read.
 """
 
 from __future__ import annotations
@@ -36,7 +49,7 @@ class Matroid:
 
     __slots__ = (
         "n", "provenance", "labels", "_rank_fn", "_cache", "_full", "_bases", "_circuits",
-        "_blocks", "_edges",
+        "_blocks", "_edges", "_parts",
     )
 
     def __init__(
@@ -57,6 +70,7 @@ class Matroid:
         self._circuits: tuple[int, ...] | None = None
         self._blocks: BlockPartition | None = None
         self._edges: tuple[tuple[int, int], ...] | None = None
+        self._parts: tuple[tuple[int, int], ...] | None = None
 
     # -- rank oracle -------------------------------------------------------
 
@@ -83,8 +97,14 @@ class Matroid:
 
     def greedy_basis(self) -> int:
         """The basis found by scanning the elements in order and keeping each
-        one that raises the rank of those kept so far. On an oracle that is
-        not a matroid rank function the result may fall short of full_rank."""
+        one that raises the rank of those kept so far: on a graph the forest
+        of one union-find pass, on a uniform sum the lowest r_j members of
+        each part, else by the oracle. On an oracle that is not a matroid rank
+        function the result may fall short of full_rank."""
+        if self._edges is not None:
+            return _union(self._edges, self.full_mask)[1]
+        if self._parts is not None:
+            return sum((mask & -mask) * ((1 << r) - 1) for mask, r in self._parts)
         basis = 0
         for e in range(self.n):
             if self.rank(basis | (1 << e)) > self.rank(basis):
@@ -93,11 +113,21 @@ class Matroid:
 
     def bases(self) -> tuple[int, ...]:
         """All maximal independent sets, ascending by bit-vector value: by
-        ``_forest_search`` when the matroid has edges, else from C(n, r) ranks."""
+        ``_forest_search`` on a graph, as the product of each part's r_j-sets
+        on a uniform sum, else from C(n, r) ranks (``from_bases`` keeps its
+        list)."""
         if self._bases is None:
             r = self.full_rank
             if self._edges is not None:
                 self._bases = tuple(sorted(b for b, _ in _forest_search(self._edges, r)))
+            elif self._parts is not None:
+                # Each part lies above the ones before it, so taking its sets
+                # in the outer loop keeps the list ascending.
+                found = [0]
+                for mask, k in self._parts:
+                    low = mask & -mask
+                    found = [s * low | b for s in k_subsets(mask.bit_count(), k) for b in found]
+                self._bases = tuple(found)
             else:
                 self._bases = tuple(s for s in k_subsets(self.n, r) if self.rank(s) == r)
         return self._bases
@@ -133,8 +163,16 @@ class Matroid:
 
     def _fundamental_circuits(self) -> list[int]:
         """The fundamental circuit of each element e outside the greedy basis
-        B: e together with every b in B for which B - b + e is a basis."""
+        B, ascending by e: e together with every b in B for which B - b + e
+        is a basis. On a graph that is e and the forest path between its
+        ends; on a uniform sum, e and the basis within e's part."""
         basis = self.greedy_basis()
+        if self._edges is not None:
+            return _tree_paths(self._edges, basis)
+        if self._parts is not None:
+            return [
+                (1 << e) | (basis & mask) for mask, _ in self._parts for e in bits(mask & ~basis)
+            ]
         r = basis.bit_count()
         out = []
         for e in bits(self.full_mask ^ basis):
@@ -144,6 +182,39 @@ class Matroid:
                     c |= 1 << b
             out.append(c)
         return out
+
+    def _closure(self, x: int) -> tuple[int, int]:
+        """The closure of ``x`` (every element whose addition keeps the rank)
+        and its rank. On a graph: the edges whose ends the edges of x join.
+        On a uniform sum: x, plus each part of which x holds r_j members."""
+        if self._edges is not None:
+            parent, forest = _union(self._edges, x)
+            flat = 0
+            for i, (u, v) in enumerate(self._edges):
+                if _find(parent, u) == _find(parent, v):
+                    flat |= 1 << i
+            return flat, forest.bit_count()
+        if self._parts is not None:
+            flat = rank = 0
+            for mask, r in self._parts:
+                k = (x & mask).bit_count()
+                flat |= mask if k >= r else x & mask
+                rank += min(r, k)
+            return flat, rank
+        rx = self.rank(x)
+        if rx == self.full_rank:  # a spanning set closes to E, with no more queries
+            return self.full_mask, rx
+        for e in bits(self.full_mask ^ x):
+            if self.rank(x | (1 << e)) == rx:
+                x |= 1 << e
+        return x, rx
+
+    def _is_uniform(self) -> bool:
+        """True when every full_rank-set is a basis: at once for a uniform sum
+        of at most one part, else by counting the bases, C(n, r) of them."""
+        if self._parts is not None and len(self._parts) <= 1:
+            return True
+        return len(self.bases()) == comb(self.n, self.full_rank)
 
     def _eliminate(self, budget: int) -> list[int] | None:
         """The circuit family by elimination from the fundamental circuits,
@@ -201,8 +272,10 @@ class Matroid:
         """Restriction to the subset ``sigma``, relabelled to 0..k-1.
 
         ``labels`` on the result maps the new indices back to the old ones.
-        The result reads this matroid's oracle, not its cache, and keeps the
-        members' edges, if any, for the forest search.
+        The result reads this matroid's oracle, not its cache. It keeps the
+        members' edges, if any, and maps the parts, if any: the j members of
+        a U(r, k) part form a U(min(r, j), j) part, and a part with no member
+        is dropped.
         """
         check_subset(sigma, self.n)
         members = tuple(bits(sigma))
@@ -217,6 +290,14 @@ class Matroid:
         sub = Matroid(len(members), rank_fn, "restriction_of", labels=members)
         if self._edges is not None:
             sub._edges = tuple(self._edges[i] for i in members)
+        if self._parts is not None:
+            # A part's members in sigma are consecutive there too, starting
+            # after the members of sigma below the part.
+            sub._parts = tuple(
+                (((1 << j) - 1) << (sigma & ((mask & -mask) - 1)).bit_count(), min(r, j))
+                for mask, r in self._parts
+                if (j := (mask & sigma).bit_count())
+            )
         return sub
 
     def blocks(self) -> "BlockPartition":
@@ -259,6 +340,63 @@ class Matroid:
 
     def __repr__(self) -> str:
         return f"Matroid(n={self.n}, rank={self.full_rank}, provenance={self.provenance!r})"
+
+
+def _find(parent: list[int], u: int) -> int:
+    """The root of u, halving its path."""
+    while parent[u] != u:
+        parent[u] = u = parent[parent[u]]
+    return u
+
+
+def _union(edges: tuple[tuple[int, int], ...], x: int) -> tuple[list[int], int]:
+    """Union-find over the edges in ``x``, in index order: the parent list,
+    and the edges that joined two trees (the greedy spanning forest of x)."""
+    parent = list(range(max(map(max, edges), default=-1) + 1))
+    forest = 0
+    for i in bits(x):
+        u, v = edges[i]
+        u, v = _find(parent, u), _find(parent, v)
+        if u != v:
+            parent[u] = v
+            forest |= 1 << i
+    return parent, forest
+
+
+def _tree_paths(edges: tuple[tuple[int, int], ...], forest: int) -> list[int]:
+    """The fundamental circuit of each edge outside the spanning ``forest``,
+    ascending by edge: the edge and the forest path between its ends, found
+    by climbing from the deeper end of each tree rooted by a depth-first walk."""
+    size = max(map(max, edges), default=-1) + 1
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+    for i in bits(forest):
+        u, v = edges[i]
+        adjacent[u].append((v, i))
+        adjacent[v].append((u, i))
+    up = [(0, 0)] * size  # (the vertex above, the edge to it)
+    depth = [-1] * size
+    for root in range(size):
+        if depth[root] < 0:
+            depth[root] = 0
+            stack = [root]
+            while stack:
+                u = stack.pop()
+                for v, i in adjacent[u]:
+                    if depth[v] < 0:
+                        depth[v] = depth[u] + 1
+                        up[v] = (u, i)
+                        stack.append(v)
+    out = []
+    for i in bits(((1 << len(edges)) - 1) ^ forest):
+        u, v = edges[i]
+        c = 1 << i
+        while u != v:
+            if depth[u] < depth[v]:
+                u, v = v, u
+            u, e = up[u]
+            c |= 1 << e
+        out.append(c)
+    return out
 
 
 def _forest_search(edges: tuple[tuple[int, int], ...], r: int) -> list[tuple[int, int]]:
@@ -372,18 +510,25 @@ class BlockPartition:
 
 
 def uniform(r: int, n: int) -> Matroid:
-    """The uniform matroid U(r, n): every subset of size <= r is independent."""
+    """The uniform matroid U(r, n): every subset of size <= r is independent.
+
+    It keeps itself as one part in the ``_parts`` slot (none when n = 0),
+    set after construction as ``graphs.cycle_matroid`` sets ``_edges``:
+    ``perfbench/tracing.py`` wraps the constructor's signature."""
     check_ground(n)
     if not isinstance(r, int) or isinstance(r, bool) or not 0 <= r <= n:
         raise ValueError(f"uniform matroid needs 0 <= r <= n, got r={r!r}, n={n}")
-    return Matroid(n, lambda s: min(r, s.bit_count()), "uniform")
+    m = Matroid(n, lambda s: min(r, s.bit_count()), "uniform")
+    m._parts = (((1 << n) - 1, r),) if n else ()
+    return m
 
 
 def multi_uniform(profile: Iterable[tuple[int, int]]) -> Matroid:
     """Direct sum of uniform matroids U(r_1, n_1) + ... + U(r_t, n_t).
 
     The ground set is the concatenation of the component ground sets in the
-    given order.
+    given order. The components of at least one element go in the ``_parts``
+    slot, as in ``uniform``.
     """
     pairs = [tuple(p) for p in profile]
     if not pairs:
@@ -405,11 +550,14 @@ def multi_uniform(profile: Iterable[tuple[int, int]]) -> Matroid:
     def rank_fn(sigma: int) -> int:
         return sum(min(r, (sigma & m).bit_count()) for m, r in parts)
 
-    return Matroid(total, rank_fn, "multi_uniform")
+    m = Matroid(total, rank_fn, "multi_uniform")
+    m._parts = tuple((mask, r) for mask, r in parts if mask)
+    return m
 
 
 def from_bases(n: int, bases: Iterable[Iterable[int]]) -> Matroid:
-    """Matroid from an explicit basis family, checked on every pair of bases.
+    """Matroid from an explicit basis family, checked on every pair of bases
+    and kept sorted for ``Matroid.bases``.
 
     The family must be non-empty, equicardinal, and satisfy the basis
     exchange axiom: for all bases B1, B2 and e in B1 - B2 there is an
@@ -454,7 +602,9 @@ def _from_bases(n: int, bases: Iterable[Iterable[int]], first: int) -> Matroid:
     def rank_fn(sigma: int) -> int:
         return max((sigma & b).bit_count() for b in btuple)
 
-    return Matroid(n, rank_fn, "explicit_bases")
+    m = Matroid(n, rank_fn, "explicit_bases")
+    m._bases = btuple
+    return m
 
 
 def direct_sum(*matroids: Matroid) -> Matroid:

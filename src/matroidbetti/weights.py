@@ -28,7 +28,6 @@ from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 from .betti import CycleProfile
-from .bitset import bits
 from .bitset import k_subsets  # noqa: F401  perfbench/tracing.py wraps weights.k_subsets
 from .errors import ValidationError
 from .matroid import Matroid
@@ -88,19 +87,10 @@ def _cyclic_flats(m: Matroid) -> dict[int, int]:
     The smallest is cl(empty set), the set of loops. Every other cyclic flat
     Z is the closure of the union of the circuits inside it, so adding those
     circuits one at a time, Z' -> cl(Z' | C), reaches Z from cl(empty set);
-    and cl(Z' | C) is always a cyclic flat. The result is that closure.
+    and cl(Z' | C) is always a cyclic flat. The result is that closure, with
+    each cl taken by ``Matroid._closure``.
     """
-
-    def closure(x: int) -> tuple[int, int]:
-        rx = m.rank(x)
-        if rx == m.full_rank:  # a spanning set closes to E, with no more queries
-            return m.full_mask, rx
-        for e in bits(m.full_mask ^ x):
-            if m.rank(x | (1 << e)) == rx:
-                x |= 1 << e
-        return x, rx
-
-    bottom, r0 = closure(0)
+    bottom, r0 = m._closure(0)
     flats = {bottom: r0}
     todo = [bottom]
     seen = set()
@@ -112,7 +102,7 @@ def _cyclic_flats(m: Matroid) -> dict[int, int]:
             if x == z or x in seen:
                 continue
             seen.add(x)
-            flat, rank = closure(x)
+            flat, rank = m._closure(x)
             if flat not in flats:
                 flats[flat] = rank
                 todo.append(flat)
