@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, combinations, count
+from itertools import chain, count, groupby
 from math import comb
 from operator import lshift
 from typing import Iterable, Iterator, Sequence
@@ -168,14 +168,13 @@ class CycleProfile:
 # -- Hochster sweep -----------------------------------------------------------
 
 
-def _below(s: int) -> list[int]:
-    """The one-bit masks of the elements below max s that are not in s."""
-    rest = ((1 << (s.bit_length() - 1)) - 1) & ~s
-    out = []
-    while rest:
-        low = rest & -rest
-        out.append(low)
-        rest ^= low
+def _through(t: int) -> list[int]:
+    """t | S for each submask S of the elements below max t outside t."""
+    mask = ((1 << (t.bit_length() - 1)) - 1) & ~t
+    out, s = [t | mask], mask
+    while s:
+        s = (s - 1) & mask
+        out.append(t | s)
     return out
 
 
@@ -187,20 +186,18 @@ def _relative_homology(
     (else empty), with h(sigma) = #(bases of sigma through max sigma) -
     rank(core) over GF(p) (see ``hochster_betti``).
 
-    Each core column T (a spanning (r + 1)-set with T - max T not a basis) is
-    packed once and pushed into every sigma = T | A, A an (i - 1)-subset of
-    ``_below(T)``. The level total needs no count per sigma: a basis B lies
-    in C(B.bit_length() - r, i) sets of r + i elements with the same largest
-    element. Only the fine map pushes each B into those sets, B | A with A an
-    i-subset of ``_below(B)``, each B's list computed once per sweep.
-
-    The rows of a core are bases through x = max sigma = max T, and the
-    sorted bases through x form one contiguous block, the masks in
-    [2^x, 2^(x+1)). Row j of a column is the j-th basis of its block, in the
-    lane format of ``linalg``, so one packed int per column serves every
-    field and every sigma that contains it, and a core's columns go to
-    ``complexes._rank`` as they are. A core of one column has rank 1 without
-    elimination, its entries being +-1, units in every field.
+    The sweep takes one top element x at a time. Each core column T through
+    x (a spanning (r + 1)-set with T - x not a basis) is packed once and
+    pushed, in the order of the comment below, into every sigma through x
+    that contains it (``_through``); each sigma is ranked once. The level
+    total needs no count per sigma: a basis B lies in C(B.bit_length() - r,
+    i) sets of r + i elements through max B; only the fine map pushes each
+    basis into them. The sorted bases through x are the masks in [2^x,
+    2^(x+1)), and row j of a column is the j-th of them, in the lane format of
+    ``linalg``, so one packed int per column serves every field and every
+    sigma that contains it, and a core's columns go to ``complexes._rank`` as
+    they are. A core of one column has rank 1 without elimination, its
+    entries being +-1, units in every field.
 
     Over an odd prime a lane is several bits wide. A core with a row past
     the first 96 lanes of its block has its rows renumbered in the order they
@@ -222,27 +219,13 @@ def _relative_homology(
     """
     n, r, p = m.n, m.full_rank, fld.p
     bases = m.bases()
-    yield len(bases), dict.fromkeys(bases, 1) if fine else {}
     is_basis = set(bases)
     width = lane_width(p)
     tall = 96 * width  # the packed lanes of an odd-prime block
     sign = (1, p - 1)
-    # The fine map reads each basis's list again at every level.
-    belows = list(map(_below, bases)) if fine else map(_below, bases)
-    columns: dict[int, tuple[list[int], list[int]]] = {}
-    first = top = 0
-    for j, (b, below) in enumerate(zip(bases, belows)):
-        if b.bit_length() != top:
-            top, first = b.bit_length(), j
-        x, row = 1 << (top - 1), (j - first) * width
-        for a in below:
-            t = b | a
-            if t ^ x in is_basis:
-                continue
-            rows, signs = columns.setdefault(t, ([], []))
-            rows.append(row)
-            # T - a carries the sign (-1)^k when a is the k-th smallest element of T.
-            signs.append(sign[(t & (a - 1)).bit_count() & 1])
+    free = Counter(b.bit_length() - r for b in bases)
+    totals = [sum(c * comb(k, i) for k, c in free.items()) for i in range(n - r + 1)]
+    h: Counter[int] = Counter()  # sigma -> h(sigma), when fine
 
     def packed(rows: list[int], signs: list[int]):
         # Over GF(2) a column is its packed int. Over an odd prime it keeps
@@ -260,27 +243,42 @@ def _relative_homology(
         lanes = [col for col, _, _ in cols]
         return _rank(_renumbered(cols, width) if None in lanes else lanes, p)
 
-    # Taken by reversed bit strings, the spanning sets reach each sigma in
-    # the lexicographic order of A = sigma - T: for A1 and A2 of one size,
-    # the least element of A1 ^ A2 = T1 ^ T2 lies in A1 exactly when it lies
-    # in T2. Elimination cost depends on column order; over GF(3) on a
-    # 17-edge ring, taking T in the order the bases first meet it was about
-    # 10% slower.
-    order = sorted(columns, key=lambda t: f"{t:0{n}b}"[::-1])
-    pushes = [(t, packed(*columns.pop(t)), _below(t)) for t in order]
-    below = Counter(b.bit_length() - r for b in bases)  # |_below(B)| = B.bit_length() - r
-    for i in range(1, n - r + 1):
+    for top, block in groupby(bases, int.bit_length):
+        x = 1 << (top - 1)
+        columns: dict[int, tuple[list[int], list[int]]] = {}
+        for row, b in zip(count(0, width), block):
+            if fine:
+                h.update(_through(b))
+            rest = (x - 1) & ~b
+            while rest:
+                a = rest & -rest
+                rest ^= a
+                t = b | a
+                if t ^ x not in is_basis:
+                    rows, signs = columns.get(t) or columns.setdefault(t, ([], []))
+                    rows.append(row)
+                    # T - a carries the sign (-1)^k when a is the k-th smallest element of T.
+                    signs.append(sign[(t & (a - 1)).bit_count() & 1])
+        # Taken by reversed bit strings, the columns reach each sigma in the
+        # lexicographic order of S = sigma - T: for S1 and S2 of one size,
+        # the least element of S1 ^ S2 = T1 ^ T2 lies in S1 exactly when it
+        # lies in T2. Elimination cost depends on column order; over GF(3) on
+        # a 17-edge ring, taking T in the order the bases first meet it was
+        # about 10% slower.
         pushed: defaultdict[int, list] = defaultdict(list)
-        for t, col, outside in pushes:
-            for a in map(sum, combinations(outside, i - 1)):
-                pushed[t | a].append(col)
-        ranks = {sigma: rank(cols) for sigma, cols in pushed.items()}
-        total = sum(c * comb(k, i) for k, c in below.items()) - sum(ranks.values())
-        tops: Counter[int] = Counter()
-        if fine:
-            tops.update(b | sum(a) for b, bs in zip(bases, belows) for a in combinations(bs, i))
-            tops.subtract(ranks)
-        yield total, tops
+        for t in sorted(columns, key=lambda t: f"{t:0{n}b}"[::-1]):
+            col = packed(*columns[t])
+            for sigma in _through(t):
+                pushed[sigma].append(col)
+        for sigma, cols in pushed.items():
+            k = rank(cols)
+            totals[sigma.bit_count() - r] -= k
+            if fine:
+                h[sigma] -= k
+    levels: list[dict[int, int]] = [{} for _ in totals]
+    for sigma, v in h.items():
+        levels[sigma.bit_count() - r][sigma] = v
+    yield from zip(totals, levels)
 
 
 def _renumbered(cols: list[tuple], width: int) -> list[int]:
@@ -316,7 +314,8 @@ def hochster_betti(
     entry +-1: a unit pivot. Taking them all leaves the core, with the bases
     of sigma through x as rows and the spanning (r + 1)-sets T through x with
     T - x not a basis as columns, and the entry is #(bases of sigma through
-    x) - rank(core) (``_relative_homology``). Exact sequences, dd = 0 and unit
+    x) - rank(core) (``_relative_homology``), each core eliminated once with
+    its columns in one order per x. Exact sequences, dd = 0 and unit
     pivots hold with any coefficients, so this is exact over every GF(p), and
     the sweep, still eliminating over GF(p), tests field independence.
     """
@@ -563,9 +562,15 @@ def betti(
 
 def _spanning_counts(m: Matroid) -> list[int]:
     """s_0 .. s_n, s_k the number of spanning k-sets: by a forest search of
-    its own, not ``m.bases()``, when ``m`` has edges, else from the ranks of
-    the sets of r or more elements (no smaller set spans)."""
+    its own, not ``m.bases()``, when ``m`` has edges; on a uniform sum as the
+    coefficients of prod_j sum_(t >= r_j) C(k_j, t) x^t, a set spanning when
+    it holds r_j or more of the k_j members of each part; else from the ranks
+    of the sets of r or more elements (no smaller set spans)."""
     n, r = m.n, m.full_rank
+    if m._parts is not None:
+        sizes = ((mask.bit_count(), rj) for mask, rj in m._parts)
+        factors = ([comb(k, t) if t >= rj else 0 for t in range(k + 1)] for k, rj in sizes)
+        return reduce(_poly_mul, factors, [1])
     if m._edges is not None:
         free = Counter(a for _, a in _forest_search(m._edges, r))
         return [0] * r + [sum(c * comb(a, t) for a, c in free.items()) for t in range(n - r + 1)]
@@ -599,10 +604,16 @@ def dual_min_distance(m: Matroid) -> int:
     span, so each level asks the rank of complements and stops at the first
     that falls short of r; at i = n the complement is empty.
 
+    On a uniform sum the smallest dual circuit is the complement of a
+    hyperplane within one part of rank r_j >= 1: k_j - r_j + 1 of its k_j
+    members.
+
     Raises ValidationError when the dual is free (rank 0 on the primal side),
     since then the dual has no circuits at all.
     """
     n, r, full = m.n, m.full_rank, m.full_mask
     if r == 0:
         raise ValidationError("dual has no circuits; d_1 undefined")
+    if m._parts is not None:
+        return min(mask.bit_count() - rj + 1 for mask, rj in m._parts if rj)
     return next(i for i in count(1) if any(m.rank(full ^ s) < r for s in k_subsets(n, i)))

@@ -409,10 +409,23 @@ def _forest_search(edges: tuple[tuple[int, int], ...], r: int) -> list[tuple[int
     one joining two trees, and skips it too when the forest and the later
     edges still join its ends (Read and Tarjan, Networks 5, 1975), pushing
     that branch with a copy of the forest's union-find on an explicit stack.
+    The later edges join what a spanning forest of them joins, so the test
+    scans that forest, found once for each suffix of the edges, and is not
+    made when the forest taken and it hold fewer than r edges together.
     """
+    size = max(map(max, edges), default=-1) + 1
+    # later[i]: a spanning forest of edges[i:], by union-find from the last edge
+    later: list[tuple[tuple[int, int], ...]] = [()] * (len(edges) + 1)
+    root = list(range(size))
+    for i in range(len(edges) - 1, -1, -1):
+        u, v = _find(root, edges[i][0]), _find(root, edges[i][1])
+        later[i] = later[i + 1]
+        if u != v:
+            root[u] = v
+            later[i] = (edges[i], *later[i])
     found: list[tuple[int, int]] = []
     # (i, taken, a so far, union-find parents) of each branch that skips edge i - 1
-    stack = [(0, 0, 0, list(range(max(map(max, edges), default=-1) + 1)))]
+    stack = [(0, 0, 0, list(range(size)))]
     while stack:
         i, taken, a, parent = stack.pop()
         k = taken.bit_count()
@@ -425,23 +438,25 @@ def _forest_search(edges: tuple[tuple[int, int], ...], r: int) -> list[tuple[int
             if u == v:
                 a += 1
             else:
-                # The bridge test: do the forest and the later edges join u and v?
-                t = parent[:]
-                x, y = u, v
-                for p, q in edges[i + 1:]:
-                    while t[p] != p:
-                        p = t[p]
-                    while t[q] != q:
-                        q = t[q]
-                    if p != q:
-                        t[p] = q
-                        if p == x:
-                            x = q
-                        elif p == y:
-                            y = q
-                        if x == y:
-                            stack.append((i + 1, taken, a, parent[:]))
-                            break
+                # The bridge test, when skipping the edge can still leave r:
+                # do the forest and the later edges join u and v?
+                if k + len(later[i + 1]) >= r:
+                    t = parent[:]
+                    x, y = u, v
+                    for p, q in later[i + 1]:
+                        while t[p] != p:
+                            p = t[p]
+                        while t[q] != q:
+                            q = t[q]
+                        if p != q:
+                            t[p] = q
+                            if p == x:
+                                x = q
+                            elif p == y:
+                                y = q
+                            if x == y:
+                                stack.append((i + 1, taken, a, parent[:]))
+                                break
                 parent[u] = v
                 taken |= 1 << i
                 k += 1

@@ -6,7 +6,7 @@ import importlib
 import random
 import time
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import pytest
@@ -403,6 +403,66 @@ def test_17_edge_ring_eliminates_no_more_than_renumbering_every_core(monkeypatch
     assert sum(height * width for height, width in rows) <= 10_305_514
 
 
+def _cores(m: Matroid) -> dict[int, list[int]]:
+    """sigma -> the core columns T of sigma, for each sigma with one, by
+    definition: every spanning (r + 1)-set T with T - max T not a basis,
+    pushed into T | A for each set A of elements below max T outside T, and
+    taken in the order of the reversed bit strings of T."""
+    r, bases = m.full_rank, set(m.bases())
+    cores: dict[int, list[int]] = {}
+    spanning = map(sum, combinations([1 << e for e in range(m.n)], r + 1))
+    for t in sorted(spanning, key=lambda t: f"{t:0{m.n}b}"[::-1]):
+        x = t.bit_length() - 1
+        if m.rank(t) < r or t ^ (1 << x) in bases:
+            continue
+        below = [1 << e for e in range(x) if not t >> e & 1]
+        for i in range(len(below) + 1):
+            for a in combinations(below, i):
+                cores.setdefault(t | sum(a), []).append(t)
+    return cores
+
+
+@pytest.mark.parametrize(
+    ("name", "fld", "work"),
+    [
+        ("g1", GF2, (321, 2_451, 393_004)),
+        ("g1", GF3, (321, 2_451, 135_546)),
+        ("ring17", GF3, (2_258, 37_865, 10_304_317)),
+    ],
+    ids=["g1-GF2", "g1-GF3", "ring17-GF3"],
+)
+def test_sweep_ranks_each_core_once(monkeypatch, name, fld, work):
+    # The sweep pushes every column through one top element x into all the
+    # sets sigma through x in one pass. The number of eliminated matrices,
+    # their total columns and their rows times columns are pinned exactly,
+    # and each sigma whose core has two or more columns is ranked once, with
+    # all of them.
+    m = cycle_matroid(fixture("g1")) if name == "g1" else graph_matroid(12, CHORDED_RING_17)
+    rows = _recording_rows(monkeypatch)
+    assert hilbert_check(hochster_betti(m, fld), m)
+    assert (len(rows), sum(w for _, w in rows), sum(h * w for h, w in rows)) == work
+    cores = [ts for ts in _cores(m).values() if len(ts) > 1]
+    assert Counter(w for _, w in rows) == Counter(map(len, cores))
+
+
+def test_sweep_packs_each_core_in_reversed_bit_string_order(monkeypatch):
+    # Over GF(2) the column of T has a 1 in row j for the j-th basis through
+    # max T inside T; elimination cost depends on the column order.
+    m = cycle_matroid(fixture("g1"))
+    row = {}
+    for b in m.bases():
+        row[b] = sum(c.bit_length() == b.bit_length() for c in row)
+    matrices = []
+    monkeypatch.setattr(complexes, "gf2_rank", lambda cols: matrices.append(tuple(cols)) or 0)
+    hochster_betti(m)
+    expected = [
+        tuple(sum(1 << row[t ^ (1 << e)] for e in bits(t) if t ^ (1 << e) in row) for t in ts)
+        for ts in _cores(m).values() if len(ts) > 1
+    ]
+    assert len(matrices) == 321
+    assert Counter(matrices) == Counter(expected)
+
+
 # -- block product ---------------------------------------------------------------
 
 
@@ -722,6 +782,30 @@ def test_forest_search_matches_the_oracle_scan():
     assert (ring.bases(), BETTI_MODULE._spanning_counts(ring)) == _oracle_scan(ring)
 
 
+def _uniform_sums() -> list[Matroid]:
+    """Every uniform sum of the seeded suites, seeded sums of up to four parts
+    (empty parts, loops and coloops among them) and restrictions of those."""
+    cases = [
+        m for family in ("uniform", "multiblock", "free_and_rank0")
+        for m in structure_cases(family) if m._parts is not None
+    ]
+    rng = random.Random(SEED + 18)
+    for _ in range(60):
+        sizes = [rng.randint(0, 4) for _ in range(rng.randint(1, 4))]
+        cases.append(multi_uniform([(rng.randint(0, k), k) for k in sizes]))
+    cases += [m.restrict(rng.getrandbits(m.n)) for m in cases[-30:]]
+    assert sum(len(m._parts) > 1 for m in cases) >= 30
+    return cases
+
+
+def test_uniform_sum_spanning_counts_match_the_oracle_scan():
+    # The product of one factor per part, against C(n, k) rank evaluations
+    # per level on a copy without parts.
+    for m in _uniform_sums():
+        assert m._parts is not None
+        assert (m.bases(), BETTI_MODULE._spanning_counts(m)) == _oracle_scan(m), m._parts
+
+
 def test_only_graphs_and_their_restrictions_carry_edges():
     g = cycle_matroid(fixture("g3"))
     assert g.restrict(0b100000101)._edges == (g._edges[0], g._edges[2], g._edges[8])
@@ -768,3 +852,23 @@ def test_dual_minimum_distance_stops_at_first_dependent_set():
         cocircuits = brute_circuits(m.dual())
         if cocircuits:
             assert dual_min_distance(m) == cocircuits[0].bit_count()
+
+
+def test_dual_minimum_distance_of_uniform_sums(monkeypatch):
+    # The closed form on the parts against the smallest circuit of the dual,
+    # found by testing every subset. U(10, 40) is answered without listing
+    # the sets of each size i, about 10^12 sets up to i = 31.
+    k_subsets = BETTI_MODULE.k_subsets
+
+    def listing(n, k):
+        assert comb(n, k) <= 10_000, f"listing the C({n}, {k}) sets"
+        return k_subsets(n, k)
+
+    monkeypatch.setattr(BETTI_MODULE, "k_subsets", listing)
+    for m in _uniform_sums():
+        if m.full_rank and m.n <= 10:
+            assert dual_min_distance(m) == brute_circuits(m.dual())[0].bit_count(), m._parts
+    start = time.perf_counter()
+    assert dual_min_distance(uniform(10, 40)) == 31
+    assert dual_min_distance(multi_uniform([(0, 5), (10, 40), (3, 4)])) == 2
+    assert time.perf_counter() - start < 1.0

@@ -550,6 +550,39 @@ def test_dual_d1(capsys):
     assert data["d1"] == 2
 
 
+def test_uniform_sums_are_answered_without_the_subset_scans(capsys, monkeypatch):
+    # U(10, 40) has C(40, 10) = 847,660,528 bases. The Hilbert check counts
+    # its spanning sets, and dual-d1 finds its smallest dual circuit, from the
+    # parts; a scan through the rank oracle would stop at one of the caps.
+    betti_mod = importlib.import_module("matroidbetti.betti")
+    rank, k_subsets = Matroid.rank, betti_mod.k_subsets
+    calls = 0
+
+    def capped(self, sigma):
+        nonlocal calls
+        calls += 1
+        assert calls <= 100, "the rank oracle was asked more than 100 times"
+        return rank(self, sigma)
+
+    def listing(n, k):
+        assert comb(n, k) <= 10_000, f"listing the C({n}, {k}) sets"
+        return k_subsets(n, k)
+
+    monkeypatch.setattr(Matroid, "rank", capped)
+    monkeypatch.setattr(betti_mod, "k_subsets", listing)
+    start = time.perf_counter()
+    code, data, _ = run_json(
+        capsys, "betti", "--input", '{"uniform": [10, 40]}', "--crosscheck"
+    )
+    assert code == 0
+    assert data["crosscheck"] == {"algorithms": ["hochster"], "agree": True, "hilbert": True}
+    assert data["table"]["global"][0] == comb(40, 10)
+    code, data, _ = run_json(capsys, "dual-d1", "--input", '{"uniform": [10, 40]}')
+    assert code == 0
+    assert data["d1"] == 31
+    assert time.perf_counter() - start < 1.0
+
+
 # -- input plumbing ----------------------------------------------------------------
 
 
