@@ -32,7 +32,7 @@ of spanning k-sets; ``hilbert_check`` compares a table with that image.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, count, groupby
@@ -40,7 +40,7 @@ from math import comb
 from operator import lshift
 from typing import Iterable, Iterator, Sequence
 
-from .bitset import bits, k_subsets
+from .bitset import k_subsets
 from .complexes import (
     GF2,
     PrimeField,
@@ -60,6 +60,14 @@ def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
+
+
+def _key(keys: dict[int, str], s: int) -> str:
+    """The elements of mask s, comma-separated, from the key of s less max s (kept in keys)."""
+    if s not in keys:
+        x = s.bit_length() - 1
+        keys[s] = f"{_key(keys, s ^ (1 << x))},{x}".lstrip(",")
+    return keys[s]
 
 
 @dataclass
@@ -110,10 +118,10 @@ class BettiTable:
             "coarse": coarse,
         }
         if self.fine is not None:
+            keys = {0: ""}
             fine: dict[str, dict[str, int]] = {}
             for (i, s), v in sorted(self.fine.items()):
-                key = ",".join(str(e) for e in bits(s))
-                fine.setdefault(str(i), {})[key] = v
+                fine.setdefault(str(i), {})[_key(keys, s)] = v
             out["fine"] = fine
         return out
 
@@ -168,6 +176,14 @@ class CycleProfile:
 # -- Hochster sweep -----------------------------------------------------------
 
 
+_REV = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))  # each byte's bits reversed
+
+
+def _reversed(t: int) -> int:
+    """t's 64 bits in reverse order, which sorts masks as their reversed bit strings do."""
+    return int.from_bytes(t.to_bytes(8, "little").translate(_REV), "big")
+
+
 def _through(t: int) -> list[int]:
     """t | S for each submask S of the elements below max t outside t."""
     mask = ((1 << (t.bit_length() - 1)) - 1) & ~t
@@ -187,17 +203,17 @@ def _relative_homology(
     rank(core) over GF(p) (see ``hochster_betti``).
 
     The sweep takes one top element x at a time. Each core column T through
-    x (a spanning (r + 1)-set with T - x not a basis) is packed once and
+    x (a spanning (r + 1)-set with T - x not a basis) is built once and
     pushed, in the order of the comment below, into every sigma through x
-    that contains it (``_through``); each sigma is ranked once. The level
-    total needs no count per sigma: a basis B lies in C(B.bit_length() - r,
-    i) sets of r + i elements through max B; only the fine map pushes each
-    basis into them. The sorted bases through x are the masks in [2^x,
-    2^(x+1)), and row j of a column is the j-th of them, in the lane format of
-    ``linalg``, so one packed int per column serves every field and every
-    sigma that contains it, and a core's columns go to ``complexes._rank`` as
-    they are. A core of one column has rank 1 without elimination, its
-    entries being +-1, units in every field.
+    that contains it by a submask walk (the order of ``_through``); each
+    sigma is ranked once. The level total needs no count per sigma: a basis
+    B lies in C(B.bit_length() - r, i) sets of r + i elements through max B;
+    only the fine map pushes each basis into them. The sorted bases through x
+    are the masks in [2^x, 2^(x+1)); row j of a column, the j-th of them, is
+    in the lane format of ``linalg``: over GF(2), where an entry is 1 whatever
+    its sign, bit j of a mask built in place; over an odd prime, lane j of an
+    int packed once from the rows and signs. A core of one column has rank 1
+    without elimination, its entries being +-1, units in every field.
 
     Over an odd prime a lane is several bits wide. A core with a row past
     the first 96 lanes of its block has its rows renumbered in the order they
@@ -227,14 +243,6 @@ def _relative_homology(
     totals = [sum(c * comb(k, i) for k, c in free.items()) for i in range(n - r + 1)]
     h: Counter[int] = Counter()  # sigma -> h(sigma), when fine
 
-    def packed(rows: list[int], signs: list[int]):
-        # Over GF(2) a column is its packed int. Over an odd prime it keeps
-        # its rows and signs for renumbering, and a column with a row past the
-        # packed lanes sends every core through it there, so it is not packed.
-        if p == 2:
-            return sum(map(lshift, signs, rows))
-        return (sum(map(lshift, signs, rows)) if rows[-1] < tall else None, rows, signs)
-
     def rank(cols: list) -> int:
         if len(cols) == 1:
             return 1
@@ -245,31 +253,49 @@ def _relative_homology(
 
     for top, block in groupby(bases, int.bit_length):
         x = 1 << (top - 1)
-        columns: dict[int, tuple[list[int], list[int]]] = {}
-        for row, b in zip(count(0, width), block):
+        columns: dict = {}  # T -> its mask over GF(2), else its (rows, signs)
+        # Row j of the block: the bit 2^j of a GF(2) mask, else lane j's offset.
+        offsets = map((1).__lshift__, count()) if p == 2 else count(0, width)
+        for row, b in zip(offsets, block):
             if fine:
                 h.update(_through(b))
+            bx = b ^ x
             rest = (x - 1) & ~b
             while rest:
                 a = rest & -rest
                 rest ^= a
-                t = b | a
-                if t ^ x not in is_basis:
-                    rows, signs = columns.get(t) or columns.setdefault(t, ([], []))
-                    rows.append(row)
-                    # T - a carries the sign (-1)^k when a is the k-th smallest element of T.
-                    signs.append(sign[(t & (a - 1)).bit_count() & 1])
+                if bx | a not in is_basis:
+                    t = b | a
+                    if p == 2:
+                        columns[t] = columns.get(t, 0) | row
+                    else:
+                        rows, signs = columns.get(t) or columns.setdefault(t, ([], []))
+                        rows.append(row)
+                        # T - a carries the sign (-1)^k when a is the k-th smallest element of T.
+                        signs.append(sign[(t & (a - 1)).bit_count() & 1])
         # Taken by reversed bit strings, the columns reach each sigma in the
         # lexicographic order of S = sigma - T: for S1 and S2 of one size,
         # the least element of S1 ^ S2 = T1 ^ T2 lies in S1 exactly when it
         # lies in T2. Elimination cost depends on column order; over GF(3) on
         # a 17-edge ring, taking T in the order the bases first meet it was
         # about 10% slower.
-        pushed: defaultdict[int, list] = defaultdict(list)
-        for t in sorted(columns, key=lambda t: f"{t:0{n}b}"[::-1]):
-            col = packed(*columns[t])
-            for sigma in _through(t):
-                pushed[sigma].append(col)
+        pushed: dict[int, list] = {}
+        for t in sorted(columns, key=_reversed):
+            col = columns[t]
+            if p != 2:  # a column with a row past the packed lanes is left to ``_renumbered``
+                rows, signs = col
+                col = (sum(map(lshift, signs, rows)) if rows[-1] < tall else None, rows, signs)
+            # Every sigma through x that holds T, in the order of ``_through``.
+            s = mask = (x - 1) & ~t
+            while True:
+                cols = pushed.get(t | s)
+                if cols:
+                    cols.append(col)
+                else:
+                    pushed[t | s] = [col]
+                if not s:
+                    break
+                s = (s - 1) & mask
         for sigma, cols in pushed.items():
             k = rank(cols)
             totals[sigma.bit_count() - r] -= k

@@ -410,11 +410,13 @@ def _forest_search(edges: tuple[tuple[int, int], ...], r: int) -> list[tuple[int
     edges still join its ends (Read and Tarjan, Networks 5, 1975), pushing
     that branch with a copy of the forest's union-find on an explicit stack.
     The later edges join what a spanning forest of them joins, so the test
-    scans that forest, found once for each suffix of the edges, and is not
-    made when the forest taken and it hold fewer than r edges together.
+    scans that forest, found once for each suffix of the edges; it is not
+    made when the later edges alone join the ends, nor when the forest
+    taken and that forest hold fewer than r edges together.
     """
     size = max(map(max, edges), default=-1) + 1
-    # later[i]: a spanning forest of edges[i:], by union-find from the last edge
+    # later[i]: a spanning forest of edges[i:], by union-find from the last
+    # edge; it is later[i + 1] when edges[i + 1:] alone join the ends of edge i
     later: list[tuple[tuple[int, int], ...]] = [()] * (len(edges) + 1)
     root = list(range(size))
     for i in range(len(edges) - 1, -1, -1):
@@ -440,7 +442,9 @@ def _forest_search(edges: tuple[tuple[int, int], ...], r: int) -> list[tuple[int
             else:
                 # The bridge test, when skipping the edge can still leave r:
                 # do the forest and the later edges join u and v?
-                if k + len(later[i + 1]) >= r:
+                if later[i] is later[i + 1]:
+                    stack.append((i + 1, taken, a, parent[:]))
+                elif k + len(later[i + 1]) >= r:
                     t = parent[:]
                     x, y = u, v
                     for p, q in later[i + 1]:

@@ -463,6 +463,28 @@ def test_sweep_packs_each_core_in_reversed_bit_string_order(monkeypatch):
     assert Counter(matrices) == Counter(expected)
 
 
+@pytest.mark.parametrize("n", [1, 8, 9, 63, 64])
+def test_table_bit_reversal_sorts_as_reversed_bit_strings(n):
+    rng = random.Random(SEED + n)
+    masks = [0, (1 << n) - 1, 1 << (n - 1)] + [rng.getrandbits(n) for _ in range(500)]
+    expected = sorted(masks, key=lambda t: f"{t:0{n}b}"[::-1])
+    assert sorted(masks, key=BETTI_MODULE._reversed) == expected
+
+
+@pytest.mark.parametrize(
+    "m", [cycle_matroid(fixture("g3")), uniform(3, 6), uniform(0, 3)], ids=["g3", "U(3,6)", "rank-0"]
+)
+def test_fine_json_keys_list_each_sigma(m):
+    table = betti(m, fine=True)
+    fine = table.to_json_dict()["fine"]
+    expected: dict[str, dict[str, int]] = {}
+    for (i, s), v in sorted(table.fine.items()):
+        expected.setdefault(str(i), {})[",".join(map(str, bits(s)))] = v
+    assert fine == expected
+    assert list(fine) == list(expected)
+    assert all(list(fine[i]) == list(expected[i]) for i in fine)
+
+
 # -- block product ---------------------------------------------------------------
 
 
