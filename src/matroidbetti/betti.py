@@ -50,16 +50,7 @@ from .complexes import (
 )
 from .errors import ValidationError
 from .linalg import lane_width
-from .matroid import BlockPartition, Matroid, _forest_search
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
+from .matroid import BlockPartition, Matroid, _poly_mul
 
 
 def _key(keys: dict[int, str], s: int) -> str:
@@ -586,23 +577,6 @@ def betti(
 # -- consistency checks and derived invariants --------------------------------
 
 
-def _spanning_counts(m: Matroid) -> list[int]:
-    """s_0 .. s_n, s_k the number of spanning k-sets: by a forest search of
-    its own, not ``m.bases()``, when ``m`` has edges; on a uniform sum as the
-    coefficients of prod_j sum_(t >= r_j) C(k_j, t) x^t, a set spanning when
-    it holds r_j or more of the k_j members of each part; else from the ranks
-    of the sets of r or more elements (no smaller set spans)."""
-    n, r = m.n, m.full_rank
-    if m._parts is not None:
-        sizes = ((mask.bit_count(), rj) for mask, rj in m._parts)
-        factors = ([comb(k, t) if t >= rj else 0 for t in range(k + 1)] for k, rj in sizes)
-        return reduce(_poly_mul, factors, [1])
-    if m._edges is not None:
-        free = Counter(a for _, a in _forest_search(m._edges, r))
-        return [0] * r + [sum(c * comb(a, t) for a, c in free.items()) for t in range(n - r + 1)]
-    return [0] * r + [sum(m.rank(s) == r for s in k_subsets(n, k)) for k in range(r, n + 1)]
-
-
 def _global_from_spanning(n: int, r: int, spanning: Sequence[int]) -> tuple[int, ...]:
     """beta_0 .. beta_{n-r} from the spanning counts (see the module docstring)."""
     return tuple(
@@ -619,7 +593,7 @@ def hilbert_check(table: BettiTable, m: Matroid) -> bool:
     sum_k f_k s^k (1-s)^(n-k), f_k the number of non-spanning k-sets. The
     counts never read the bases the sweep used."""
     n, r = m.n, m.full_rank
-    expected = _global_from_spanning(n, r, _spanning_counts(m))
+    expected = _global_from_spanning(n, r, m._spanning_counts())
     return (table.rank_r, table.n, table.global_) == (r, n, expected)
 
 
@@ -640,6 +614,7 @@ def dual_min_distance(m: Matroid) -> int:
     n, r, full = m.n, m.full_rank, m.full_mask
     if r == 0:
         raise ValidationError("dual has no circuits; d_1 undefined")
-    if m._parts is not None:
-        return min(mask.bit_count() - rj + 1 for mask, rj in m._parts if rj)
+    profile = m._uniform_profile()
+    if profile is not None:
+        return min(k - rj + 1 for rj, k in profile if rj)
     return next(i for i in count(1) if any(m.rank(full ^ s) < r for s in k_subsets(n, i)))

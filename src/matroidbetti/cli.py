@@ -471,27 +471,12 @@ def _verify_checks() -> list[tuple[str, object, object]]:
             (f"single {mlen}-cycle resolution", (mlen, mlen - 1), hochster_betti(cm).global_)
         )
 
-    checks.append(
-        (
-            "inversion of (9, 12, 4)",
-            (3, 3),
-            invert_cactus_betti((9, 12, 4), 0).lengths,
-        )
-    )
-    checks.append(
-        (
-            "inversion of (60, 133, 98, 24)",
-            (3, 4, 5),
-            invert_cactus_betti((60, 133, 98, 24), 0).lengths,
-        )
-    )
-    checks.append(
-        (
-            "inversion with one loop of (3, 2, 0)",
-            (1, 3),
-            invert_cactus_betti((3, 2, 0), 1).lengths,
-        )
-    )
+    for name, vector, loops, lengths in (
+        ("inversion of (9, 12, 4)", (9, 12, 4), 0, (3, 3)),
+        ("inversion of (60, 133, 98, 24)", (60, 133, 98, 24), 0, (3, 4, 5)),
+        ("inversion with one loop of (3, 2, 0)", (3, 2, 0), 1, (1, 3)),
+    ):
+        checks.append((name, lengths, invert_cactus_betti(vector, loops).lengths))
 
     for name, table in sorted(tables.items()):
         checks.append(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .errors import ValidationError
-from .matroid import BlockPartition, Matroid
+from .matroid import BlockPartition, Matroid, _Graph, _presented
 
 
 @dataclass(frozen=True)
@@ -114,45 +114,11 @@ class Graph:
 
 def cycle_matroid(graph: Graph) -> Matroid:
     """The cycle matroid on the edge set: the rank of an edge subset is the
-    size of a spanning forest of the subgraph it induces.
-
-    The rank is counted by union-find over a fresh copy of one prebuilt
-    parent list, taking the edges of the mask from its lowest bit up, with
-    path halving written out inline: the oracle is the innermost call of
-    every sweep over graphs. The list holds only the vertices that lie on an
-    edge, numbered once here, so isolated vertices cost nothing. The edges go
-    in the ``_edges`` slot, set after construction (``perfbench/tracing.py``
-    wraps the constructor's signature): from them the matroid lists its bases
-    by ``matroid._forest_search`` and finds its greedy basis, fundamental
-    circuits and closures by union-find, with no rank call."""
-    index: dict[int, int] = {}
-    ends = tuple(
-        (index.setdefault(u, len(index)), index.setdefault(v, len(index)))
-        for u, v in graph.edges
-    )
-    singletons = list(range(len(index)))
-
-    def rank_fn(mask: int) -> int:
-        parent = singletons[:]
-        rank = 0
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            u, v = ends[low.bit_length() - 1]
-            # Halving. Targets bind left to right: parent[u] is set before u
-            # moves; ``u = parent[u] = ...`` would write the wrong slot.
-            while parent[u] != u:
-                parent[u] = u = parent[parent[u]]
-            while parent[v] != v:
-                parent[v] = v = parent[parent[v]]
-            if u != v:
-                parent[u] = v
-                rank += 1
-        return rank
-
-    m = Matroid(len(ends), rank_fn, provenance="cycle_matroid")
-    m._edges = ends
-    return m
+    size of a spanning forest of the subgraph it induces, counted by
+    union-find. The matroid keeps the edges as its presentation, from which
+    it lists its bases and finds its greedy basis, fundamental circuits and
+    closures with no rank call (see ``matroid``)."""
+    return _presented(graph.edge_count, _Graph(graph.edges), "cycle_matroid")
 
 
 def is_cactus(graph: Graph) -> BlockPartition:

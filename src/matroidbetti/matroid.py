@@ -1,22 +1,26 @@
 """Matroids on a ground set of at most 64 elements, given by rank oracles.
 
 A matroid is stored as its rank function on subsets (bit masks). A matroid
-built from a presentation also keeps it in a private slot, and answers its
-structural queries (the greedy basis, fundamental circuits, closures and the
-basis list) from it without the oracle:
+built from a presentation keeps it in the private ``_presentation`` slot,
+takes the presentation's own rank as its oracle (``_presented`` builds every
+such matroid), and answers its structural queries (the greedy basis,
+fundamental circuits, closures of a graph, the basis list and the spanning
+counts) from it without the oracle:
 
-* ``_edges``: the edges of a graph (``graphs.cycle_matroid``), as pairs of
-  vertex indices; bases by ``_forest_search``, the rest by union-find;
-* ``_parts``: the (member mask, rank) pairs of a uniform sum (``uniform``,
-  ``multi_uniform``), each mask a run of consecutive elements, in ascending
-  order;
-* ``_bases``: the cache of ``bases()``, which ``from_bases`` fills with the
-  sorted list it was given.
+* ``_Graph``: the edges of a graph (``graphs.cycle_matroid``), as pairs of
+  vertex indices; bases by ``_forest_search``, the rest by ``_union``;
+* ``_UniformSum``: the (member mask, rank) pairs of a uniform sum
+  (``uniform``, ``multi_uniform``), each mask a run of consecutive elements,
+  in ascending order; its profile gives closed forms for the weights and the
+  dual minimum distance.
 
-``restrict`` maps ``_edges`` and ``_parts``. Every other matroid (``dual``,
-``direct_sum``, ``Matroid(n, rank_fn)``) derives all of it from the oracle,
-and so do circuits past the fundamental ones. Instances are immutable; rank
-values, bases, circuits and the block partition are cached on first use.
+``restrict`` restricts the presentation, so a presented restriction ranks by
+its own presentation, not through its matroid. ``from_bases`` fills the cache
+``_bases`` of ``bases()`` with the sorted list it was given. Every other
+matroid (``dual``, ``direct_sum``, ``Matroid(n, rank_fn)``) derives all of it
+from the oracle, and so do circuits past the fundamental ones. Instances are
+immutable; rank values, bases, circuits and the block partition are cached on
+first use.
 
 Blocks are the classes of the connectivity relation: two elements are
 related when some circuit contains both. They are found without listing the
@@ -33,14 +37,17 @@ cactus recognition and its closed forms read.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain
 from math import comb
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .bitset import bits, check_ground, check_subset, k_subsets, mask_of
 from .errors import ValidationError
 
-Provenance = str  # "graphic" | "uniform" | "multi_uniform" | "explicit_bases"
+Provenance = str  # "cycle_matroid" | "uniform" | "multi_uniform" | "explicit_bases"
 #                 | "dual_of" | "restriction_of" | "direct_sum" | "explicit"
 
 
@@ -49,7 +56,7 @@ class Matroid:
 
     __slots__ = (
         "n", "provenance", "labels", "_rank_fn", "_cache", "_full", "_bases", "_circuits",
-        "_blocks", "_edges", "_parts",
+        "_blocks", "_presentation",
     )
 
     def __init__(
@@ -69,8 +76,7 @@ class Matroid:
         self._bases: tuple[int, ...] | None = None
         self._circuits: tuple[int, ...] | None = None
         self._blocks: BlockPartition | None = None
-        self._edges: tuple[tuple[int, int], ...] | None = None
-        self._parts: tuple[tuple[int, int], ...] | None = None
+        self._presentation: _Graph | _UniformSum | None = None
 
     # -- rank oracle -------------------------------------------------------
 
@@ -101,10 +107,8 @@ class Matroid:
         of one union-find pass, on a uniform sum the lowest r_j members of
         each part, else by the oracle. On an oracle that is not a matroid rank
         function the result may fall short of full_rank."""
-        if self._edges is not None:
-            return _union(self._edges, self.full_mask)[1]
-        if self._parts is not None:
-            return sum((mask & -mask) * ((1 << r) - 1) for mask, r in self._parts)
+        if self._presentation is not None:
+            return self._presentation.greedy_basis()
         basis = 0
         for e in range(self.n):
             if self.rank(basis | (1 << e)) > self.rank(basis):
@@ -118,16 +122,8 @@ class Matroid:
         list)."""
         if self._bases is None:
             r = self.full_rank
-            if self._edges is not None:
-                self._bases = tuple(sorted(b for b, _ in _forest_search(self._edges, r)))
-            elif self._parts is not None:
-                # Each part lies above the ones before it, so taking its sets
-                # in the outer loop keeps the list ascending.
-                found = [0]
-                for mask, k in self._parts:
-                    low = mask & -mask
-                    found = [s * low | b for s in k_subsets(mask.bit_count(), k) for b in found]
-                self._bases = tuple(found)
+            if self._presentation is not None:
+                self._bases = self._presentation.bases(r)
             else:
                 self._bases = tuple(s for s in k_subsets(self.n, r) if self.rank(s) == r)
         return self._bases
@@ -167,12 +163,8 @@ class Matroid:
         is a basis. On a graph that is e and the forest path between its
         ends; on a uniform sum, e and the basis within e's part."""
         basis = self.greedy_basis()
-        if self._edges is not None:
-            return _tree_paths(self._edges, basis)
-        if self._parts is not None:
-            return [
-                (1 << e) | (basis & mask) for mask, _ in self._parts for e in bits(mask & ~basis)
-            ]
+        if self._presentation is not None:
+            return self._presentation.fundamental_circuits(basis)
         r = basis.bit_count()
         out = []
         for e in bits(self.full_mask ^ basis):
@@ -185,22 +177,11 @@ class Matroid:
 
     def _closure(self, x: int) -> tuple[int, int]:
         """The closure of ``x`` (every element whose addition keeps the rank)
-        and its rank. On a graph: the edges whose ends the edges of x join.
-        On a uniform sum: x, plus each part of which x holds r_j members."""
-        if self._edges is not None:
-            parent, forest = _union(self._edges, x)
-            flat = 0
-            for i, (u, v) in enumerate(self._edges):
-                if _find(parent, u) == _find(parent, v):
-                    flat |= 1 << i
-            return flat, forest.bit_count()
-        if self._parts is not None:
-            flat = rank = 0
-            for mask, r in self._parts:
-                k = (x & mask).bit_count()
-                flat |= mask if k >= r else x & mask
-                rank += min(r, k)
-            return flat, rank
+        and its rank. On a graph: the edges whose ends the edges of x join. A
+        uniform sum takes the oracle path: only the cyclic flats of
+        ``weights`` ask for closures, and its weights come from its parts."""
+        if isinstance(self._presentation, _Graph):
+            return self._presentation.closure(x)
         rx = self.rank(x)
         if rx == self.full_rank:  # a spanning set closes to E, with no more queries
             return self.full_mask, rx
@@ -212,9 +193,29 @@ class Matroid:
     def _is_uniform(self) -> bool:
         """True when every full_rank-set is a basis: at once for a uniform sum
         of at most one part, else by counting the bases, C(n, r) of them."""
-        if self._parts is not None and len(self._parts) <= 1:
+        p = self._presentation
+        if isinstance(p, _UniformSum) and len(p.parts) <= 1:
             return True
         return len(self.bases()) == comb(self.n, self.full_rank)
+
+    def _spanning_counts(self) -> list[int]:
+        """s_0 .. s_n, s_k the number of spanning k-sets: by a forest search
+        of its own, not ``bases()``, on a graph; on a uniform sum as the
+        coefficients of prod_j sum_(t >= r_j) C(k_j, t) x^t, a set spanning
+        when it holds r_j or more of the k_j members of each part; else from
+        the ranks of the sets of r or more elements (no smaller set spans)."""
+        n, r = self.n, self.full_rank
+        if self._presentation is not None:
+            return self._presentation.spanning_counts(r)
+        return [0] * r + [sum(self.rank(s) == r for s in k_subsets(n, k)) for k in range(r, n + 1)]
+
+    def _uniform_profile(self) -> list[tuple[int, int]] | None:
+        """The (r_j, k_j) of each part of a uniform sum, as ``multi_uniform``
+        takes them, for its closed forms; None on any other matroid."""
+        p = self._presentation
+        if isinstance(p, _UniformSum):
+            return [(r, mask.bit_count()) for mask, r in p.parts]
+        return None
 
     def _eliminate(self, budget: int) -> list[int] | None:
         """The circuit family by elimination from the fundamental circuits,
@@ -272,33 +273,22 @@ class Matroid:
         """Restriction to the subset ``sigma``, relabelled to 0..k-1.
 
         ``labels`` on the result maps the new indices back to the old ones.
-        The result reads this matroid's oracle, not its cache. It keeps the
-        members' edges, if any, and maps the parts, if any: the j members of
-        a U(r, k) part form a U(min(r, j), j) part, and a part with no member
-        is dropped.
+        A presented matroid restricts its presentation: the members' edges,
+        or the parts, where the j members of a U(r, k) part form a
+        U(min(r, j), j) part and a part with no member is dropped. Any other
+        restriction reads this matroid's oracle, not its cache.
         """
         check_subset(sigma, self.n)
         members = tuple(bits(sigma))
+        if self._presentation is not None:
+            p = self._presentation.restrict(sigma)
+            return _presented(len(members), p, "restriction_of", members)
         parent_rank = self._rank_fn
 
         def rank_fn(sub: int) -> int:
-            m = 0
-            for i in bits(sub):
-                m |= 1 << members[i]
-            return parent_rank(m)
+            return parent_rank(sum(1 << members[i] for i in bits(sub)))
 
-        sub = Matroid(len(members), rank_fn, "restriction_of", labels=members)
-        if self._edges is not None:
-            sub._edges = tuple(self._edges[i] for i in members)
-        if self._parts is not None:
-            # A part's members in sigma are consecutive there too, starting
-            # after the members of sigma below the part.
-            sub._parts = tuple(
-                (((1 << j) - 1) << (sigma & ((mask & -mask) - 1)).bit_count(), min(r, j))
-                for mask, r in self._parts
-                if (j := (mask & sigma).bit_count())
-            )
-        return sub
+        return Matroid(len(members), rank_fn, "restriction_of", labels=members)
 
     def blocks(self) -> "BlockPartition":
         """Partition of the ground set into connectivity blocks.
@@ -306,10 +296,9 @@ class Matroid:
         Elements e and f share a block exactly when e == f or some circuit
         contains both. With B the greedy basis, each e outside B is joined to
         every b in B for which B - b + e is a basis, and the blocks are the
-        union-find components of these joins (the components of the
-        fundamental graph of B). Blocks are ordered by their smallest element
-        and carry their restricted matroid. The partition is built on the
-        first call and kept.
+        components of these joins (of the fundamental graph of B). Blocks are
+        ordered by their smallest element and carry their restricted matroid.
+        The partition is built on the first call and kept.
         """
         if self._blocks is None:
             self._blocks = BlockPartition(
@@ -318,85 +307,177 @@ class Matroid:
         return self._blocks
 
     def _block_masks(self) -> tuple[int, ...]:
-        parent = list(range(self.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        """The components of the fundamental graph: each fundamental circuit
+        merges the blocks it meets, starting from one block per element."""
+        masks = [1 << e for e in range(self.n)]
         for c in self._fundamental_circuits():
-            root = find((c & -c).bit_length() - 1)
-            for b in bits(c):
-                rb = find(b)
-                if rb != root:
-                    parent[rb] = root
-        groups: dict[int, int] = {}
-        for e in range(self.n):
-            root = find(e)
-            groups[root] = groups.get(root, 0) | (1 << e)
-        return tuple(sorted(groups.values(), key=lambda m: m & -m))
+            masks = [b for b in masks if not b & c] + [sum(b for b in masks if b & c)]
+        return tuple(sorted(masks, key=lambda m: m & -m))
 
     def __repr__(self) -> str:
         return f"Matroid(n={self.n}, rank={self.full_rank}, provenance={self.provenance!r})"
 
 
-def _find(parent: list[int], u: int) -> int:
-    """The root of u, halving its path."""
-    while parent[u] != u:
-        parent[u] = u = parent[parent[u]]
-    return u
+def _presented(n: int, p: "_Graph | _UniformSum", provenance: Provenance, labels=None) -> Matroid:
+    """The matroid that ``p`` presents on n elements, ranked by p's own oracle."""
+    m = Matroid(n, p.rank, provenance, labels)
+    m._presentation = p
+    return m
 
 
-def _union(edges: tuple[tuple[int, int], ...], x: int) -> tuple[list[int], int]:
-    """Union-find over the edges in ``x``, in index order: the parent list,
-    and the edges that joined two trees (the greedy spanning forest of x)."""
-    parent = list(range(max(map(max, edges), default=-1) + 1))
+def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _union(ends: Sequence[tuple[int, int]], parent: list[int], x: int) -> int:
+    """Join the ends of each pair in ``x``, lowest first, in the union-find
+    ``parent``: the pairs that joined two trees (on a graph the greedy
+    spanning forest of x). It is the whole of the graph rank oracle, the
+    innermost call of every sweep over graphs, so path halving is written
+    out inline."""
     forest = 0
-    for i in bits(x):
-        u, v = edges[i]
-        u, v = _find(parent, u), _find(parent, v)
+    while x:
+        low = x & -x
+        x ^= low
+        u, v = ends[low.bit_length() - 1]
+        # Targets bind left to right: parent[u] is set before u moves;
+        # ``u = parent[u] = ...`` would write the wrong slot.
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
         if u != v:
             parent[u] = v
-            forest |= 1 << i
-    return parent, forest
+            forest |= low
+    return forest
 
 
-def _tree_paths(edges: tuple[tuple[int, int], ...], forest: int) -> list[int]:
-    """The fundamental circuit of each edge outside the spanning ``forest``,
-    ascending by edge: the edge and the forest path between its ends, found
-    by climbing from the deeper end of each tree rooted by a depth-first walk."""
-    size = max(map(max, edges), default=-1) + 1
-    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(size)]
-    for i in bits(forest):
-        u, v = edges[i]
-        adjacent[u].append((v, i))
-        adjacent[v].append((u, i))
-    up = [(0, 0)] * size  # (the vertex above, the edge to it)
-    depth = [-1] * size
-    for root in range(size):
-        if depth[root] < 0:
-            depth[root] = 0
-            stack = [root]
-            while stack:
-                u = stack.pop()
-                for v, i in adjacent[u]:
-                    if depth[v] < 0:
-                        depth[v] = depth[u] + 1
-                        up[v] = (u, i)
-                        stack.append(v)
-    out = []
-    for i in bits(((1 << len(edges)) - 1) ^ forest):
-        u, v = edges[i]
-        c = 1 << i
-        while u != v:
-            if depth[u] < depth[v]:
-                u, v = v, u
-            u, e = up[u]
-            c |= 1 << e
-        out.append(c)
-    return out
+class _Graph:
+    """The edges of a graph, as pairs of vertex indices, and the union-find
+    list of its vertices, each its own root, which every query copies. Built
+    from a graph's edges, it numbers only the vertices that lie on an edge,
+    in the order they first appear, so isolated vertices cost nothing; a
+    restriction keeps the numbering and the list."""
+
+    __slots__ = ("ends", "roots")
+
+    def __init__(self, edges: Sequence[tuple[int, int]], roots: list[int] | None = None):
+        if roots is None:
+            index = {v: i for i, v in enumerate(dict.fromkeys(chain.from_iterable(edges)))}
+            edges, roots = [(index[u], index[v]) for u, v in edges], list(range(len(index)))
+        self.ends, self.roots = tuple(edges), roots
+
+    def rank(self, x: int) -> int:
+        return _union(self.ends, self.roots[:], x).bit_count()
+
+    def greedy_basis(self) -> int:
+        return _union(self.ends, self.roots[:], (1 << len(self.ends)) - 1)
+
+    def bases(self, r: int) -> tuple[int, ...]:
+        return tuple(sorted(b for b, _ in _forest_search(self.ends, r)))
+
+    def fundamental_circuits(self, forest: int) -> list[int]:
+        """The fundamental circuit of each edge outside the spanning
+        ``forest``, ascending by edge: the edge and the forest path between
+        its ends, found by climbing from the deeper end of each tree rooted by
+        a depth-first walk."""
+        edges, size = self.ends, len(self.roots)
+        adjacent: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+        for i in bits(forest):
+            u, v = edges[i]
+            adjacent[u].append((v, i))
+            adjacent[v].append((u, i))
+        up = [(0, 0)] * size  # (the vertex above, the edge to it)
+        depth = [-1] * size
+        for root in range(size):
+            if depth[root] < 0:
+                depth[root] = 0
+                stack = [root]
+                while stack:
+                    u = stack.pop()
+                    for v, i in adjacent[u]:
+                        if depth[v] < 0:
+                            depth[v] = depth[u] + 1
+                            up[v] = (u, i)
+                            stack.append(v)
+        out = []
+        for i in bits(((1 << len(edges)) - 1) ^ forest):
+            u, v = edges[i]
+            c = 1 << i
+            while u != v:
+                if depth[u] < depth[v]:
+                    u, v = v, u
+                u, e = up[u]
+                c |= 1 << e
+            out.append(c)
+        return out
+
+    def closure(self, x: int) -> tuple[int, int]:
+        """x and every other edge that joins no two trees of x's forest."""
+        parent = self.roots[:]
+        rank = _union(self.ends, parent, x).bit_count()
+        for i in bits(((1 << len(self.ends)) - 1) ^ x):
+            if not _union(self.ends, parent[:], 1 << i):
+                x |= 1 << i
+        return x, rank
+
+    def restrict(self, sigma: int) -> "_Graph":
+        return _Graph([self.ends[i] for i in bits(sigma)], self.roots)
+
+    def spanning_counts(self, r: int) -> list[int]:
+        free = Counter(a for _, a in _forest_search(self.ends, r))
+        return [0] * r + [
+            sum(c * comb(a, t) for a, c in free.items()) for t in range(len(self.ends) - r + 1)
+        ]
+
+
+class _UniformSum:
+    """A direct sum of uniform matroids: the (member mask, rank) pair of each
+    part of at least one element, each mask a run of consecutive elements,
+    in ascending order."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: Iterable[tuple[int, int]]):
+        self.parts = tuple(parts)
+
+    def rank(self, x: int) -> int:
+        return sum(min(r, (x & mask).bit_count()) for mask, r in self.parts)
+
+    def greedy_basis(self) -> int:
+        return sum((mask & -mask) * ((1 << r) - 1) for mask, r in self.parts)
+
+    def bases(self, r: int) -> tuple[int, ...]:
+        # Each part lies above the ones before it, so taking its sets in the
+        # outer loop keeps the list ascending.
+        found = [0]
+        for mask, k in self.parts:
+            low = mask & -mask
+            found = [s * low | b for s in k_subsets(mask.bit_count(), k) for b in found]
+        return tuple(found)
+
+    def fundamental_circuits(self, basis: int) -> list[int]:
+        return [(1 << e) | (basis & mask) for mask, _ in self.parts for e in bits(mask & ~basis)]
+
+    def restrict(self, sigma: int) -> "_UniformSum":
+        # A part's members in sigma are consecutive there too, starting after
+        # the members of sigma below the part.
+        return _UniformSum(
+            (((1 << j) - 1) << (sigma & ((mask & -mask) - 1)).bit_count(), min(r, j))
+            for mask, r in self.parts
+            if (j := (mask & sigma).bit_count())
+        )
+
+    def spanning_counts(self, r: int) -> list[int]:
+        sizes = ((mask.bit_count(), rj) for mask, rj in self.parts)
+        factors = ([comb(k, t) if t >= rj else 0 for t in range(k + 1)] for k, rj in sizes)
+        return reduce(_poly_mul, factors, [1])
+
 
 
 def _forest_search(edges: tuple[tuple[int, int], ...], r: int) -> list[tuple[int, int]]:
@@ -420,10 +501,8 @@ def _forest_search(edges: tuple[tuple[int, int], ...], r: int) -> list[tuple[int
     later: list[tuple[tuple[int, int], ...]] = [()] * (len(edges) + 1)
     root = list(range(size))
     for i in range(len(edges) - 1, -1, -1):
-        u, v = _find(root, edges[i][0]), _find(root, edges[i][1])
         later[i] = later[i + 1]
-        if u != v:
-            root[u] = v
+        if _union(edges, root, 1 << i):
             later[i] = (edges[i], *later[i])
     found: list[tuple[int, int]] = []
     # (i, taken, a so far, union-find parents) of each branch that skips edge i - 1
@@ -529,25 +608,20 @@ class BlockPartition:
 
 
 def uniform(r: int, n: int) -> Matroid:
-    """The uniform matroid U(r, n): every subset of size <= r is independent.
-
-    It keeps itself as one part in the ``_parts`` slot (none when n = 0),
-    set after construction as ``graphs.cycle_matroid`` sets ``_edges``:
-    ``perfbench/tracing.py`` wraps the constructor's signature."""
+    """The uniform matroid U(r, n): every subset of size <= r is independent,
+    presented as one part (none when n = 0)."""
     check_ground(n)
     if not isinstance(r, int) or isinstance(r, bool) or not 0 <= r <= n:
         raise ValueError(f"uniform matroid needs 0 <= r <= n, got r={r!r}, n={n}")
-    m = Matroid(n, lambda s: min(r, s.bit_count()), "uniform")
-    m._parts = (((1 << n) - 1, r),) if n else ()
-    return m
+    return _presented(n, _UniformSum([((1 << n) - 1, r)] if n else []), "uniform")
 
 
 def multi_uniform(profile: Iterable[tuple[int, int]]) -> Matroid:
     """Direct sum of uniform matroids U(r_1, n_1) + ... + U(r_t, n_t).
 
     The ground set is the concatenation of the component ground sets in the
-    given order. The components of at least one element go in the ``_parts``
-    slot, as in ``uniform``.
+    given order. The components of at least one element are its parts, as in
+    ``uniform``.
     """
     pairs = [tuple(p) for p in profile]
     if not pairs:
@@ -561,17 +635,11 @@ def multi_uniform(profile: Iterable[tuple[int, int]]) -> Matroid:
         check_ground(n)
         if not isinstance(r, int) or isinstance(r, bool) or not 0 <= r <= n:
             raise ValueError(f"uniform block needs 0 <= r <= n, got r={r!r}, n={n}")
-        parts.append((((1 << n) - 1) << offset, r))
+        if n:
+            parts.append((((1 << n) - 1) << offset, r))
         offset += n
     check_ground(offset)
-    total = offset
-
-    def rank_fn(sigma: int) -> int:
-        return sum(min(r, (sigma & m).bit_count()) for m, r in parts)
-
-    m = Matroid(total, rank_fn, "multi_uniform")
-    m._parts = tuple((mask, r) for mask, r in parts if mask)
-    return m
+    return _presented(offset, _UniformSum(parts), "multi_uniform")
 
 
 def from_bases(n: int, bases: Iterable[Iterable[int]]) -> Matroid:

@@ -119,7 +119,13 @@ def weight_hierarchy(m: Matroid) -> WeightHierarchy:
     whose closure Z has the same rank and no smaller nullity, so
     |sigma| >= r(Z) + i. Conversely a basis of Z plus i more elements of Z
     has rank r(Z) and nullity i.
+
+    A uniform sum answers without its circuits: d_i of U(r, k) is r + i, and
+    ``block_weights`` combines the parts (``Matroid._uniform_profile``).
     """
+    profile = m._uniform_profile()
+    if profile is not None:
+        return block_weights(range(rj + 1, k + 1) for rj, k in profile)
     n, r = m.n, m.full_rank
     corank = n - r
     if corank == 0:

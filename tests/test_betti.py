@@ -53,8 +53,10 @@ from util import (
     assert_diagonal_fine,
     chorded_ring,
     counting,
+    edges_of,
     graph_matroid,
     multiblock_suite,
+    parts_of,
     random_graph,
     random_multigraph,
     structure_cases,
@@ -772,8 +774,8 @@ def _oracle_scan(m: Matroid) -> tuple[tuple[int, ...], list[int]]:
     """Bases and spanning counts of ``m`` from its rank oracle alone, through
     a copy that carries no edges."""
     copy, _ = counting(m)
-    assert copy._edges is None
-    return copy.bases(), BETTI_MODULE._spanning_counts(copy)
+    assert edges_of(copy) is None
+    return copy.bases(), copy._spanning_counts()
 
 
 def test_forest_search_matches_the_oracle_scan():
@@ -796,12 +798,12 @@ def test_forest_search_matches_the_oracle_scan():
             empty=not g.edges,
         )
         for sub in (m, *(b.matroid for b in m.blocks().blocks)):
-            assert sub._edges is not None
-            assert (sub.bases(), BETTI_MODULE._spanning_counts(sub)) == _oracle_scan(sub), g
+            assert edges_of(sub) is not None
+            assert (sub.bases(), sub._spanning_counts()) == _oracle_scan(sub), g
     assert min(shapes[k] for k in ("loops", "parallel", "isolated", "disconnected", "empty")) >= 5
     ring = graph_matroid(12, CHORDED_RING_17)
     assert len(ring.bases()) == 3343
-    assert (ring.bases(), BETTI_MODULE._spanning_counts(ring)) == _oracle_scan(ring)
+    assert (ring.bases(), ring._spanning_counts()) == _oracle_scan(ring)
 
 
 def _uniform_sums() -> list[Matroid]:
@@ -809,14 +811,14 @@ def _uniform_sums() -> list[Matroid]:
     (empty parts, loops and coloops among them) and restrictions of those."""
     cases = [
         m for family in ("uniform", "multiblock", "free_and_rank0")
-        for m in structure_cases(family) if m._parts is not None
+        for m in structure_cases(family) if parts_of(m) is not None
     ]
     rng = random.Random(SEED + 18)
     for _ in range(60):
         sizes = [rng.randint(0, 4) for _ in range(rng.randint(1, 4))]
         cases.append(multi_uniform([(rng.randint(0, k), k) for k in sizes]))
     cases += [m.restrict(rng.getrandbits(m.n)) for m in cases[-30:]]
-    assert sum(len(m._parts) > 1 for m in cases) >= 30
+    assert sum(len(parts_of(m)) > 1 for m in cases) >= 30
     return cases
 
 
@@ -824,16 +826,16 @@ def test_uniform_sum_spanning_counts_match_the_oracle_scan():
     # The product of one factor per part, against C(n, k) rank evaluations
     # per level on a copy without parts.
     for m in _uniform_sums():
-        assert m._parts is not None
-        assert (m.bases(), BETTI_MODULE._spanning_counts(m)) == _oracle_scan(m), m._parts
+        assert parts_of(m) is not None
+        assert (m.bases(), m._spanning_counts()) == _oracle_scan(m), parts_of(m)
 
 
 def test_only_graphs_and_their_restrictions_carry_edges():
     g = cycle_matroid(fixture("g3"))
-    assert g.restrict(0b100000101)._edges == (g._edges[0], g._edges[2], g._edges[8])
+    assert edges_of(g.restrict(0b100000101)) == tuple(edges_of(g)[i] for i in (0, 2, 8))
     for m in (g.dual(), direct_sum(g, g), counting(g)[0], uniform(2, 3),
               from_bases(3, [[0, 1], [0, 2]]), g.dual().restrict(0b111)):
-        assert m._edges is None
+        assert edges_of(m) is None
 
 
 def test_graph_betti_and_hilbert_check_skip_the_subset_scans(monkeypatch):
@@ -889,7 +891,7 @@ def test_dual_minimum_distance_of_uniform_sums(monkeypatch):
     monkeypatch.setattr(BETTI_MODULE, "k_subsets", listing)
     for m in _uniform_sums():
         if m.full_rank and m.n <= 10:
-            assert dual_min_distance(m) == brute_circuits(m.dual())[0].bit_count(), m._parts
+            assert dual_min_distance(m) == brute_circuits(m.dual())[0].bit_count(), parts_of(m)
     start = time.perf_counter()
     assert dual_min_distance(uniform(10, 40)) == 31
     assert dual_min_distance(multi_uniform([(0, 5), (10, 40), (3, 4)])) == 2

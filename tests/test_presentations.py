@@ -1,14 +1,19 @@
 """Structural queries answered from a presentation (graph edges, the parts
 of a uniform sum, a basis list) against the same queries through the rank
-oracle of a counting copy, which carries no presentation; and the work the
-presentations save, counted on the oracle each real matroid is built with."""
+oracle of a counting copy, which carries no presentation; ranks of presented
+restrictions against their parents; and the work the presentations save,
+counted on the oracle each real matroid and each of its presented
+restrictions is built with."""
 
 import json
 import random
+import time
 from math import comb
 
 from matroidbetti import (
     Graph,
+    Matroid,
+    bits,
     cycle_matroid,
     direct_sum,
     fixture,
@@ -20,27 +25,44 @@ from matroidbetti import (
 from matroidbetti import cli
 from matroidbetti.cli import main
 
-from util import SEED, counting, random_graph
+from util import SEED, counting, edges_of, parts_of, random_graph
 
 
 class OracleBudget(Exception):
     pass
 
 
-def metered(m, limit=None):
-    """Wrap the oracle ``m`` was built with, so every evaluation (by ``m`` or
-    by a restriction of ``m``, which reads that oracle) is appended to the
-    returned list; past ``limit`` evaluations the oracle raises."""
+def metered(monkeypatch, m, limit=None):
+    """Wrap the oracle ``m`` was built with, and that of each presented
+    restriction of ``m`` or of such a restriction (which ranks by its own
+    presentation, not through ``m``), so every evaluation is appended to the
+    returned list; past ``limit`` evaluations the oracle raises. Any other
+    restriction reads its matroid's wrapped oracle and is counted there."""
     calls = []
-    oracle = m._rank_fn
+    family = [m]
 
-    def counted(sigma):
-        calls.append(sigma)
-        if limit is not None and len(calls) > limit:
-            raise OracleBudget(f"more than {limit} rank evaluations")
-        return oracle(sigma)
+    def meter(x):
+        oracle = x._rank_fn
 
-    m._rank_fn = counted
+        def counted(sigma):
+            calls.append(sigma)
+            if limit is not None and len(calls) > limit:
+                raise OracleBudget(f"more than {limit} rank evaluations")
+            return oracle(sigma)
+
+        x._rank_fn = counted
+
+    restrict = Matroid.restrict
+
+    def restricting(self, sigma):
+        sub = restrict(self, sigma)
+        if any(self is x for x in family) and sub._presentation is not None:
+            family.append(sub)
+            meter(sub)
+        return sub
+
+    monkeypatch.setattr(Matroid, "restrict", restricting)
+    meter(m)
     return calls
 
 
@@ -54,8 +76,8 @@ def probes(m, rng, count=24):
 
 def assert_matches_oracle(m, rng):
     plain, _ = counting(m)
-    assert plain._edges is None and plain._parts is None
-    where = (m.provenance, m.n, m._edges, m._parts)
+    assert edges_of(plain) is None and parts_of(plain) is None
+    where = (m.provenance, m.n, edges_of(m), parts_of(m))
     assert m.greedy_basis() == plain.greedy_basis(), where
     assert m._fundamental_circuits() == plain._fundamental_circuits(), where
     assert m.bases() == plain.bases(), where
@@ -92,7 +114,7 @@ def test_graphs_and_their_blocks_match_the_oracle():
         m = cycle_matroid(g)
         assert_matches_oracle(m, rng)
         for block in m.blocks().blocks:
-            assert block.matroid._edges is not None
+            assert edges_of(block.matroid) is not None
             assert_matches_oracle(block.matroid, rng)
             restrictions += 1
     assert restrictions >= 300
@@ -103,13 +125,14 @@ def test_uniform_matroids_match_the_oracle():
     for n in range(9):
         for r in range(n + 1):
             m = uniform(r, n)
-            assert m._parts == ((((1 << n) - 1, r),) if n else ())
+            assert parts_of(m) == ((((1 << n) - 1, r),) if n else ())
             assert_matches_oracle(m, rng)
             assert len(m.bases()) == comb(n, r)
 
 
-def test_uniform_sums_and_their_restrictions_match_the_oracle():
-    rng = random.Random(SEED + 20)
+def uniform_sums(rng):
+    """Five hand-picked and 40 seeded multi-uniform sums of up to four parts,
+    with rank-0, free and empty parts among them."""
     profiles = [
         [(0, 3), (2, 2)],
         [(0, 0), (1, 2), (0, 0)],
@@ -120,37 +143,90 @@ def test_uniform_sums_and_their_restrictions_match_the_oracle():
     for _ in range(40):
         sizes = rng.choices(range(0, 5), k=rng.randint(1, 4))
         profiles.append([(rng.randint(0, k), k) for k in sizes])
-    for profile in profiles:
-        m = multi_uniform(profile)
-        assert all(mask for mask, _ in m._parts)
+    return [multi_uniform(profile) for profile in profiles]
+
+
+def test_uniform_sums_and_their_restrictions_match_the_oracle():
+    rng = random.Random(SEED + 20)
+    for m in uniform_sums(rng):
+        assert all(mask for mask, _ in parts_of(m))
         assert_matches_oracle(m, rng)
         cuts = {m.full_mask, 0} | {rng.randrange(1 << m.n) for _ in range(6)}
         cuts |= set(m.blocks().masks())
         for sigma in cuts:
             sub = m.restrict(sigma)
             assert_matches_oracle(sub, rng)
-            for mask, r in sub._parts:
+            for mask, r in parts_of(sub):
                 assert (mask + (mask & -mask)) & mask == 0  # a run of elements
                 assert sub.rank(mask) == r
+
+
+def assert_restrictions_rank_as_their_parent(m, rng):
+    """For seeded sigma (and each block), ``m.restrict(sigma)`` ranks each
+    probe set as ``m`` ranks its image, and so does a restriction of that
+    restriction against it; the presented ones rank by their own
+    presentation."""
+    cuts = [m.full_mask, 0, *m.blocks().masks()] + [rng.randrange(1 << m.n) for _ in range(3)]
+    for sigma in cuts:
+        sub = m.restrict(sigma)
+        assert sub.labels == tuple(bits(sigma))
+        for parent, child in ((m, sub), (sub, sub.restrict(rng.randrange(1 << sub.n)))):
+            assert (edges_of(child) is None) == (edges_of(parent) is None)
+            assert (parts_of(child) is None) == (parts_of(parent) is None)
+            for s in probes(child, rng):
+                image = sum(1 << child.labels[i] for i in bits(s))
+                assert child.rank(s) == parent.rank(image), (parent, sigma, s)
+
+
+def test_restrictions_rank_as_their_parent_on_the_image():
+    rng = random.Random(SEED + 22)
+    for g in graph_cases():
+        assert_restrictions_rank_as_their_parent(cycle_matroid(g), rng)
+    for n in range(9):
+        for r in range(n + 1):
+            assert_restrictions_rank_as_their_parent(uniform(r, n), rng)
+    for m in uniform_sums(rng):
+        assert_restrictions_rank_as_their_parent(m, rng)
+
+
+def test_presented_restrictions_never_ask_their_parent():
+    # A presented restriction ranks by its own presentation: no evaluation
+    # reaches the oracle of the matroid it was cut from, for its blocks, its
+    # kinds, its bases or any probe set.
+    rng = random.Random(SEED + 23)
+    cases = [cycle_matroid(g) for g in graph_cases()[::4]] + uniform_sums(rng)
+    cases += [cycle_matroid(fixture("g1")), uniform(10, 40)]
+    for m in cases:
+        asked = []
+        oracle = m._rank_fn
+        m._rank_fn = lambda sigma, oracle=oracle: asked.append(sigma) or oracle(sigma)
+        sigma = rng.randrange(1 << m.n)
+        for sub in (m.restrict(sigma), *(b.matroid for b in m.blocks().blocks)):
+            for s in probes(sub, rng):
+                sub.rank(s)
+            sub.blocks()
+            if sub.n <= 14:
+                sub.bases()
+        assert asked == [], (m, sigma)
 
 
 def test_restricted_parts_shrink_to_their_members():
     m = multi_uniform([(2, 3), (0, 2), (3, 4)])
     sub = m.restrict(0b110110110)
     assert sub.labels == (1, 2, 4, 5, 7, 8)
-    assert sub._parts == ((0b11, 2), (0b100, 0), (0b111000, 3))
-    assert uniform(3, 5).restrict(0b10100)._parts == ((0b11, 2),)
-    assert uniform(3, 5).restrict(0)._parts == ()
+    assert parts_of(sub) == ((0b11, 2), (0b100, 0), (0b111000, 3))
+    assert parts_of(uniform(3, 5).restrict(0b10100)) == ((0b11, 2),)
+    assert parts_of(uniform(3, 5).restrict(0)) == ()
 
 
 def test_only_uniform_sums_and_their_restrictions_carry_parts():
     u = multi_uniform([(1, 2), (2, 3)])
     for m in (uniform(2, 3), uniform(0, 0), u, u.restrict(0b11010), uniform(2, 4).restrict(0b111)):
-        assert m._parts is not None
+        assert parts_of(m) is not None
     g = cycle_matroid(fixture("g3"))
     for m in (g, g.restrict(0b111), u.dual(), direct_sum(u, u), counting(u)[0],
               from_bases(3, [[0, 1], [0, 2]]), u.dual().restrict(0b111)):
-        assert m._parts is None
+        assert parts_of(m) is None
 
 
 def test_uniform_test_reads_the_parts():
@@ -170,12 +246,12 @@ def test_uniform_test_reads_the_parts():
     assert not cycle_matroid(fixture("g3"))._is_uniform()
 
 
-def test_from_bases_keeps_its_bases():
+def test_from_bases_keeps_its_bases(monkeypatch):
     # Listing them back by the oracle scanned every 11-set: 705,433 rank
     # evaluations for these two bases on 22 elements.
     first = list(range(11))
     m = from_bases(22, [first, first[:-1] + [11]])
-    calls = metered(m)
+    calls = metered(monkeypatch, m)
     assert m.bases() == (0b11111111111, 0b101111111111)
     assert calls == []
     # An element-by-element copy lists the same tuple.
@@ -188,26 +264,44 @@ def test_from_bases_keeps_its_bases():
         assert_matches_oracle(copy, rng)
 
 
-def test_blocks_of_g1_take_at_most_five_evaluations():
+def test_blocks_of_g1_take_at_most_five_evaluations(monkeypatch):
     # Through the oracle, the fundamental graph takes 61 evaluations for the
     # blocks and their kinds: a greedy basis, then B - b + e for the 5 x 9
     # pairs. The forest gives the circuits instead, and what is left is the
     # block's rank for its kind.
     m = cycle_matroid(fixture("g1"))
-    calls = metered(m)
+    calls = metered(monkeypatch, m)
     assert m.blocks().masks() == (m.full_mask,)
     assert [b.kind for b in m.blocks().blocks] == ["general"]
     assert len(calls) <= 5
 
 
-def test_weights_of_g1_take_at_most_150_evaluations():
+def test_weights_of_g1_take_at_most_150_evaluations(monkeypatch):
     # 562 when the greedy basis, the fundamental circuits and every closure
     # of the 30 cyclic flats go through the oracle; what is left is shrinking
     # the eliminated circuit unions.
     m = cycle_matroid(fixture("g1"))
-    calls = metered(m)
+    calls = metered(monkeypatch, m)
     assert weight_hierarchy(m).weights == (3, 6, 8, 11, 14)
     assert len(calls) <= 150
+
+
+def test_weights_on_u10_40_answer_from_the_parts(monkeypatch, capsys):
+    # Closing circuits toward the C(40, 11) circuits of U(10, 40) was still
+    # running after 8 s; the parts give d_i = 10 + i with no circuit. The
+    # oracle gives up after 100 evaluations, as for betti below.
+    def bounded_uniform(r, n):
+        m = uniform(r, n)
+        metered(monkeypatch, m, limit=100)
+        return m
+
+    monkeypatch.setattr(cli, "uniform", bounded_uniform)
+    start = time.perf_counter()
+    code = main(["weights", "--input", '{"uniform": [10, 40]}', "--output", "json"])
+    assert time.perf_counter() - start < 1.0
+    data = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert data["d"] == list(range(11, 41))
 
 
 def test_betti_on_u10_40_answers_from_the_parts(monkeypatch, capsys):
@@ -218,7 +312,7 @@ def test_betti_on_u10_40_answers_from_the_parts(monkeypatch, capsys):
     # its blocks; a cap past 342 would let it reach that list.
     def bounded_uniform(r, n):
         m = uniform(r, n)
-        metered(m, limit=100)
+        metered(monkeypatch, m, limit=100)
         return m
 
     monkeypatch.setattr(cli, "uniform", bounded_uniform)

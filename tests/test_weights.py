@@ -29,6 +29,7 @@ from util import (
     counting,
     graph_matroid,
     multiblock_suite,
+    parts_of,
     structure_cases,
     two_triangles,
 )
@@ -148,6 +149,26 @@ def test_sweep_matches_circuit_search():
 def test_weights_match_subset_sweep(family):
     for m in structure_cases(family):
         assert weight_hierarchy(m) == sweep_weights(m), (m.provenance, m.n, m.full_rank)
+
+
+def test_uniform_sums_answer_from_their_parts(monkeypatch):
+    # Every uniform sum of at most 10 elements in the seeded suites, 40
+    # seeded sums of two to four parts, and a restriction of each: d_i = r + i
+    # on each part, combined by the min-plus rule, with no circuit listed,
+    # equals the subset sweep.
+    rng = random.Random(SEED + 5)
+    cases = [
+        m for family in STRUCTURE_FAMILIES for m in structure_cases(family)
+        if parts_of(m) is not None and m.n <= 10
+    ]
+    for _ in range(40):
+        sizes = [rng.randint(0, 3) for _ in range(rng.randint(2, 4))]
+        cases.append(multi_uniform([(rng.randint(0, k), k) for k in sizes]))
+    cases += [m.restrict(rng.getrandbits(m.n)) for m in cases]
+    assert len(cases) >= 150 and sum(len(parts_of(m)) > 1 for m in cases) >= 40
+    monkeypatch.setattr(Matroid, "circuits", lambda m: pytest.fail("listed circuits"))
+    for m in cases:
+        assert weight_hierarchy(m) == sweep_weights(m), parts_of(m)
 
 
 def test_inconsistent_oracle_is_rejected():

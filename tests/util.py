@@ -18,6 +18,7 @@ from matroidbetti import (
     multi_uniform,
     uniform,
 )
+from matroidbetti.matroid import _Graph, _UniformSum
 
 from oracles import dense_modp_rank
 
@@ -122,6 +123,19 @@ def counting(m: Matroid) -> tuple[Matroid, set[int]]:
         return m.rank(sigma)
 
     return Matroid(m.n, oracle), evaluated
+
+
+def edges_of(m: Matroid) -> tuple[tuple[int, int], ...] | None:
+    """The edges of the graph ``m`` is presented by, or None."""
+    p = m._presentation
+    return p.ends if isinstance(p, _Graph) else None
+
+
+def parts_of(m: Matroid) -> tuple[tuple[int, int], ...] | None:
+    """The (member mask, rank) parts of the uniform sum ``m`` is presented
+    by, or None."""
+    p = m._presentation
+    return p.parts if isinstance(p, _UniformSum) else None
 
 
 def _component_pool() -> list[tuple[int, object]]:
