@@ -591,7 +591,8 @@ def hilbert_check(table: BettiTable, m: Matroid) -> bool:
     of ``m``. Equation i of that map is the coefficient of s^(r+i) in the
     Hilbert-series identity 1 - sum_i (-1)^i beta_i s^(r+i) =
     sum_k f_k s^k (1-s)^(n-k), f_k the number of non-spanning k-sets. The
-    counts never read the bases the sweep used."""
+    counts never read the bases the sweep used: on a graph a frontier search
+    counts the spanning sets of each size and lists no basis at all."""
     n, r = m.n, m.full_rank
     expected = _global_from_spanning(n, r, m._spanning_counts())
     return (table.rank_r, table.n, table.global_) == (r, n, expected)

@@ -8,7 +8,8 @@ fundamental circuits, closures of a graph, the basis list and the spanning
 counts) from it without the oracle:
 
 * ``_Graph``: the edges of a graph (``graphs.cycle_matroid``), as pairs of
-  vertex indices; bases by ``_forest_search``, the rest by ``_union``;
+  vertex indices; bases and spanning counts by the frontier search
+  ``_frontier``, the rest by ``_union``;
 * ``_UniformSum``: the (member mask, rank) pairs of a uniform sum
   (``uniform``, ``multi_uniform``), each mask a run of consecutive elements,
   in ascending order; its profile gives closed forms for the weights and the
@@ -37,12 +38,12 @@ cactus recognition and its closed forms read.
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .bitset import bits, check_ground, check_subset, k_subsets, mask_of
 from .errors import ValidationError
@@ -116,15 +117,16 @@ class Matroid:
         return basis
 
     def bases(self) -> tuple[int, ...]:
-        """All maximal independent sets, ascending by bit-vector value: by
-        ``_forest_search`` on a graph, as the product of each part's r_j-sets
-        on a uniform sum, else from C(n, r) ranks (``from_bases`` keeps its
+        """All maximal independent sets, ascending by bit-vector value: on a
+        graph the spanning forests that a frontier search over its edges
+        lists (``_frontier``), as the product of each part's r_j-sets on a
+        uniform sum, else from C(n, r) ranks (``from_bases`` keeps its
         list)."""
         if self._bases is None:
-            r = self.full_rank
             if self._presentation is not None:
-                self._bases = self._presentation.bases(r)
+                self._bases = self._presentation.bases()
             else:
+                r = self.full_rank
                 self._bases = tuple(s for s in k_subsets(self.n, r) if self.rank(s) == r)
         return self._bases
 
@@ -192,21 +194,31 @@ class Matroid:
 
     def _is_uniform(self) -> bool:
         """True when every full_rank-set is a basis: at once for a uniform sum
-        of at most one part, else by counting the bases, C(n, r) of them."""
+        of at most one part; by at most n rank calls when r <= 1 or
+        n - r <= 1, as then the r-sets are the singletons (no element is a
+        loop) or their complements (none is a coloop), or the one empty or
+        full set; on any other graph never, since U(2, 4) is not graphic;
+        else by counting the bases, C(n, r) of them."""
         p = self._presentation
         if isinstance(p, _UniformSum) and len(p.parts) <= 1:
             return True
-        return len(self.bases()) == comb(self.n, self.full_rank)
+        n, r = self.n, self.full_rank
+        if min(r, n - r) <= 1:
+            return all(self.rank(s) == r for s in k_subsets(n, r))
+        if isinstance(p, _Graph):
+            return False
+        return len(self.bases()) == comb(n, r)
 
     def _spanning_counts(self) -> list[int]:
-        """s_0 .. s_n, s_k the number of spanning k-sets: by a forest search
-        of its own, not ``bases()``, on a graph; on a uniform sum as the
+        """s_0 .. s_n, s_k the number of spanning k-sets: on a graph by a
+        frontier search of its own that counts the spanning sets of each size
+        and lists no basis (``_frontier``); on a uniform sum as the
         coefficients of prod_j sum_(t >= r_j) C(k_j, t) x^t, a set spanning
         when it holds r_j or more of the k_j members of each part; else from
         the ranks of the sets of r or more elements (no smaller set spans)."""
-        n, r = self.n, self.full_rank
         if self._presentation is not None:
-            return self._presentation.spanning_counts(r)
+            return self._presentation.spanning_counts()
+        n, r = self.n, self.full_rank
         return [0] * r + [sum(self.rank(s) == r for s in k_subsets(n, k)) for k in range(r, n + 1)]
 
     def _uniform_profile(self) -> list[tuple[int, int]] | None:
@@ -378,8 +390,8 @@ class _Graph:
     def greedy_basis(self) -> int:
         return _union(self.ends, self.roots[:], (1 << len(self.ends)) - 1)
 
-    def bases(self, r: int) -> tuple[int, ...]:
-        return tuple(sorted(b for b, _ in _forest_search(self.ends, r)))
+    def bases(self) -> tuple[int, ...]:
+        return tuple(sorted(self._final(False)))
 
     def fundamental_circuits(self, forest: int) -> list[int]:
         """The fundamental circuit of each edge outside the spanning
@@ -429,11 +441,15 @@ class _Graph:
     def restrict(self, sigma: int) -> "_Graph":
         return _Graph([self.ends[i] for i in bits(sigma)], self.roots)
 
-    def spanning_counts(self, r: int) -> list[int]:
-        free = Counter(a for _, a in _forest_search(self.ends, r))
-        return [0] * r + [
-            sum(c * comb(a, t) for a, c in free.items()) for t in range(len(self.ends) - r + 1)
-        ]
+    def spanning_counts(self) -> list[int]:
+        packed, width = self._final(True), len(self.ends) + 1
+        return [(packed >> k * width) & ((1 << width) - 1) for k in range(width)]
+
+    def _final(self, counting: bool):
+        """The value of the final state of the frontier search."""
+        for states in _frontier(self.ends, len(self.roots), counting):
+            pass
+        return states[""]
 
 
 class _UniformSum:
@@ -452,7 +468,7 @@ class _UniformSum:
     def greedy_basis(self) -> int:
         return sum((mask & -mask) * ((1 << r) - 1) for mask, r in self.parts)
 
-    def bases(self, r: int) -> tuple[int, ...]:
+    def bases(self) -> tuple[int, ...]:
         # Each part lies above the ones before it, so taking its sets in the
         # outer loop keeps the list ascending.
         found = [0]
@@ -473,79 +489,100 @@ class _UniformSum:
             if (j := (mask & sigma).bit_count())
         )
 
-    def spanning_counts(self, r: int) -> list[int]:
+    def spanning_counts(self) -> list[int]:
         sizes = ((mask.bit_count(), rj) for mask, rj in self.parts)
         factors = ([comb(k, t) if t >= rj else 0 for t in range(k + 1)] for k, rj in sizes)
         return reduce(_poly_mul, factors, [1])
 
 
+def _frontier(
+    ends: Sequence[tuple[int, int]], size: int, counting: bool
+) -> Iterator[dict[str, Any]]:
+    """Frontier search over the edge sets that span a graph on vertices
+    0..size-1 (Sekine, Imai and Tani, ISAAC 1995): yields its states before
+    the first edge and after each edge. The last yield holds one state, the
+    empty frontier keyed "", whose value is the answer: the spanning forests
+    (the bases) as masks in no set order, or when ``counting`` the number of
+    spanning k-sets packed into one int at bit k * (n + 1), n = len(ends).
 
-def _forest_search(edges: tuple[tuple[int, int], ...], r: int) -> list[tuple[int, int]]:
-    """The bases B of the rank-r cycle matroid of ``edges``, in no set order,
-    each with the number a of edges that may join B in a spanning set whose
-    greedy basis in index order is B (the edges after max B, and those before
-    it that close a cycle with B's earlier edges), so s_(r + t) = sum C(a, t).
-
-    The walk skips an edge inside a tree of the forest taken so far. It takes
-    one joining two trees, and skips it too when the forest and the later
-    edges still join its ends (Read and Tarjan, Networks 5, 1975), pushing
-    that branch with a copy of the forest's union-find on an explicit stack.
-    The later edges join what a spanning forest of them joins, so the test
-    scans that forest, found once for each suffix of the edges; it is not
-    made when the later edges alone join the ends, nor when the forest
-    taken and that forest hold fewer than r edges together.
+    The edges go one component after another in breadth-first order: sorted
+    by their later end, then their earlier one, in a breadth-first numbering
+    of the vertices. A vertex is live from its first edge to its last. A
+    state is a partition of the live vertices into the classes the taken
+    edges join, with the edge sets that reach it (an edge inside a class
+    closes a cycle, which only ``counting`` takes). A state whose class
+    loses its last live vertex while others still live can no longer span
+    and is dropped. Its key holds one character per live vertex, in the
+    order they retire: the label of its class, that of the member retiring
+    last. So retiring vertices head the key, a class lives on exactly when
+    its label is that of a vertex that stays, a join is one ``str.replace``
+    and no label changes as vertices retire. The steps are planned once.
     """
-    size = max(map(max, edges), default=-1) + 1
-    # later[i]: a spanning forest of edges[i:], by union-find from the last
-    # edge; it is later[i + 1] when edges[i + 1:] alone join the ends of edge i
-    later: list[tuple[tuple[int, int], ...]] = [()] * (len(edges) + 1)
-    root = list(range(size))
-    for i in range(len(edges) - 1, -1, -1):
-        later[i] = later[i + 1]
-        if _union(edges, root, 1 << i):
-            later[i] = (edges[i], *later[i])
-    found: list[tuple[int, int]] = []
-    # (i, taken, a so far, union-find parents) of each branch that skips edge i - 1
-    stack = [(0, 0, 0, list(range(size)))]
-    while stack:
-        i, taken, a, parent = stack.pop()
-        k = taken.bit_count()
-        while k < r:
-            u, v = edges[i]
-            while parent[u] != u:
-                u = parent[u]
-            while parent[v] != v:
-                v = parent[v]
-            if u == v:
-                a += 1
+    n = len(ends)
+    adjacent: list[list[int]] = [[] for _ in range(size)]
+    for u, v in ends:
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    place = [-1] * size  # breadth-first number
+    seen = 0
+    for root in range(size):
+        if place[root] < 0:
+            place[root], seen, queue = seen, seen + 1, [root]
+            for u in queue:  # the loop reaches the vertices appended in it
+                for w in adjacent[u]:
+                    if place[w] < 0:
+                        place[w], seen = seen, seen + 1
+                        queue.append(w)
+    later = []  # by the later end, then the earlier one
+    for u, v in ends:
+        p, q = place[u], place[v]
+        later.append(p * size + q if p > q else q * size + p)
+    order = sorted(range(n), key=later.__getitem__)
+    last = [0] * size  # the step of each vertex's last edge
+    for step, i in enumerate(order):
+        u, v = ends[i]
+        last[u] = last[v] = step
+    label = [chr(last[w] * size + place[w]) for w in range(size)]  # ascending as vertices retire
+    live: list[str] = []  # the labels of the live vertices, ascending
+    plan = []
+    for step, i in enumerate(order):
+        u, v = ends[i]
+        x, y = label[u], label[v]
+        enter = []  # (index in the key, label) of each end that goes live
+        for z in (x, y):
+            if z not in live:
+                q = bisect(live, z)
+                live.insert(q, z)
+                enter.append((q, z))
+        gone = (last[u] == step) + (last[v] == step and u != v)  # the ends that retire
+        top = live[gone - 1] if gone else ""
+        plan.append((1 << i, enter, live.index(x), live.index(y), gone, top, gone == len(live)))
+        del live[:gone]
+    width = n + 1
+    states: dict[str, Any] = {"": 1 if counting else [0]}
+    yield states
+    for bit, enter, a, b, gone, top, whole in plan:
+        new: dict[str, Any] = {}
+        for key, val in states.items():
+            for q, x in enter:
+                key = key[:q] + x + key[q:]
+            cu, cv = key[a], key[b]
+            if cu != cv:
+                joined = key.replace(cu, cv) if cu < cv else key.replace(cv, cu)
+                taken = val << width if counting else [m | bit for m in val]
+                children: tuple = ((joined, taken), (key, val))
             else:
-                # The bridge test, when skipping the edge can still leave r:
-                # do the forest and the later edges join u and v?
-                if later[i] is later[i + 1]:
-                    stack.append((i + 1, taken, a, parent[:]))
-                elif k + len(later[i + 1]) >= r:
-                    t = parent[:]
-                    x, y = u, v
-                    for p, q in later[i + 1]:
-                        while t[p] != p:
-                            p = t[p]
-                        while t[q] != q:
-                            q = t[q]
-                        if p != q:
-                            t[p] = q
-                            if p == x:
-                                x = q
-                            elif p == y:
-                                y = q
-                            if x == y:
-                                stack.append((i + 1, taken, a, parent[:]))
-                                break
-                parent[u] = v
-                taken |= 1 << i
-                k += 1
-            i += 1
-        found.append((taken, a + len(edges) - i))
-    return found
+                children = ((key, val + (val << width) if counting else val),)
+            for k, w in children:
+                if gone:
+                    # A retiring class that nothing joins to the rest: drop.
+                    if (k[0] != k[gone - 1]) if whole else (k[0] <= top or k[gone - 1] <= top):
+                        continue
+                    k = k[gone:]
+                got = new.get(k)
+                new[k] = w if got is None else got + w
+        states = new
+        yield states
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import pytest
 from matroidbetti import complexes
 from matroidbetti.complexes import SimplicialComplex
 from matroidbetti.linalg import lane_width
+from matroidbetti.matroid import _frontier
 from matroidbetti import (
     BettiTable,
     CycleProfile,
@@ -45,6 +46,7 @@ from oracles import (
     convolve_naive,
     euler_fine_betti,
     hilbert_global,
+    matrix_tree_count,
     taylor_fine_betti,
     taylor_global_betti,
 )
@@ -778,9 +780,9 @@ def _oracle_scan(m: Matroid) -> tuple[tuple[int, ...], list[int]]:
     return copy.bases(), copy._spanning_counts()
 
 
-def test_forest_search_matches_the_oracle_scan():
+def test_frontier_search_matches_the_oracle_scan():
     # 300 seeded multigraphs and the fixtures, each with all its blocks: the
-    # bases (in the scan's order) and the spanning counts from the forest
+    # bases (in the scan's order) and the spanning counts from the frontier
     # search equal those of the oracle scan.
     rng = random.Random(SEED + 15)
     graphs = [random_graph(rng) for _ in range(300)]
@@ -804,6 +806,40 @@ def test_forest_search_matches_the_oracle_scan():
     ring = graph_matroid(12, CHORDED_RING_17)
     assert len(ring.bases()) == 3343
     assert (ring.bases(), ring._spanning_counts()) == _oracle_scan(ring)
+
+
+def test_spanning_counts_give_the_matrix_tree_count():
+    # s_r, counted by the frontier search without listing a basis, is the
+    # number of bases; Kirchhoff's theorem counts them by a determinant. The
+    # two larger rings have 307,936 and 2,087,853 bases, past listing.
+    rng = random.Random(SEED + 15)
+    graphs = [random_graph(rng) for _ in range(300)]
+    graphs += [fixture(name) for name in ("g1", "g2", "g3", "g4")]
+    graphs += [Graph(12, tuple(CHORDED_RING_17))]
+    for g in graphs:
+        m = cycle_matroid(g)
+        assert m._spanning_counts()[m.full_rank] == matrix_tree_count(g.vertex_count, g.edges), g
+    for shape, bases in (((12, 6), 5489), ((15, 10), 307_936), ((20, 10), 2_087_853)):
+        m = chorded_ring(random.Random(5), *shape)
+        vertices, edges = shape[0], edges_of(m)
+        s = m._spanning_counts()
+        assert s[m.full_rank] == matrix_tree_count(vertices, edges) == bases
+        assert s[:m.full_rank] == [0] * m.full_rank and s[m.n] == 1
+    for m in structure_cases("multigraphs"):
+        edges = edges_of(m)
+        vertices = max(map(max, edges), default=-1) + 1
+        assert m._spanning_counts()[m.full_rank] == matrix_tree_count(vertices, edges)
+
+
+def test_frontier_search_keeps_the_frontier_narrow():
+    # Taking the edges in breadth-first order keeps at most this many
+    # partitions of the live vertices alive on the 17- and 18-edge rings,
+    # listing or counting; an edge order that widens the frontier fails here.
+    rings = (graph_matroid(12, CHORDED_RING_17), chorded_ring(random.Random(5), 12, 6))
+    for m, peak in zip(rings, (41, 40)):
+        g = m._presentation
+        for counts in (False, True):
+            assert max(map(len, _frontier(g.ends, len(g.roots), counts))) == peak
 
 
 def _uniform_sums() -> list[Matroid]:
@@ -841,7 +877,7 @@ def test_only_graphs_and_their_restrictions_carry_edges():
 def test_graph_betti_and_hilbert_check_skip_the_subset_scans(monkeypatch):
     # Listing g1's bases through the oracle asks about all C(14, 9) = 2,002
     # 9-sets, and counting its spanning sets about 3,473 sets of 9 or more
-    # edges. The forest search asks none; what is left are the greedy basis,
+    # edges. The frontier search asks none; what is left are the greedy basis,
     # the blocks and the auto choice. (The counting copies of other tests
     # still bound the scans.)
     evaluated = set()

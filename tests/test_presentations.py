@@ -18,6 +18,7 @@ from matroidbetti import (
     direct_sum,
     fixture,
     from_bases,
+    hochster_betti,
     multi_uniform,
     uniform,
     weight_hierarchy,
@@ -244,6 +245,27 @@ def test_uniform_test_reads_the_parts():
     triangle = cycle_matroid(Graph(3, ((0, 1), (1, 2), (2, 0))))
     assert triangle._is_uniform()
     assert not cycle_matroid(fixture("g3"))._is_uniform()
+
+
+def test_uniform_test_lists_no_graph_basis():
+    # A circuit, a parallel class or a loopless rank-one graph is uniform by
+    # at most n rank calls, and a graph with r >= 2 and n - r >= 2 is not,
+    # since U(2, 4) is not graphic; none of them lists a basis. The answer is
+    # that of counting the bases through the oracle of a copy.
+    triangle = cycle_matroid(Graph(3, ((0, 1), (1, 2), (2, 0))))
+    assert hochster_betti(triangle).global_ == (3, 2)
+    assert triangle._bases is None
+    rng = random.Random(SEED + 40)
+    graphs = [random_graph(rng) for _ in range(200)] + [fixture("g3"), fixture("g1")]
+    for g in graphs:
+        m = cycle_matroid(g)
+        copy, _ = counting(m)
+        n, r = m.n, m.full_rank
+        assert m._is_uniform() is (len(copy.bases()) == comb(n, r)), g
+        assert m._bases is None
+    for profile in ([(0, 1), (1, 3)], [(1, 2), (1, 3)]):
+        m = multi_uniform(profile)
+        assert m._is_uniform() is (len(counting(m)[0].bases()) == comb(m.n, m.full_rank))
 
 
 def test_from_bases_keeps_its_bases(monkeypatch):
