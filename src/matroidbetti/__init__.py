@@ -44,9 +44,7 @@ from .weights import (
     WeightHierarchy,
     block_weights,
     cactus_weights,
-    is_nonredundant,
     weight_hierarchy,
-    weights_via_circuits,
 )
 
 __version__ = "0.1.0"
@@ -77,13 +75,11 @@ __all__ = [
     "hochster_betti",
     "invert_cactus_betti",
     "is_cactus",
-    "is_nonredundant",
     "k_subsets",
     "mask_of",
     "multi_uniform",
     "resolve_algorithm",
     "uniform",
     "weight_hierarchy",
-    "weights_via_circuits",
     "__version__",
 ]

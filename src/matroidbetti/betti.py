@@ -187,11 +187,11 @@ def _through(t: int) -> list[int]:
 
 def _relative_homology(
     m: Matroid, fld: PrimeField, fine: bool
-) -> Iterator[tuple[int, dict[int, int]]]:
-    """Level by level, i = 0 .. n - r: the sum of h(sigma) over the sets
-    sigma of r + i elements and, when ``fine``, the map sigma -> h(sigma)
-    (else empty), with h(sigma) = #(bases of sigma through max sigma) -
-    rank(core) over GF(p) (see ``hochster_betti``).
+) -> tuple[list[int], Counter[int]]:
+    """The totals, the sum of h(sigma) over the sets sigma of r + i elements
+    for i = 0 .. n - r, and, when ``fine``, the map sigma -> h(sigma) (else
+    empty; zero values kept), with h(sigma) = #(bases of sigma through
+    max sigma) - rank(core) over GF(p) (see ``hochster_betti``).
 
     The sweep takes one top element x at a time. Each core column T through
     x (a spanning (r + 1)-set with T - x not a basis) is built once and
@@ -292,10 +292,7 @@ def _relative_homology(
             totals[sigma.bit_count() - r] -= k
             if fine:
                 h[sigma] -= k
-    levels: list[dict[int, int]] = [{} for _ in totals]
-    for sigma, v in h.items():
-        levels[sigma.bit_count() - r][sigma] = v
-    yield from zip(totals, levels)
+    return totals, h
 
 
 def _renumbered(cols: list[tuple], width: int) -> list[int]:
@@ -334,7 +331,8 @@ def hochster_betti(
     x) - rank(core) (``_relative_homology``), each core eliminated once with
     its columns in one order per x. Exact sequences, dd = 0 and unit
     pivots hold with any coefficients, so this is exact over every GF(p), and
-    the sweep, still eliminating over GF(p), tests field independence.
+    the sweep, still eliminating over GF(p), tests field independence. A
+    uniform profile of one part (``Matroid._uniform_profile``) skips the sweep.
     """
     n, r = m.n, m.full_rank
     if r == 0:
@@ -345,20 +343,18 @@ def hochster_betti(
     # would make the ideal zero and the sweep meaningless.
     if m.rank(m.greedy_basis()) != r:
         raise ValidationError("zero ideal: the rank oracle admits no basis")
-    if m._is_uniform():
-        # Every r-set is a basis: the pair is (simplex, its (r-2)-skeleton), and
-        # each of the C(n, k) sigma of k elements carries C(k - 1, r - 1).
+    if len(m._uniform_profile() or ()) == 1:
+        # U(r, n), one part: the pair is (simplex, its (r-2)-skeleton), and each
+        # of the C(n, k) sigma of k elements carries C(k - 1, r - 1). Any other
+        # sum of uniform parts has no core column, and its sweep ranks nothing.
         levels = range(r, n + 1)
         return BettiTable(
             r, n, tuple(comb(n, k) * comb(k - 1, r - 1) for k in levels),
             {(k - r, s): comb(k - 1, r - 1) for k in levels for s in k_subsets(n, k)} if fine else None,
         )
-    fine_map: dict[tuple[int, int], int] = {}
-    glob: list[int] = []
-    for i, (total, level) in enumerate(_relative_homology(m, fld, fine)):
-        glob.append(total)
-        fine_map.update(((i, sigma), h) for sigma, h in level.items() if h)
-    return BettiTable(r, n, tuple(glob), fine_map if fine else None)
+    totals, h = _relative_homology(m, fld, fine)
+    fine_map = {(s.bit_count() - r, s): v for s, v in h.items() if v} if fine else None
+    return BettiTable(r, n, tuple(totals), fine_map)
 
 
 # -- block product ------------------------------------------------------------
@@ -605,9 +601,9 @@ def dual_min_distance(m: Matroid) -> int:
     span, so each level asks the rank of complements and stops at the first
     that falls short of r; at i = n the complement is empty.
 
-    On a uniform sum the smallest dual circuit is the complement of a
-    hyperplane within one part of rank r_j >= 1: k_j - r_j + 1 of its k_j
-    members.
+    On a uniform sum (``Matroid._uniform_profile``: a cycle or a parallel
+    class too) the smallest dual circuit is the complement of a hyperplane
+    within one part of rank r_j >= 1: k_j - r_j + 1 of its k_j members.
 
     Raises ValidationError when the dual is free (rank 0 on the primal side),
     since then the dual has no circuits at all.

@@ -12,8 +12,8 @@ counts) from it without the oracle:
   ``_frontier``, the rest by ``_union``;
 * ``_UniformSum``: the (member mask, rank) pairs of a uniform sum
   (``uniform``, ``multi_uniform``), each mask a run of consecutive elements,
-  in ascending order; its profile gives closed forms for the weights and the
-  dual minimum distance.
+  in ascending order, read by ``_uniform_profile``, the one uniform test
+  behind every closed form.
 
 ``restrict`` restricts the presentation, so a presented restriction ranks by
 its own presentation, not through its matroid. ``from_bases`` fills the cache
@@ -192,23 +192,6 @@ class Matroid:
                 x |= 1 << e
         return x, rx
 
-    def _is_uniform(self) -> bool:
-        """True when every full_rank-set is a basis: at once for a uniform sum
-        of at most one part; by at most n rank calls when r <= 1 or
-        n - r <= 1, as then the r-sets are the singletons (no element is a
-        loop) or their complements (none is a coloop), or the one empty or
-        full set; on any other graph never, since U(2, 4) is not graphic;
-        else by counting the bases, C(n, r) of them."""
-        p = self._presentation
-        if isinstance(p, _UniformSum) and len(p.parts) <= 1:
-            return True
-        n, r = self.n, self.full_rank
-        if min(r, n - r) <= 1:
-            return all(self.rank(s) == r for s in k_subsets(n, r))
-        if isinstance(p, _Graph):
-            return False
-        return len(self.bases()) == comb(n, r)
-
     def _spanning_counts(self) -> list[int]:
         """s_0 .. s_n, s_k the number of spanning k-sets: on a graph by a
         frontier search of its own that counts the spanning sets of each size
@@ -223,10 +206,17 @@ class Matroid:
 
     def _uniform_profile(self) -> list[tuple[int, int]] | None:
         """The (r_j, k_j) of each part of a uniform sum, as ``multi_uniform``
-        takes them, for its closed forms; None on any other matroid."""
+        takes them, for the closed forms: a presented sum's parts; [(r, n)]
+        when r <= 1 or n - r <= 1 and every r-set has rank r, by at most n rank
+        calls, the r-sets being the singletons or their complements (a cycle,
+        a parallel class, a forest, loops); else None at once, with no basis
+        counted. On a graph that is exact, since U(2, 4) is not graphic."""
         p = self._presentation
         if isinstance(p, _UniformSum):
             return [(r, mask.bit_count()) for mask, r in p.parts]
+        n, r = self.n, self.full_rank
+        if min(r, n - r) <= 1 and all(self.rank(s) == r for s in k_subsets(n, r)):
+            return [(r, n)]
         return None
 
     def _eliminate(self, budget: int) -> list[int] | None:

@@ -121,7 +121,8 @@ def weight_hierarchy(m: Matroid) -> WeightHierarchy:
     has rank r(Z) and nullity i.
 
     A uniform sum answers without its circuits: d_i of U(r, k) is r + i, and
-    ``block_weights`` combines the parts (``Matroid._uniform_profile``).
+    ``block_weights`` combines the parts (``Matroid._uniform_profile``, which
+    also finds a cycle, a parallel class, a forest or loops uniform).
     """
     profile = m._uniform_profile()
     if profile is not None:

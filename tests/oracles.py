@@ -33,10 +33,10 @@ from matroidbetti import (
     ValidationError,
     WeightHierarchy,
     bits,
-    is_nonredundant,
     k_subsets,
 )
 from matroidbetti.complexes import SimplicialComplex, boundary_rank
+from matroidbetti.weights import is_nonredundant
 
 
 def fraction_rank(rows: list[list[Fraction]]) -> int:

@@ -8,17 +8,24 @@ restrictions is built with."""
 import json
 import random
 import time
+from itertools import combinations
 from math import comb
+
+import pytest
 
 from matroidbetti import (
     Graph,
     Matroid,
+    ValidationError,
     bits,
     cycle_matroid,
     direct_sum,
+    dual_min_distance,
     fixture,
     from_bases,
+    hilbert_check,
     hochster_betti,
+    k_subsets,
     multi_uniform,
     uniform,
     weight_hierarchy,
@@ -26,6 +33,7 @@ from matroidbetti import (
 from matroidbetti import cli
 from matroidbetti.cli import main
 
+from oracles import euler_fine_betti, sweep_weights
 from util import SEED, counting, edges_of, parts_of, random_graph
 
 
@@ -231,20 +239,20 @@ def test_only_uniform_sums_and_their_restrictions_carry_parts():
 
 
 def test_uniform_test_reads_the_parts():
-    # One part is uniform without listing a basis; a sum of parts is
-    # uniform exactly when its bases are all C(n, r) sets of its rank.
-    assert uniform(3, 9)._is_uniform()
+    # A uniform sum is its parts, read without listing a basis; so is a
+    # graph of r <= 1 or n - r <= 1 whose r-sets are all bases, as one part.
+    assert uniform(3, 9)._uniform_profile() == [(3, 9)]
     assert uniform(3, 9)._bases is None
     for profile, expected in (
-        ([(1, 1), (2, 2)], True),
-        ([(0, 1), (2, 3)], False),
-        ([(1, 1), (1, 2)], False),
-        ([(0, 0), (2, 5)], True),
+        ([(1, 1), (2, 2)], [(1, 1), (2, 2)]),
+        ([(0, 1), (2, 3)], [(0, 1), (2, 3)]),
+        ([(1, 1), (1, 2)], [(1, 1), (1, 2)]),
+        ([(0, 0), (2, 5)], [(2, 5)]),
     ):
-        assert multi_uniform(profile)._is_uniform() is expected, profile
+        assert multi_uniform(profile)._uniform_profile() == expected, profile
     triangle = cycle_matroid(Graph(3, ((0, 1), (1, 2), (2, 0))))
-    assert triangle._is_uniform()
-    assert not cycle_matroid(fixture("g3"))._is_uniform()
+    assert triangle._uniform_profile() == [(2, 3)]
+    assert cycle_matroid(fixture("g3"))._uniform_profile() is None
 
 
 def test_uniform_test_lists_no_graph_basis():
@@ -261,11 +269,64 @@ def test_uniform_test_lists_no_graph_basis():
         m = cycle_matroid(g)
         copy, _ = counting(m)
         n, r = m.n, m.full_rank
-        assert m._is_uniform() is (len(copy.bases()) == comb(n, r)), g
+        assert m._uniform_profile() == ([(r, n)] if len(copy.bases()) == comb(n, r) else None), g
         assert m._bases is None
+    # These sums are not uniform and stay two parts; their oracle copies,
+    # one with a loop and one with r, n - r >= 2, are not uniform either.
     for profile in ([(0, 1), (1, 3)], [(1, 2), (1, 3)]):
         m = multi_uniform(profile)
-        assert m._is_uniform() is (len(counting(m)[0].bases()) == comb(m.n, m.full_rank))
+        assert len(counting(m)[0].bases()) < comb(m.n, m.full_rank)
+        assert m._uniform_profile() == profile
+        assert counting(m)[0]._uniform_profile() is None
+
+
+def test_dual_d1_of_a_parallel_class_reads_its_singletons(monkeypatch):
+    # Scanning the complements visits all 2^18 subsets of these 18 parallel
+    # edges before the empty complement falls short of rank 1; the uniform
+    # test asks the full rank and each singleton, and the oracle gives up past
+    # that.
+    copy, evaluated = counting(cycle_matroid(Graph(2, ((0, 1),) * 18)))
+    calls = metered(monkeypatch, copy, limit=19)
+    assert dual_min_distance(copy) == 18
+    assert len(calls) == len(evaluated) <= 19
+
+
+def _uniform_graphs():
+    """Cycles, parallel classes, paths and graphs of loops of 1 to 10 edges."""
+    for k in range(1, 11):
+        yield Graph(k, tuple((i, (i + 1) % k) for i in range(k)))
+        yield Graph(2, ((0, 1),) * k)
+        yield Graph(k + 1, tuple((i, i + 1) for i in range(k)))
+        yield Graph(1, ((0, 0),) * k)
+
+
+def test_weights_and_dual_d1_of_uniform_graphs_need_no_circuit():
+    # Each of these is one uniform part, so its weights and dual distance
+    # come from the closed forms; the oracle copy answers by the subset
+    # sweep and by scanning complements.
+    for g in _uniform_graphs():
+        m = cycle_matroid(g)
+        copy, _ = counting(m)
+        n, r, full = m.n, m.full_rank, m.full_mask
+        assert weight_hierarchy(m) == sweep_weights(copy), g
+        if r == 0:
+            with pytest.raises(ValidationError):
+                dual_min_distance(m)
+        else:
+            scan = next(i for i in range(1, n + 1)
+                        if any(copy.rank(full ^ s) < r for s in k_subsets(n, i)))
+            assert dual_min_distance(m) == scan, g
+        assert m._circuits is None and m._bases is None, g
+
+
+def test_uniform_sums_of_no_core_sweep_to_the_euler_table():
+    # Several uniform parts, or a uniform basis family with r, n - r >= 2,
+    # are not one part: the sweep answers, with no core column.
+    for m in (multi_uniform([(1, 2), (2, 3), (0, 2)]), from_bases(5, combinations(range(5), 2))):
+        assert m._uniform_profile() is None or len(m._uniform_profile()) > 1
+        table = hochster_betti(m, fine=True)
+        assert table.fine == euler_fine_betti(m)
+        assert hilbert_check(table, m)
 
 
 def test_from_bases_keeps_its_bases(monkeypatch):

@@ -35,20 +35,18 @@ PUBLIC = {
     "hochster_betti",
     "invert_cactus_betti",
     "is_cactus",
-    "is_nonredundant",
     "k_subsets",
     "mask_of",
     "multi_uniform",
     "resolve_algorithm",
     "uniform",
     "weight_hierarchy",
-    "weights_via_circuits",
     "__version__",
 }
 
 
 def test_all_lists_exactly_the_public_names():
-    assert len(matroidbetti.__all__) == len(PUBLIC) == 34
+    assert len(matroidbetti.__all__) == len(PUBLIC) == 32
     assert set(matroidbetti.__all__) == PUBLIC
 
 

@@ -14,13 +14,12 @@ from matroidbetti import (
     cactus_weights,
     cycle_matroid,
     fixture,
-    is_nonredundant,
     mask_of,
     multi_uniform,
     uniform,
     weight_hierarchy,
-    weights_via_circuits,
 )
+from matroidbetti.weights import is_nonredundant, weights_via_circuits
 
 from oracles import degree_of_nonredundancy, minplus_naive, sweep_weights
 from util import (
