@@ -604,14 +604,31 @@ def dual_min_distance(m: Matroid) -> int:
     On a uniform sum (``Matroid._uniform_profile``: a cycle or a parallel
     class too) the smallest dual circuit is the complement of a hyperplane
     within one part of rank r_j >= 1: k_j - r_j + 1 of its k_j members.
+    Otherwise levels 1 (a coloop) and 2 take at most n + C(n, 2) rank calls.
+    Past them the answer is the least over the blocks of rank >= 1, since
+    every circuit of the dual lies in one block; each block answers from its
+    own profile or scans on from level 3, and so does a single block.
 
     Raises ValidationError when the dual is free (rank 0 on the primal side),
     since then the dual has no circuits at all.
     """
-    n, r, full = m.n, m.full_rank, m.full_mask
-    if r == 0:
+    if m.full_rank == 0:
         raise ValidationError("dual has no circuits; d_1 undefined")
+    least = _dual_girth(m, 1, 3)
+    if least is None:
+        blocks = m.blocks().blocks
+        parts = [b.matroid for b in blocks if b.matroid.full_rank] if len(blocks) > 1 else [m]
+        least = min(_dual_girth(p, 3) for p in parts)
+    return least
+
+
+def _dual_girth(m: Matroid, start: int, stop: int | None = None) -> int | None:
+    """The least i in [start, stop) at which m, of rank >= 1, has an i-set
+    whose complement does not span, or None; a uniform profile answers at
+    once. No circuit of the dual may be smaller than ``start``."""
+    n, r, full = m.n, m.full_rank, m.full_mask
     profile = m._uniform_profile()
     if profile is not None:
         return min(k - rj + 1 for rj, k in profile if rj)
-    return next(i for i in count(1) if any(m.rank(full ^ s) < r for s in k_subsets(n, i)))
+    levels = count(start) if stop is None else range(start, stop)
+    return next((i for i in levels if any(m.rank(full ^ s) < r for s in k_subsets(n, i))), None)

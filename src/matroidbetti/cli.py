@@ -9,7 +9,9 @@ Exit codes: 0 success, 1 malformed input (deeply nested JSON too), 2
 contract violation (bases failing the exchange axiom, cactus mode on a
 non-cactus input, an invalid cactus Betti vector), 3 cross-check or
 verification mismatch. Usage errors caught by argparse (a missing
-``--input``, a non-integer ``--field``) exit 2 after a usage line on stderr.
+``--input``, a non-integer ``--field``, an unknown option) exit 2 after a
+usage line on stderr, that of the subcommand when one was named; a missing
+or unknown subcommand gets the usage line of ``matroidbetti`` itself.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .weights import (
     cactus_weights,
     weight_hierarchy,
     weights_via_circuits,
+    weights_via_size_rank,
 )
 
 
@@ -172,13 +175,19 @@ def _betti_routes(
 
 
 def _weights_routes(m: Matroid, primary: WeightHierarchy) -> dict[str, WeightHierarchy]:
-    routes = {"sweep": primary, "circuits": weights_via_circuits(m)}
+    """The sweep, the block route on two or more blocks, and the first
+    independent route that applies: cactus, size-rank, else circuits."""
+    routes = {"sweep": primary}
     valid = set(_routes(m))
     part = m.blocks()
     if "blocks" in valid:
         routes["blocks"] = block_weights(weight_hierarchy(b.matroid) for b in part.blocks)
     if "cactus" in valid:
         routes["cactus"] = cactus_weights(part.cycle_lengths())
+    elif (by_table := weights_via_size_rank(m)) is not None:
+        routes["size-rank"] = by_table
+    else:
+        routes["circuits"] = weights_via_circuits(m)
     return routes
 
 
@@ -530,9 +539,14 @@ def _add_common(sub: argparse.ArgumentParser, with_input: bool = True) -> None:
     )
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (parsing leaves it as it was)."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and each subcommand's own parser, by name."""
     parser = argparse.ArgumentParser(
         prog="matroidbetti",
         description=(
@@ -564,8 +578,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--crosscheck",
         action="store_true",
         help=(
-            "compare the cyclic-flat route (reported as 'sweep') against the "
-            "circuit-family, block and cactus routes; exit 3 on mismatch"
+            "compare the cyclic-flat route (reported as 'sweep') with the block "
+            "route on two or more blocks and with the first of cactus (every "
+            "block a circuit, loop or coloop), size-rank (every block a graph "
+            "or uniform sum, within the frontier budget) and circuits that "
+            "applies; exit 3 on mismatch"
         ),
     )
     p_weights.set_defaults(func=_cmd_weights)
@@ -598,12 +615,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_verify, with_input=False)
     p_verify.set_defaults(func=_cmd_verify)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
+    # A known subcommand parses the rest itself; the parent parser only
+    # gives help and the usage errors of a missing or unknown subcommand.
+    command = commands.get(argv[0]) if argv else None
+    args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
     try:
         return args.func(args)
     except CrosscheckError as exc:

@@ -48,6 +48,12 @@ class Graph:
             norm.append((u, v))
         object.__setattr__(self, "edges", tuple(norm))
 
+    def _with_edges(self, pairs: list[tuple[int, int]]) -> "Graph":
+        """This edgeless graph given ``pairs``, 0-indexed int pairs already
+        checked against its vertex count, without checking them again."""
+        object.__setattr__(self, "edges", tuple(pairs))
+        return self
+
     @property
     def edge_count(self) -> int:
         return len(self.edges)
@@ -77,7 +83,7 @@ class Graph:
                     f"edge {e!r} out of range 1..{vertices} (the format is 1-indexed)"
                 )
             zero_indexed.append((u - 1, v - 1))
-        return Graph(vertices, tuple(zero_indexed))
+        return Graph(vertices, ())._with_edges(zero_indexed)
 
     def to_json_dict(self) -> dict:
         return {
@@ -109,7 +115,7 @@ class Graph:
             pairs.append((u - 1, v - 1))
         if not pairs:
             raise ValueError("edge list is empty")
-        return Graph(top, tuple(pairs))
+        return Graph(top, ())._with_edges(pairs)
 
 
 def cycle_matroid(graph: Graph) -> Matroid:

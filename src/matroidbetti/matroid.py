@@ -4,12 +4,12 @@ A matroid is stored as its rank function on subsets (bit masks). A matroid
 built from a presentation keeps it in the private ``_presentation`` slot,
 takes the presentation's own rank as its oracle (``_presented`` builds every
 such matroid), and answers its structural queries (the greedy basis,
-fundamental circuits, closures of a graph, the basis list and the spanning
-counts) from it without the oracle:
+fundamental circuits, closures of a graph, the basis list, the spanning
+counts and the size-rank table) from it without the oracle:
 
 * ``_Graph``: the edges of a graph (``graphs.cycle_matroid``), as pairs of
-  vertex indices; bases and spanning counts by the frontier search
-  ``_frontier``, the rest by ``_union``;
+  vertex indices; bases, spanning counts and the size-rank table by the
+  frontier search ``_frontier``, the rest by ``_union``;
 * ``_UniformSum``: the (member mask, rank) pairs of a uniform sum
   (``uniform``, ``multi_uniform``), each mask a run of consecutive elements,
   in ascending order, read by ``_uniform_profile``, the one uniform test
@@ -50,6 +50,7 @@ from .errors import ValidationError
 
 Provenance = str  # "cycle_matroid" | "uniform" | "multi_uniform" | "explicit_bases"
 #                 | "dual_of" | "restriction_of" | "direct_sum" | "explicit"
+SizeRank = dict[tuple[int, int], int]  # (k, rho) -> the number of k-sets of rank rho
 
 
 class Matroid:
@@ -203,6 +204,14 @@ class Matroid:
             return self._presentation.spanning_counts()
         n, r = self.n, self.full_rank
         return [0] * r + [sum(self.rank(s) == r for s in k_subsets(n, k)) for k in range(r, n + 1)]
+
+    def _size_rank(self) -> SizeRank | None:
+        """N(k, rho), the number of k-sets of rank rho, for each nonzero one,
+        from the presentation: a graph's by the frontier search in table mode
+        (None past ``FRONTIER_BUDGET``, with no state allocated), a uniform
+        sum's in closed form; None for any other matroid."""
+        p = self._presentation
+        return None if p is None else p.size_rank()
 
     def _uniform_profile(self) -> list[tuple[int, int]] | None:
         """The (r_j, k_j) of each part of a uniform sum, as ``multi_uniform``
@@ -435,9 +444,28 @@ class _Graph:
         packed, width = self._final(True), len(self.ends) + 1
         return [(packed >> k * width) & ((1 << width) - 1) for k in range(width)]
 
-    def _final(self, counting: bool):
-        """The value of the final state of the frontier search."""
-        for states in _frontier(self.ends, len(self.roots), counting):
+    def size_rank(self) -> SizeRank | None:
+        """N(k, rho), the number of k-edge sets of rank rho, for each nonzero
+        one, by the frontier search in table mode; None, with no state
+        allocated, past ``FRONTIER_BUDGET``."""
+        n, r = len(self.ends), self.greedy_basis().bit_count()
+        packed = self._final(True, True)
+        if packed is None:
+            return None
+        out, field, width = {}, 0, n + 1
+        while packed:
+            if c := packed & ((1 << width) - 1):
+                j, rho = divmod(field, r + 1)
+                out[j + rho, rho] = c
+            packed >>= width
+            field += 1
+        return out
+
+    def _final(self, counting: bool, table: bool = False):
+        """The value of the final state of the frontier search, or None when
+        a table is past the budget."""
+        states = {"": None}
+        for states in _frontier(self.ends, len(self.roots), counting, table):
             pass
         return states[""]
 
@@ -484,16 +512,45 @@ class _UniformSum:
         factors = ([comb(k, t) if t >= rj else 0 for t in range(k + 1)] for k, rj in sizes)
         return reduce(_poly_mul, factors, [1])
 
+    def size_rank(self) -> SizeRank:
+        """N(k, rho): the product over the parts, a U(r_j, k_j) part taking
+        C(k_j, t) at (t, min(t, r_j))."""
+        parts = ({(t, min(t, rj)): comb(mask.bit_count(), t) for t in range(mask.bit_count() + 1)}
+                 for mask, rj in self.parts)
+        return reduce(_table_mul, parts, {(0, 0): 1})
+
+
+def _table_mul(a: SizeRank, b: SizeRank) -> SizeRank:
+    """The size-rank table of a direct sum from those of its summands: sizes
+    and ranks add, counts multiply."""
+    out: SizeRank = {}
+    for (k, rho), x in a.items():
+        for (k2, rho2), y in b.items():
+            out[k + k2, rho + rho2] = out.get((k + k2, rho + rho2), 0) + x * y
+    return out
+
+
+# Bell(w) * (n + 1) bounds the work of a frontier search of width w on n
+# edges; a size-rank table past this is left to other routes. On complete
+# graphs, where nearly every partition of the frontier occurs, the table
+# took 0.03 s on K9 (7.8e5) and 1.9 s on K11 (3.8e7) in process (Python
+# 3.11, a shared 2-vCPU host).
+FRONTIER_BUDGET = 2_000_000
+
 
 def _frontier(
-    ends: Sequence[tuple[int, int]], size: int, counting: bool
+    ends: Sequence[tuple[int, int]], size: int, counting: bool, table: bool = False
 ) -> Iterator[dict[str, Any]]:
-    """Frontier search over the edge sets that span a graph on vertices
-    0..size-1 (Sekine, Imai and Tani, ISAAC 1995): yields its states before
-    the first edge and after each edge. The last yield holds one state, the
-    empty frontier keyed "", whose value is the answer: the spanning forests
-    (the bases) as masks in no set order, or when ``counting`` the number of
-    spanning k-sets packed into one int at bit k * (n + 1), n = len(ends).
+    """Frontier search over the edge sets of a graph on vertices 0..size-1
+    (Sekine, Imai and Tani, ISAAC 1995): yields its states before the first
+    edge and after each edge. The last yield holds one state, the empty
+    frontier keyed "", whose value is the answer: the spanning forests (the
+    bases) as masks in no set order; when ``counting``, the number of
+    spanning k-sets packed into one int at bit k * (n + 1), n = len(ends);
+    when ``table`` too, the number of k-sets of each rank rho, packed at bit
+    ((k - rho) * (r + 1) + rho) * (n + 1), r the rank of the graph. A table
+    whose frontier of w vertices gives Bell(w) * (n + 1) past
+    ``FRONTIER_BUDGET`` yields nothing and allocates no state.
 
     The edges go one component after another in breadth-first order: sorted
     by their later end, then their earlier one, in a breadth-first numbering
@@ -502,9 +559,9 @@ def _frontier(
     edges join, with the edge sets that reach it (an edge inside a class
     closes a cycle, which only ``counting`` takes). A state whose class
     loses its last live vertex while others still live can no longer span
-    and is dropped. Its key holds one character per live vertex, in the
-    order they retire: the label of its class, that of the member retiring
-    last. So retiring vertices head the key, a class lives on exactly when
+    and is dropped, except in a ``table``, which counts every edge set. Its
+    key holds one character per live vertex, in the order they retire: the
+    label of its class, that of the member retiring last. So retiring vertices head the key, a class lives on exactly when
     its label is that of a vertex that stays, a join is one ``str.replace``
     and no label changes as vertices retire. The steps are planned once.
     """
@@ -514,7 +571,7 @@ def _frontier(
         adjacent[u].append(v)
         adjacent[v].append(u)
     place = [-1] * size  # breadth-first number
-    seen = 0
+    seen = rank = 0
     for root in range(size):
         if place[root] < 0:
             place[root], seen, queue = seen, seen + 1, [root]
@@ -523,6 +580,7 @@ def _frontier(
                     if place[w] < 0:
                         place[w], seen = seen, seen + 1
                         queue.append(w)
+            rank += len(queue) - 1
     later = []  # by the later end, then the earlier one
     for u, v in ends:
         p, q = place[u], place[v]
@@ -535,6 +593,7 @@ def _frontier(
     label = [chr(last[w] * size + place[w]) for w in range(size)]  # ascending as vertices retire
     live: list[str] = []  # the labels of the live vertices, ascending
     plan = []
+    wide = 0
     for step, i in enumerate(order):
         u, v = ends[i]
         x, y = label[u], label[v]
@@ -544,11 +603,15 @@ def _frontier(
                 q = bisect(live, z)
                 live.insert(q, z)
                 enter.append((q, z))
+        wide = max(wide, len(live))
         gone = (last[u] == step) + (last[v] == step and u != v)  # the ends that retire
         top = live[gone - 1] if gone else ""
         plan.append((1 << i, enter, live.index(x), live.index(y), gone, top, gone == len(live)))
         del live[:gone]
     width = n + 1
+    if table and _bell(wide) * width > FRONTIER_BUDGET:
+        return
+    cycle = (rank + 1) * width if table else width  # the shift of a cycle edge; a join's is width
     states: dict[str, Any] = {"": 1 if counting else [0]}
     yield states
     for bit, enter, a, b, gone, top, whole in plan:
@@ -562,17 +625,31 @@ def _frontier(
                 taken = val << width if counting else [m | bit for m in val]
                 children: tuple = ((joined, taken), (key, val))
             else:
-                children = ((key, val + (val << width) if counting else val),)
+                children = ((key, val + (val << cycle) if counting else val),)
             for k, w in children:
                 if gone:
                     # A retiring class that nothing joins to the rest: drop.
-                    if (k[0] != k[gone - 1]) if whole else (k[0] <= top or k[gone - 1] <= top):
+                    if not table and (
+                        (k[0] != k[gone - 1]) if whole else (k[0] <= top or k[gone - 1] <= top)
+                    ):
                         continue
                     k = k[gone:]
                 got = new.get(k)
                 new[k] = w if got is None else got + w
         states = new
         yield states
+
+
+def _bell(w: int) -> int:
+    """The Bell number B(w), the number of partitions of w things, by the
+    Bell triangle: each row starts with the last entry of the row above."""
+    row = [1]
+    for _ in range(w):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Weight hierarchies of matroids and their circuit-family characterization.
+"""Weight hierarchies of matroids and the independent routes that check them.
 
 The i-th weight of a matroid is the smallest size of a subset with nullity i
 (nullity = size minus rank). The hierarchy d_1 < d_2 < ... < d_{n-r} is
@@ -8,17 +8,31 @@ strictly increasing and ends at d_{n-r} = n.
 of circuits), which it lists from the circuits of ``Matroid.circuits``: the
 14-edge fixture g1 has 30 cyclic flats against 2^14 subsets.
 
-An independent description goes through circuits: call a family of circuits
-non-redundant when every member keeps an element outside the union of the
-others. The degree of non-redundancy of a subset (the largest non-redundant
-family of circuits inside it) equals its nullity, and consequently d_i is
-the smallest union of a non-redundant family of i circuits
-(``weights_via_circuits``). The tests check that identity and cross-check
-both routes against a sweep over every subset.
+For direct sums the hierarchy is the min-plus convolution of the parts
+(``block_weights``), and for a disjoint union of circuits with lengths
+n_1 <= ... <= n_t it is simply the sequence of prefix sums of the sorted
+lengths (``cactus_weights``).
 
-For direct sums the hierarchy is the min-plus convolution of the parts, and
-for a disjoint union of circuits with lengths n_1 <= ... <= n_t it is simply
-the sequence of prefix sums of the sorted lengths.
+``weights --crosscheck`` compares the cyclic-flat route with the block
+route (on two or more blocks) and with one more route that shares nothing
+with either, chosen in this order:
+
+* ``cactus_weights``, when every block is a circuit, a loop or a coloop;
+* ``weights_via_size_rank``, when every block is a graph or a uniform sum
+  whose size-rank table N(k, rho) (the number of k-sets of rank rho) is
+  within reach: d_i = min{k : N(k, k - i) > 0}, read off the product of the
+  blocks' tables, a graph's by a frontier search that is refused before it
+  allocates a state when its width w gives Bell(w) * (n + 1) past
+  ``matroid.FRONTIER_BUDGET``, a uniform sum's in closed form;
+* ``weights_via_circuits`` otherwise (basis lists, bare oracles and graphs
+  past the budget). Call a family of circuits non-redundant when every
+  member keeps an element outside the union of the others. The degree of
+  non-redundancy of a subset (the largest non-redundant family of circuits
+  inside it) equals its nullity, so d_i is the smallest union of a
+  non-redundant family of i circuits. Its search costs about the cube of
+  the number of circuits.
+
+The tests check every route against a sweep over every subset.
 """
 
 from __future__ import annotations
@@ -30,7 +44,7 @@ from typing import Iterable, Iterator, Sequence
 from .betti import CycleProfile
 from .bitset import k_subsets  # noqa: F401  perfbench/tracing.py wraps weights.k_subsets
 from .errors import ValidationError
-from .matroid import Matroid
+from .matroid import Matroid, _table_mul
 
 
 @dataclass(frozen=True)
@@ -200,6 +214,23 @@ def weights_via_circuits(m: Matroid) -> WeightHierarchy:
         weights.append(best)
         prev = best
     return WeightHierarchy(tuple(weights))
+
+
+def weights_via_size_rank(m: Matroid) -> WeightHierarchy | None:
+    """The hierarchy read off the size-rank table, the product of the
+    tables of the blocks (``Matroid._size_rank``): d_i is the least k with a
+    k-set of rank k - i. None when some block has no table: it is neither a
+    graph nor a uniform sum, or its frontier search passes the budget."""
+    table = {(0, 0): 1}
+    for block in m.blocks().blocks:
+        part = block.matroid._size_rank()
+        if part is None:
+            return None
+        table = _table_mul(table, part)
+    least: dict[int, int] = {}
+    for k, rho in table:
+        least[k - rho] = min(k, least.get(k - rho, k))
+    return WeightHierarchy(tuple(k for i, k in sorted(least.items()) if i))
 
 
 def block_weights(parts: Iterable[Iterable[int]]) -> WeightHierarchy:

@@ -908,6 +908,26 @@ def test_dual_minimum_distance_stops_at_first_dependent_set():
             assert dual_min_distance(m) == cocircuits[0].bit_count()
 
 
+def test_dual_minimum_distance_takes_the_least_block_past_level_two():
+    # k parallel edges and a self-loop have blocks U(1, k) and U(0, 1): no
+    # dual circuit of 1 or 2 elements, and the parallel class answers k
+    # from its profile. Scanning the complements doubled per edge (0.47 s at
+    # k = 16), so k = 63 did not finish. The small cases, a bare direct sum
+    # and sums with a graph block go against the smallest circuit of the dual.
+    start = time.perf_counter()
+    assert dual_min_distance(graph_matroid(2, [(0, 1)] * 63 + [(0, 0)])) == 63
+    assert time.perf_counter() - start < 1.0
+    cases = [graph_matroid(2, [(0, 1)] * k + [(0, 0)]) for k in range(1, 8)]
+    cases += [
+        direct_sum(uniform(3, 6), uniform(0, 1)),
+        direct_sum(uniform(2, 6), uniform(4, 7), uniform(1, 1)),
+        direct_sum(graph_matroid(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), uniform(2, 5)),
+        graph_matroid(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2), (4, 4)]),
+    ]
+    for m in cases:
+        assert dual_min_distance(m) == brute_circuits(m.dual())[0].bit_count(), m
+
+
 def test_dual_minimum_distance_of_uniform_sums(monkeypatch):
     # The closed form on the parts against the smallest circuit of the dual,
     # found by testing every subset. U(10, 40) is answered without listing

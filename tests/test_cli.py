@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import pathlib
+import random
 import sys
 import time
 from math import comb
@@ -12,11 +13,15 @@ from math import comb
 import pytest
 
 from matroidbetti import BettiTable, Matroid, WeightHierarchy, fixture
+from matroidbetti import cli as cli_mod
 from matroidbetti.cli import main
+
+from util import chorded_ring
 
 TWO_TRIANGLES_JSON = (
     '{"vertices": 5, "edges": [[1,2],[2,3],[3,1],[3,4],[4,5],[5,3]]}'
 )
+BASES_JSON = '{"n": 4, "bases": [[1,2],[1,3],[2,3],[1,4],[2,4]]}'
 
 
 def run(capsys, *argv):
@@ -213,7 +218,7 @@ def test_weights_crosscheck_mismatch_exits_3(capsys, monkeypatch):
     import matroidbetti.cli as cli_mod
 
     monkeypatch.setattr(
-        cli_mod, "weights_via_circuits", lambda m: WeightHierarchy((1, 2))
+        cli_mod, "cactus_weights", lambda lengths: WeightHierarchy((1, 2))
     )
     code, _, err = run(
         capsys, "weights", "--input", TWO_TRIANGLES_JSON, "--crosscheck"
@@ -249,15 +254,15 @@ def test_weights_crosscheck_mismatch_message(capsys, monkeypatch):
     import matroidbetti.cli as cli_mod
 
     monkeypatch.setattr(
-        cli_mod, "weights_via_circuits", lambda m: WeightHierarchy((1, 2))
+        cli_mod, "weights_via_circuits", lambda m: WeightHierarchy((1, 3))
     )
     code, _, err = run(
-        capsys, "weights", "--input", TWO_TRIANGLES_JSON, "--crosscheck"
+        capsys, "weights", "--input", BASES_JSON, "--crosscheck"
     )
     assert code == 3
     assert err == (
-        "mismatch: weight hierarchies disagree: circuits gives (1, 2) "
-        "but sweep gives (3, 6)\n"
+        "mismatch: weight hierarchies disagree: circuits gives (1, 3) "
+        "but sweep gives (2, 4)\n"
     )
 
 
@@ -286,12 +291,82 @@ def test_weights_crosscheck_computes_a_single_block_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "weights", "--input", "g1", "--crosscheck")
     assert code == 0
     assert calls == 1
-    assert "crosscheck: agreement across circuits, sweep" in out
+    assert "crosscheck: agreement across size-rank, sweep" in out
     code, data, _ = run_json(
         capsys, "weights", "--input", TWO_TRIANGLES_JSON, "--crosscheck"
     )
     assert code == 0
-    assert data["crosscheck"]["routes"] == ["blocks", "cactus", "circuits", "sweep"]
+    assert data["crosscheck"]["routes"] == ["blocks", "cactus", "sweep"]
+
+
+@pytest.mark.parametrize(
+    "source, route",
+    [
+        (TWO_TRIANGLES_JSON, "cactus"),
+        ('{"vertices": 3, "edges": [[1,2],[2,3],[3,3]]}', "cactus"),
+        ("g1", "size-rank"),
+        ('{"vertices": 5, "edges": [[1,2],[2,3],[3,1],[3,4],[4,5],[5,3],[3,5]]}', "size-rank"),
+        ('{"uniform": [2, 4]}', "size-rank"),
+        ('{"blocks": [[2, 4], [1, 3], [0, 1]]}', "size-rank"),
+        (BASES_JSON, "circuits"),
+    ],
+    ids=["cactus", "tree-and-loop", "g1", "graph-blocks", "uniform", "uniform-sum", "bases"],
+)
+def test_weights_crosscheck_takes_one_independent_route(capsys, source, route):
+    # Besides the sweep and the block route: cactus on cacti, size-rank on
+    # graphs and uniform sums, circuits on anything else.
+    code, data, _ = run_json(capsys, "weights", "--input", source, "--crosscheck")
+    assert code == 0
+    assert {"cactus", "size-rank", "circuits"} & set(data["crosscheck"]["routes"]) == {route}
+
+
+def test_weights_crosscheck_size_rank_mismatch(capsys, monkeypatch):
+    monkeypatch.setattr(cli_mod, "weights_via_size_rank", lambda m: WeightHierarchy((1, 2)))
+    code, out, err = run(capsys, "weights", "--input", "g3", "--crosscheck")
+    assert (code, out) == (3, "")
+    assert err == (
+        "mismatch: weight hierarchies disagree: size-rank gives (1, 2) "
+        "but sweep gives (3, 6, 9)\n"
+    )
+
+
+def test_a_ring_past_the_frontier_budget_falls_back_to_circuits(monkeypatch):
+    # The 60-edge ring (40 vertices, 20 chords) has a frontier of 14
+    # vertices, and Bell(14) * 61 is past the budget: the size-rank route is
+    # refused before any state is allocated and circuits is chosen (a stub
+    # here; the circuit search on this ring does not finish). An 18-edge
+    # ring takes size-rank, and its states are seen.
+    matroid_mod = importlib.import_module("matroidbetti.matroid")
+    frontier = matroid_mod._frontier
+    states = []
+
+    def recording(*args):
+        for layer in frontier(*args):
+            states.append(len(layer))
+            yield layer
+
+    monkeypatch.setattr(matroid_mod, "_frontier", recording)
+    monkeypatch.setattr(cli_mod, "weights_via_circuits", lambda m: WeightHierarchy((99,)))
+    ring = chorded_ring(random.Random(5), 40, 20)
+    routes = cli_mod._weights_routes(ring, WeightHierarchy((1,)))
+    assert sorted(routes) == ["circuits", "sweep"] and states == []
+    small = chorded_ring(random.Random(5), 12, 6)
+    routes = cli_mod._weights_routes(small, WeightHierarchy((1,)))
+    assert sorted(routes) == ["size-rank", "sweep"] and len(states) == 19
+
+
+@pytest.mark.parametrize(
+    "source",
+    ['{"uniform": [10, 40]}', '{"blocks": [[4,8],[4,8],[4,8]]}'],
+    ids=["U10_40", "three-U4_8"],
+)
+def test_weights_crosscheck_of_large_uniform_sums_is_quick(capsys, source):
+    # The circuit-family search never finished on either; their tables are
+    # closed forms.
+    start = time.perf_counter()
+    code, data, _ = run_json(capsys, "weights", "--input", source, "--crosscheck")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and "size-rank" in data["crosscheck"]["routes"]
 
 
 def test_weights_json(capsys):
@@ -581,6 +656,49 @@ def test_uniform_sums_are_answered_without_the_subset_scans(capsys, monkeypatch)
     assert code == 0
     assert data["d1"] == 31
     assert time.perf_counter() - start < 1.0
+
+
+# -- argument parsing --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        ([], "usage: matroidbetti [-h]"),
+        (["bogus", "--input", "g3"], "usage: matroidbetti [-h]"),
+        (["betti"], "usage: matroidbetti betti [-h]"),
+        (["betti", "--input", "g3", "--bogus"], "usage: matroidbetti betti [-h]"),
+    ],
+    ids=["no-subcommand", "unknown-subcommand", "missing-input", "unknown-option"],
+)
+def test_usage_errors_exit_2_after_a_usage_line(capsys, argv, usage):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith(usage)
+
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    [(["-h"], "usage: matroidbetti [-h]"), (["weights", "-h"], "usage: matroidbetti weights [-h]")],
+    ids=["parent", "subcommand"],
+)
+def test_help_exits_0(capsys, argv, usage):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(usage)
+
+
+def test_a_valid_call_never_reaches_the_parent_parser(capsys, monkeypatch):
+    # A named subcommand parses its own options: one parse per call.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the parent parser ran")
+
+    monkeypatch.setattr(cli_mod.build_parser(), "parse_known_args", refuse)
+    assert main(["blocks", "--input", "g3", "--output", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 1
 
 
 # -- input plumbing ----------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Weight hierarchies: the cyclic-flat route against the circuit-family
-search and the subset sweep of the definition, the work each route does,
-non-redundancy, the block min-plus rule, and the sorted-prefix closed form."""
+search, the size-rank table and the subset sweep of the definition, the work
+each route does, non-redundancy, the block min-plus rule, and the
+sorted-prefix closed form."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,13 +21,14 @@ from matroidbetti import (
     uniform,
     weight_hierarchy,
 )
-from matroidbetti.weights import is_nonredundant, weights_via_circuits
+from matroidbetti.weights import is_nonredundant, weights_via_circuits, weights_via_size_rank
 
 from oracles import degree_of_nonredundancy, minplus_naive, sweep_weights
 from util import (
     SEED,
     STRUCTURE_FAMILIES,
     counting,
+    edges_of,
     graph_matroid,
     multiblock_suite,
     parts_of,
@@ -217,6 +220,61 @@ def test_circuit_search_handles_larger_uniforms():
     # pruned circuit search must reproduce d_i = r + i directly.
     assert weights_via_circuits(uniform(4, 8)).weights == (5, 6, 7, 8)
     assert weights_via_circuits(uniform(5, 10)).weights == (6, 7, 8, 9, 10)
+
+
+# -- the size-rank table ------------------------------------------------------------
+
+
+def _multigraph(rng: random.Random) -> Matroid:
+    """A seeded multigraph of up to 12 edges on up to 7 vertices, with loops,
+    parallel edges and, often, several components."""
+    vertices = rng.randint(1, 7)
+    edges: list[tuple[int, int]] = []
+    for _ in range(rng.randint(0, 12)):
+        roll = rng.random()
+        if roll < 0.1:
+            u = rng.randrange(vertices)
+            edges.append((u, u))
+        elif roll < 0.25 and edges:
+            edges.append(rng.choice(edges))
+        else:
+            edges.append((rng.randrange(vertices), rng.randrange(vertices)))
+    return graph_matroid(vertices, edges)
+
+
+def size_rank_cases() -> list[Matroid]:
+    """200 seeded multigraphs, the fixtures g1..g4, every uniform matroid of
+    at most 8 elements and 40 seeded uniform sums of one to four parts."""
+    rng = random.Random(SEED + 24)
+    cases = [_multigraph(rng) for _ in range(200)]
+    cases += [cycle_matroid(fixture(name)) for name in ("g1", "g2", "g3", "g4")]
+    cases += structure_cases("uniform")
+    for _ in range(40):
+        sizes = [rng.randint(0, 4) for _ in range(rng.randint(1, 4))]
+        cases.append(multi_uniform([(rng.randint(0, k), k) for k in sizes]))
+    return cases
+
+
+def test_size_rank_tables_count_every_subset():
+    # N(k, rho) from the frontier search in table mode (graphs) and from the
+    # closed form (uniform sums) against a count over all 2^n subsets.
+    cases = size_rank_cases()
+    graphs = [m for m in cases if edges_of(m) is not None]
+    assert len(graphs) == 204 and max(m.n for m in graphs[:200]) == 12
+    assert sum(len(parts_of(m) or ()) > 1 for m in cases) >= 20
+    for m in cases:
+        want = Counter((s.bit_count(), m.rank(s)) for s in range(1 << m.n))
+        assert m._size_rank() == dict(want), (edges_of(m), parts_of(m))
+
+
+def test_size_rank_weights_match_the_subset_sweep():
+    # d_i = min{k : N(k, k - i) > 0} on the product of the blocks' tables;
+    # a matroid with a block that has no presentation has no table.
+    for m in size_rank_cases():
+        assert weights_via_size_rank(m) == sweep_weights(m), (edges_of(m), parts_of(m))
+    bare = [m for m in multiblock_suite() if parts_of(m) is None and edges_of(m) is None]
+    for m in structure_cases("from_bases")[:10] + bare[:10]:
+        assert weights_via_size_rank(m) is None
 
 
 # -- block min-plus rule ------------------------------------------------------------
