@@ -50,7 +50,16 @@ from .complexes import (
 )
 from .errors import ValidationError
 from .linalg import lane_width
-from .matroid import BlockPartition, Matroid, _poly_mul
+from .matroid import BlockPartition, Matroid
+
+
+def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 def _key(keys: dict[int, str], s: int) -> str:
@@ -345,8 +354,8 @@ def hochster_betti(
         raise ValidationError("zero ideal: the rank oracle admits no basis")
     if len(m._uniform_profile() or ()) == 1:
         # U(r, n), one part: the pair is (simplex, its (r-2)-skeleton), and each
-        # of the C(n, k) sigma of k elements carries C(k - 1, r - 1). Any other
-        # sum of uniform parts has no core column, and its sweep ranks nothing.
+        # of the C(n, k) sigma of k elements carries C(k - 1, r - 1). A sum of
+        # several parts has core columns and is swept.
         levels = range(r, n + 1)
         return BettiTable(
             r, n, tuple(comb(n, k) * comb(k - 1, r - 1) for k in levels),
@@ -587,8 +596,9 @@ def hilbert_check(table: BettiTable, m: Matroid) -> bool:
     of ``m``. Equation i of that map is the coefficient of s^(r+i) in the
     Hilbert-series identity 1 - sum_i (-1)^i beta_i s^(r+i) =
     sum_k f_k s^k (1-s)^(n-k), f_k the number of non-spanning k-sets. The
-    counts never read the bases the sweep used: on a graph a frontier search
-    counts the spanning sets of each size and lists no basis at all."""
+    counts never read the bases the sweep used: s_k = N(k, r) is read off the
+    size-rank table of a graph or a uniform sum, whose frontier search lists
+    no basis at all (``Matroid._spanning_counts``)."""
     n, r = m.n, m.full_rank
     expected = _global_from_spanning(n, r, m._spanning_counts())
     return (table.rank_r, table.n, table.global_) == (r, n, expected)

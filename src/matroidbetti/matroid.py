@@ -4,12 +4,13 @@ A matroid is stored as its rank function on subsets (bit masks). A matroid
 built from a presentation keeps it in the private ``_presentation`` slot,
 takes the presentation's own rank as its oracle (``_presented`` builds every
 such matroid), and answers its structural queries (the greedy basis,
-fundamental circuits, closures of a graph, the basis list, the spanning
-counts and the size-rank table) from it without the oracle:
+fundamental circuits, closures of a graph, the basis list and the size-rank
+table, the product of its blocks' tables, which holds the spanning counts)
+from it without the oracle:
 
 * ``_Graph``: the edges of a graph (``graphs.cycle_matroid``), as pairs of
-  vertex indices; bases, spanning counts and the size-rank table by the
-  frontier search ``_frontier``, the rest by ``_union``;
+  vertex indices; bases and the size-rank table by the frontier search
+  ``_frontier``, the rest by ``_union``;
 * ``_UniformSum``: the (member mask, rank) pairs of a uniform sum
   (``uniform``, ``multi_uniform``), each mask a run of consecutive elements,
   in ascending order, read by ``_uniform_profile``, the one uniform test
@@ -194,24 +195,31 @@ class Matroid:
         return x, rx
 
     def _spanning_counts(self) -> list[int]:
-        """s_0 .. s_n, s_k the number of spanning k-sets: on a graph by a
-        frontier search of its own that counts the spanning sets of each size
-        and lists no basis (``_frontier``); on a uniform sum as the
-        coefficients of prod_j sum_(t >= r_j) C(k_j, t) x^t, a set spanning
-        when it holds r_j or more of the k_j members of each part; else from
-        the ranks of the sets of r or more elements (no smaller set spans)."""
-        if self._presentation is not None:
-            return self._presentation.spanning_counts()
+        """s_0 .. s_n, s_k the number of spanning k-sets: N(k, r), read off the
+        size-rank table (``_size_rank``); without a table, from the ranks of
+        the sets of r or more elements (no smaller set spans)."""
         n, r = self.n, self.full_rank
+        table = self._size_rank()
+        if table is not None:
+            return [table.get((k, r), 0) for k in range(n + 1)]
         return [0] * r + [sum(self.rank(s) == r for s in k_subsets(n, k)) for k in range(r, n + 1)]
 
     def _size_rank(self) -> SizeRank | None:
-        """N(k, rho), the number of k-sets of rank rho, for each nonzero one,
-        from the presentation: a graph's by the frontier search in table mode
-        (None past ``FRONTIER_BUDGET``, with no state allocated), a uniform
-        sum's in closed form; None for any other matroid."""
-        p = self._presentation
-        return None if p is None else p.size_rank()
+        """N(k, rho), the number of k-sets of rank rho, for each nonzero one:
+        the product of the tables of the blocks' presentations, a graph's by
+        the frontier search (None past ``FRONTIER_BUDGET``), a uniform sum's
+        in closed form; None for a matroid without a presentation."""
+        if self._presentation is None:
+            return None
+        table: SizeRank = {(0, 0): 1}
+        for block in self.blocks().blocks:
+            # A block restricts the presentation. Not block.matroid._size_rank():
+            # a connected matroid's one block is a fresh restriction of itself.
+            part = block.matroid._presentation.size_rank()
+            if part is None:
+                return None
+            table = _table_mul(table, part)
+        return table
 
     def _uniform_profile(self) -> list[tuple[int, int]] | None:
         """The (r_j, k_j) of each part of a uniform sum, as ``multi_uniform``
@@ -336,15 +344,6 @@ def _presented(n: int, p: "_Graph | _UniformSum", provenance: Provenance, labels
     return m
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def _union(ends: Sequence[tuple[int, int]], parent: list[int], x: int) -> int:
     """Join the ends of each pair in ``x``, lowest first, in the union-find
     ``parent``: the pairs that joined two trees (on a graph the greedy
@@ -440,16 +439,12 @@ class _Graph:
     def restrict(self, sigma: int) -> "_Graph":
         return _Graph([self.ends[i] for i in bits(sigma)], self.roots)
 
-    def spanning_counts(self) -> list[int]:
-        packed, width = self._final(True), len(self.ends) + 1
-        return [(packed >> k * width) & ((1 << width) - 1) for k in range(width)]
-
     def size_rank(self) -> SizeRank | None:
         """N(k, rho), the number of k-edge sets of rank rho, for each nonzero
-        one, by the frontier search in table mode; None, with no state
-        allocated, past ``FRONTIER_BUDGET``."""
+        one, by the frontier search building the table; None when it stops
+        past ``FRONTIER_BUDGET``."""
         n, r = len(self.ends), self.greedy_basis().bit_count()
-        packed = self._final(True, True)
+        packed = self._final(True)
         if packed is None:
             return None
         out, field, width = {}, 0, n + 1
@@ -461,13 +456,14 @@ class _Graph:
             field += 1
         return out
 
-    def _final(self, counting: bool, table: bool = False):
+    def _final(self, table: bool):
         """The value of the final state of the frontier search, or None when
-        a table is past the budget."""
-        states = {"": None}
-        for states in _frontier(self.ends, len(self.roots), counting, table):
-            pass
-        return states[""]
+        a table stopped before its last edge. Between components the
+        frontier is empty too, so the layers are counted."""
+        layers = 0
+        for states in _frontier(self.ends, len(self.roots), table):
+            layers += 1
+        return states[""] if layers == len(self.ends) + 1 else None
 
 
 class _UniformSum:
@@ -507,11 +503,6 @@ class _UniformSum:
             if (j := (mask & sigma).bit_count())
         )
 
-    def spanning_counts(self) -> list[int]:
-        sizes = ((mask.bit_count(), rj) for mask, rj in self.parts)
-        factors = ([comb(k, t) if t >= rj else 0 for t in range(k + 1)] for k, rj in sizes)
-        return reduce(_poly_mul, factors, [1])
-
     def size_rank(self) -> SizeRank:
         """N(k, rho): the product over the parts, a U(r_j, k_j) part taking
         C(k_j, t) at (t, min(t, r_j))."""
@@ -530,40 +521,41 @@ def _table_mul(a: SizeRank, b: SizeRank) -> SizeRank:
     return out
 
 
-# Bell(w) * (n + 1) bounds the work of a frontier search of width w on n
-# edges; a size-rank table past this is left to other routes. On complete
-# graphs, where nearly every partition of the frontier occurs, the table
-# took 0.03 s on K9 (7.8e5) and 1.9 s on K11 (3.8e7) in process (Python
-# 3.11, a shared 2-vCPU host).
-FRONTIER_BUDGET = 2_000_000
+# A size-rank table stops once its states times the bits of a full packed
+# value pass this many. On complete graphs, where nearly every partition of
+# the frontier occurs, K10's table peaks at 21,147 states and takes 0.2-0.4 s,
+# and K11 stops at edge 37 of 55 after 0.2 s (Python 3.11, a shared 2-vCPU
+# host); the 50-edge ring chorded_ring(Random(5), 30, 20) peaks at 11,721.
+FRONTIER_BUDGET = 1 << 30
 
 
 def _frontier(
-    ends: Sequence[tuple[int, int]], size: int, counting: bool, table: bool = False
+    ends: Sequence[tuple[int, int]], size: int, table: bool
 ) -> Iterator[dict[str, Any]]:
     """Frontier search over the edge sets of a graph on vertices 0..size-1
     (Sekine, Imai and Tani, ISAAC 1995): yields its states before the first
     edge and after each edge. The last yield holds one state, the empty
     frontier keyed "", whose value is the answer: the spanning forests (the
-    bases) as masks in no set order; when ``counting``, the number of
-    spanning k-sets packed into one int at bit k * (n + 1), n = len(ends);
-    when ``table`` too, the number of k-sets of each rank rho, packed at bit
-    ((k - rho) * (r + 1) + rho) * (n + 1), r the rank of the graph. A table
-    whose frontier of w vertices gives Bell(w) * (n + 1) past
-    ``FRONTIER_BUDGET`` yields nothing and allocates no state.
+    bases) as masks in no set order; when ``table``, the number of k-sets of
+    each rank rho, packed into one int at bit ((k - rho) * (r + 1) + rho) *
+    (n + 1), n = len(ends), r the rank of the graph. A table stops, with no
+    more yields, at the first edge after which its states times the
+    (n - r + 1) * (r + 1) * (n + 1) bits of a full packed value pass
+    ``FRONTIER_BUDGET``.
 
     The edges go one component after another in breadth-first order: sorted
     by their later end, then their earlier one, in a breadth-first numbering
     of the vertices. A vertex is live from its first edge to its last. A
     state is a partition of the live vertices into the classes the taken
     edges join, with the edge sets that reach it (an edge inside a class
-    closes a cycle, which only ``counting`` takes). A state whose class
-    loses its last live vertex while others still live can no longer span
-    and is dropped, except in a ``table``, which counts every edge set. Its
-    key holds one character per live vertex, in the order they retire: the
-    label of its class, that of the member retiring last. So retiring vertices head the key, a class lives on exactly when
-    its label is that of a vertex that stays, a join is one ``str.replace``
-    and no label changes as vertices retire. The steps are planned once.
+    closes a cycle, which only a ``table`` takes). A state whose class loses
+    its last live vertex while others still live can no longer span, and a
+    listing drops it; a table counts every edge set. Its key holds one
+    character per live vertex, in the order they retire: the label of its
+    class, that of the member retiring last. So retiring vertices head the
+    key, a class lives on exactly when its label is that of a vertex that
+    stays, a join is one ``str.replace`` and no label changes as vertices
+    retire. The steps are planned once.
     """
     n = len(ends)
     adjacent: list[list[int]] = [[] for _ in range(size)]
@@ -593,7 +585,6 @@ def _frontier(
     label = [chr(last[w] * size + place[w]) for w in range(size)]  # ascending as vertices retire
     live: list[str] = []  # the labels of the live vertices, ascending
     plan = []
-    wide = 0
     for step, i in enumerate(order):
         u, v = ends[i]
         x, y = label[u], label[v]
@@ -603,16 +594,14 @@ def _frontier(
                 q = bisect(live, z)
                 live.insert(q, z)
                 enter.append((q, z))
-        wide = max(wide, len(live))
         gone = (last[u] == step) + (last[v] == step and u != v)  # the ends that retire
         top = live[gone - 1] if gone else ""
         plan.append((1 << i, enter, live.index(x), live.index(y), gone, top, gone == len(live)))
         del live[:gone]
     width = n + 1
-    if table and _bell(wide) * width > FRONTIER_BUDGET:
-        return
-    cycle = (rank + 1) * width if table else width  # the shift of a cycle edge; a join's is width
-    states: dict[str, Any] = {"": 1 if counting else [0]}
+    cycle = (rank + 1) * width  # a table's shift for a cycle edge; a join's is width
+    cap = FRONTIER_BUDGET // ((n - rank + 1) * cycle)  # states
+    states: dict[str, Any] = {"": 1 if table else [0]}
     yield states
     for bit, enter, a, b, gone, top, whole in plan:
         new: dict[str, Any] = {}
@@ -622,10 +611,10 @@ def _frontier(
             cu, cv = key[a], key[b]
             if cu != cv:
                 joined = key.replace(cu, cv) if cu < cv else key.replace(cv, cu)
-                taken = val << width if counting else [m | bit for m in val]
+                taken = val << width if table else [m | bit for m in val]
                 children: tuple = ((joined, taken), (key, val))
             else:
-                children = ((key, val + (val << cycle) if counting else val),)
+                children = ((key, val + (val << cycle) if table else val),)
             for k, w in children:
                 if gone:
                     # A retiring class that nothing joins to the rest: drop.
@@ -636,20 +625,10 @@ def _frontier(
                     k = k[gone:]
                 got = new.get(k)
                 new[k] = w if got is None else got + w
+        if table and len(new) > cap:
+            return
         states = new
         yield states
-
-
-def _bell(w: int) -> int:
-    """The Bell number B(w), the number of partitions of w things, by the
-    Bell triangle: each row starts with the last entry of the row above."""
-    row = [1]
-    for _ in range(w):
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
-    return row[0]
 
 
 @dataclass(frozen=True)

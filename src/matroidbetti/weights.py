@@ -18,12 +18,11 @@ route (on two or more blocks) and with one more route that shares nothing
 with either, chosen in this order:
 
 * ``cactus_weights``, when every block is a circuit, a loop or a coloop;
-* ``weights_via_size_rank``, when every block is a graph or a uniform sum
-  whose size-rank table N(k, rho) (the number of k-sets of rank rho) is
-  within reach: d_i = min{k : N(k, k - i) > 0}, read off the product of the
-  blocks' tables, a graph's by a frontier search that is refused before it
-  allocates a state when its width w gives Bell(w) * (n + 1) past
-  ``matroid.FRONTIER_BUDGET``, a uniform sum's in closed form;
+* ``weights_via_size_rank``, when the matroid has a size-rank table N(k,
+  rho), the number of k-sets of rank rho (``Matroid._size_rank``, the
+  product of the blocks' tables: every block a graph whose frontier search
+  stays within ``matroid.FRONTIER_BUDGET``, or a uniform sum):
+  d_i = min{k : N(k, k - i) > 0};
 * ``weights_via_circuits`` otherwise (basis lists, bare oracles and graphs
   past the budget). Call a family of circuits non-redundant when every
   member keeps an element outside the union of the others. The degree of
@@ -44,7 +43,7 @@ from typing import Iterable, Iterator, Sequence
 from .betti import CycleProfile
 from .bitset import k_subsets  # noqa: F401  perfbench/tracing.py wraps weights.k_subsets
 from .errors import ValidationError
-from .matroid import Matroid, _table_mul
+from .matroid import Matroid
 
 
 @dataclass(frozen=True)
@@ -217,16 +216,13 @@ def weights_via_circuits(m: Matroid) -> WeightHierarchy:
 
 
 def weights_via_size_rank(m: Matroid) -> WeightHierarchy | None:
-    """The hierarchy read off the size-rank table, the product of the
-    tables of the blocks (``Matroid._size_rank``): d_i is the least k with a
-    k-set of rank k - i. None when some block has no table: it is neither a
-    graph nor a uniform sum, or its frontier search passes the budget."""
-    table = {(0, 0): 1}
-    for block in m.blocks().blocks:
-        part = block.matroid._size_rank()
-        if part is None:
-            return None
-        table = _table_mul(table, part)
+    """The hierarchy read off the size-rank table (``Matroid._size_rank``):
+    d_i is the least k with a k-set of rank k - i. None when there is no
+    table: the matroid is neither a graph nor a uniform sum, or the frontier
+    search of a block passes the budget."""
+    table = m._size_rank()
+    if table is None:
+        return None
     least: dict[int, int] = {}
     for k, rho in table:
         least[k - rho] = min(k, least.get(k - rho, k))

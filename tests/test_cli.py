@@ -331,11 +331,12 @@ def test_weights_crosscheck_size_rank_mismatch(capsys, monkeypatch):
 
 
 def test_a_ring_past_the_frontier_budget_falls_back_to_circuits(monkeypatch):
-    # The 60-edge ring (40 vertices, 20 chords) has a frontier of 14
-    # vertices, and Bell(14) * 61 is past the budget: the size-rank route is
-    # refused before any state is allocated and circuits is chosen (a stub
+    # The 60-edge ring (40 vertices, 20 chords) is stopped at the first edge
+    # after which its states times the bits of a packed table pass the
+    # budget: within a second, and with no yielded layer past twice that cap
+    # of states, the size-rank route gives way and circuits is chosen (a stub
     # here; the circuit search on this ring does not finish). An 18-edge
-    # ring takes size-rank, and its states are seen.
+    # ring takes size-rank, and all 19 of its layers are seen.
     matroid_mod = importlib.import_module("matroidbetti.matroid")
     frontier = matroid_mod._frontier
     states = []
@@ -348,8 +349,14 @@ def test_a_ring_past_the_frontier_budget_falls_back_to_circuits(monkeypatch):
     monkeypatch.setattr(matroid_mod, "_frontier", recording)
     monkeypatch.setattr(cli_mod, "weights_via_circuits", lambda m: WeightHierarchy((99,)))
     ring = chorded_ring(random.Random(5), 40, 20)
+    n, r = ring.n, ring.full_rank
+    cap = matroid_mod.FRONTIER_BUDGET // ((n - r + 1) * (r + 1) * (n + 1))
+    start = time.perf_counter()
     routes = cli_mod._weights_routes(ring, WeightHierarchy((1,)))
-    assert sorted(routes) == ["circuits", "sweep"] and states == []
+    assert time.perf_counter() - start < 1.0
+    assert sorted(routes) == ["circuits", "sweep"]
+    assert len(states) < n + 1 and max(states) <= 2 * cap
+    states.clear()
     small = chorded_ring(random.Random(5), 12, 6)
     routes = cli_mod._weights_routes(small, WeightHierarchy((1,)))
     assert sorted(routes) == ["size-rank", "sweep"] and len(states) == 19

@@ -5,6 +5,7 @@ restrictions against their parents; and the work the presentations save,
 counted on the oracle each real matroid and each of its presented
 restrictions is built with."""
 
+import importlib
 import json
 import random
 import time
@@ -319,12 +320,27 @@ def test_weights_and_dual_d1_of_uniform_graphs_need_no_circuit():
         assert m._circuits is None and m._bases is None, g
 
 
-def test_uniform_sums_of_no_core_sweep_to_the_euler_table():
+def test_uniform_sums_and_families_sweep_to_the_euler_table(monkeypatch):
     # Several uniform parts, or a uniform basis family with r, n - r >= 2,
-    # are not one part: the sweep answers, with no core column.
-    for m in (multi_uniform([(1, 2), (2, 3), (0, 2)]), from_bases(5, combinations(range(5), 2))):
+    # are not one part, so the sweep answers. A uniform family has no core
+    # column, since every r-set is a basis; a sum of several parts has some,
+    # and its sweep eliminates them.
+    betti_mod = importlib.import_module("matroidbetti.betti")
+    rank = betti_mod._rank
+    ranked = []
+
+    def recording(cols, p):
+        ranked.append(len(cols))
+        return rank(cols, p)
+
+    monkeypatch.setattr(betti_mod, "_rank", recording)
+    family = from_bases(5, combinations(range(5), 2))
+    sums = (multi_uniform([(1, 2), (2, 3), (0, 2)]), multi_uniform([(2, 4), (1, 3)]))
+    for m in (family, *sums):
         assert m._uniform_profile() is None or len(m._uniform_profile()) > 1
+        ranked.clear()
         table = hochster_betti(m, fine=True)
+        assert (len(ranked) == 0) == (m is family), parts_of(m)
         assert table.fine == euler_fine_betti(m)
         assert hilbert_check(table, m)
 

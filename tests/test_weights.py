@@ -3,8 +3,11 @@ search, the size-rank table and the subset sweep of the definition, the work
 each route does, non-redundancy, the block min-plus rule, and the
 sorted-prefix closed form."""
 
+import importlib
 import random
+import time
 from collections import Counter
+from math import comb
 
 import pytest
 
@@ -23,10 +26,11 @@ from matroidbetti import (
 )
 from matroidbetti.weights import is_nonredundant, weights_via_circuits, weights_via_size_rank
 
-from oracles import degree_of_nonredundancy, minplus_naive, sweep_weights
+from oracles import degree_of_nonredundancy, matrix_tree_count, minplus_naive, sweep_weights
 from util import (
     SEED,
     STRUCTURE_FAMILIES,
+    chorded_ring,
     counting,
     edges_of,
     graph_matroid,
@@ -275,6 +279,53 @@ def test_size_rank_weights_match_the_subset_sweep():
     bare = [m for m in multiblock_suite() if parts_of(m) is None and edges_of(m) is None]
     for m in structure_cases("from_bases")[:10] + bare[:10]:
         assert weights_via_size_rank(m) is None
+
+
+def test_a_table_stopped_in_a_later_component_is_none(monkeypatch):
+    # A triangle on vertices 0..2 and the 18-edge ring on 3..14. With the
+    # budget at three states of the whole graph's packed table, the search
+    # over both components passes the triangle, whose last layer is the
+    # empty frontier "" again, and stops inside the ring; neither the
+    # graph's own search nor the product over its blocks gives a table.
+    matroid_mod = importlib.import_module("matroidbetti.matroid")
+    frontier = matroid_mod._frontier
+    layers = []
+
+    def recording(*args):
+        for layer in frontier(*args):
+            layers.append(list(layer))
+            yield layer
+
+    ring = edges_of(chorded_ring(random.Random(5), 12, 6))
+    m = graph_matroid(15, [(0, 1), (1, 2), (2, 0)] + [(u + 3, v + 3) for u, v in ring])
+    n, r = m.n, m.full_rank
+    assert (n, r, len(m.blocks().blocks)) == (21, 13, 2)
+    monkeypatch.setattr(matroid_mod, "FRONTIER_BUDGET", 3 * (n - r + 1) * (r + 1) * (n + 1))
+    monkeypatch.setattr(matroid_mod, "_frontier", recording)
+    assert m._presentation.size_rank() is None
+    assert layers[3] == [""] and 4 < len(layers) < n + 1
+    layers.clear()
+    assert m._size_rank() is None
+    assert layers[3] == [""] and 4 < len(layers) < 4 + 19  # the triangle's block, then the ring's
+    assert weights_via_size_rank(m) is None
+
+
+def test_the_50_edge_ring_gets_its_size_rank_table():
+    # The ring chorded_ring(Random(5), 30, 20): its table peaks at 11,721
+    # states. Every row counts all C(50, k) edge sets, the rank-29 column
+    # holds the spanning counts and N(29, 29) is the number of spanning trees.
+    m = chorded_ring(random.Random(5), 30, 20)
+    start = time.perf_counter()
+    table = m._size_rank()
+    assert time.perf_counter() - start < 1.0
+    rows = Counter()
+    for (k, _), c in table.items():
+        rows[k] += c
+    assert dict(rows) == {k: comb(50, k) for k in range(51)}
+    assert table[29, 29] == matrix_tree_count(30, edges_of(m)) == 288_939_308_490
+    assert m._spanning_counts() == [table.get((k, 29), 0) for k in range(51)]
+    w = weights_via_size_rank(m)
+    assert len(w) == 21 and w[-1] == 50
 
 
 # -- block min-plus rule ------------------------------------------------------------
