@@ -35,9 +35,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, count, groupby
+from itertools import count, groupby
 from math import comb
-from operator import lshift
 from typing import Iterable, Iterator, Sequence
 
 from .bitset import k_subsets
@@ -210,50 +209,26 @@ def _relative_homology(
     B lies in C(B.bit_length() - r, i) sets of r + i elements through max B;
     only the fine map pushes each basis into them. The sorted bases through x
     are the masks in [2^x, 2^(x+1)); row j of a column, the j-th of them, is
-    in the lane format of ``linalg``: over GF(2), where an entry is 1 whatever
-    its sign, bit j of a mask built in place; over an odd prime, lane j of an
-    int packed once from the rows and signs. A core of one column has rank 1
-    without elimination, its entries being +-1, units in every field.
-
-    Over an odd prime a lane is several bits wide. A core with a row past
-    the first 96 lanes of its block has its rows renumbered in the order they
-    first appear (``_renumbered``), and a column with such a row is never
-    packed. Renumbering costs a lookup and a shift per entry, more than
-    eliminating a core of short ints, while an elimination step costs in
-    proportion to the width of the int. 96 lanes is about the highest
-    threshold at which no more work is eliminated than with every core
-    renumbered: on the tests' 17-edge ring over GF(3), rows times columns
-    summed over the eliminated matrices come to 10,304,317 against
-    10,305,514. A rule on the column count cannot do this, since it leaves
-    wide cores of two or three columns packed: "3 or more columns and 1,024
-    bits" gives 11.1 million, "4 or more and 4,096 bits" 13.1 million. In
-    process (Python 3.11, a shared 2-vCPU host), against renumbering every
-    core, this rule took 0.78 times the sweep time of a seed-1 ``sweep-odd``
-    pass of the benchmark and 0.96 to 0.97 times on the 17-edge ring and an
-    18-edge one (5,489 bases). Packing every core took 0.91 times this rule's
-    time on that pass but 1.2 to 2.2 times on those rings.
+    lane j in the format of ``linalg``, and the column is one int built in
+    place: over GF(2), where an entry is 1 whatever its sign, bit j of a mask;
+    over an odd prime, the residue of the sign added at lane j's offset, each
+    (column, row) pair meeting once, so no lane carries. A core's rows are
+    fixed by its block of bases, not by the field, so every field eliminates
+    the same matrices. A core of one column has rank 1 without elimination,
+    its entries being +-1, units in every field.
     """
     n, r, p = m.n, m.full_rank, fld.p
     bases = m.bases()
     is_basis = set(bases)
     width = lane_width(p)
-    tall = 96 * width  # the packed lanes of an odd-prime block
     sign = (1, p - 1)
     free = Counter(b.bit_length() - r for b in bases)
     totals = [sum(c * comb(k, i) for k, c in free.items()) for i in range(n - r + 1)]
     h: Counter[int] = Counter()  # sigma -> h(sigma), when fine
 
-    def rank(cols: list) -> int:
-        if len(cols) == 1:
-            return 1
-        if p == 2:
-            return _rank(cols, 2)
-        lanes = [col for col, _, _ in cols]
-        return _rank(_renumbered(cols, width) if None in lanes else lanes, p)
-
     for top, block in groupby(bases, int.bit_length):
         x = 1 << (top - 1)
-        columns: dict = {}  # T -> its mask over GF(2), else its (rows, signs)
+        columns: dict[int, int] = {}  # T -> its column
         # Row j of the block: the bit 2^j of a GF(2) mask, else lane j's offset.
         offsets = map((1).__lshift__, count()) if p == 2 else count(0, width)
         for row, b in zip(offsets, block):
@@ -269,22 +244,17 @@ def _relative_homology(
                     if p == 2:
                         columns[t] = columns.get(t, 0) | row
                     else:
-                        rows, signs = columns.get(t) or columns.setdefault(t, ([], []))
-                        rows.append(row)
                         # T - a carries the sign (-1)^k when a is the k-th smallest element of T.
-                        signs.append(sign[(t & (a - 1)).bit_count() & 1])
+                        columns[t] = columns.get(t, 0) + (sign[(t & (a - 1)).bit_count() & 1] << row)
         # Taken by reversed bit strings, the columns reach each sigma in the
         # lexicographic order of S = sigma - T: for S1 and S2 of one size,
         # the least element of S1 ^ S2 = T1 ^ T2 lies in S1 exactly when it
         # lies in T2. Elimination cost depends on column order; over GF(3) on
         # a 17-edge ring, taking T in the order the bases first meet it was
         # about 10% slower.
-        pushed: dict[int, list] = {}
+        pushed: dict[int, list[int]] = {}
         for t in sorted(columns, key=_reversed):
             col = columns[t]
-            if p != 2:  # a column with a row past the packed lanes is left to ``_renumbered``
-                rows, signs = col
-                col = (sum(map(lshift, signs, rows)) if rows[-1] < tall else None, rows, signs)
             # Every sigma through x that holds T, in the order of ``_through``.
             s = mask = (x - 1) & ~t
             while True:
@@ -297,19 +267,11 @@ def _relative_homology(
                     break
                 s = (s - 1) & mask
         for sigma, cols in pushed.items():
-            k = rank(cols)
+            k = 1 if len(cols) == 1 else _rank(cols, p)
             totals[sigma.bit_count() - r] -= k
             if fine:
                 h[sigma] -= k
     return totals, h
-
-
-def _renumbered(cols: list[tuple], width: int) -> list[int]:
-    """The columns of an odd-prime core, each given with its rows and signs,
-    packed with the rows numbered in the order they first appear."""
-    found = dict.fromkeys(chain.from_iterable(rows for _, rows, _ in cols))
-    at = dict(zip(found, count(0, width)))
-    return [sum(map(lshift, s, map(at.__getitem__, rows))) for _, rows, s in cols]
 
 
 def hochster_betti(

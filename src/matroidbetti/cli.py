@@ -367,8 +367,6 @@ def _parse_int_list(text: str) -> list[int]:
 
 def _cmd_invert(args: argparse.Namespace) -> int:
     values = _parse_int_list(args.betti)
-    if args.loops < 0:
-        raise ValueError("--loops must be non-negative")
     profile = invert_cactus_betti(values, args.loops)
     roundtrip = cactus_betti(profile)
     sigma = profile.sigma

@@ -621,6 +621,7 @@ def test_invert_bad_arguments(capsys):
     assert code == 1 and "entry 2, 'x', is not an integer" in err
     code, _, err = run(capsys, "invert", "--betti", "3,2", "--loops", "-1")
     assert code == 1
+    assert err.strip() == "error: loop count must be a non-negative integer, got -1"
 
 
 def test_dual_d1(capsys):
