@@ -147,10 +147,10 @@ class CycleProfile:
     lengths: tuple[int, ...]
 
     def __init__(self, lengths: Iterable[int]):
-        ls = tuple(sorted(int(x) for x in lengths))
-        if any(x < 1 for x in ls):
-            raise ValidationError(f"cycle lengths must be >= 1, got {ls}")
-        object.__setattr__(self, "lengths", ls)
+        ls = tuple(lengths)
+        if any(type(x) is not int or x < 1 for x in ls):
+            raise ValidationError(f"cycle lengths must be integers >= 1, got {ls}")
+        object.__setattr__(self, "lengths", tuple(sorted(ls)))
 
     @property
     def sigma(self) -> tuple[int, ...]:
@@ -175,14 +175,6 @@ class CycleProfile:
 # -- Hochster sweep -----------------------------------------------------------
 
 
-_REV = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))  # each byte's bits reversed
-
-
-def _reversed(t: int) -> int:
-    """t's 64 bits in reverse order, which sorts masks as their reversed bit strings do."""
-    return int.from_bytes(t.to_bytes(8, "little").translate(_REV), "big")
-
-
 def _through(t: int) -> list[int]:
     """t | S for each submask S of the elements below max t outside t."""
     mask = ((1 << (t.bit_length() - 1)) - 1) & ~t
@@ -202,12 +194,12 @@ def _relative_homology(
     max sigma) - rank(core) over GF(p) (see ``hochster_betti``).
 
     The sweep takes one top element x at a time. Each core column T through
-    x (a spanning (r + 1)-set with T - x not a basis) is built once and
-    pushed, in the order of the comment below, into every sigma through x
-    that contains it by a submask walk (the order of ``_through``); each
-    sigma is ranked once. The level total needs no count per sigma: a basis
-    B lies in C(B.bit_length() - r, i) sets of r + i elements through max B;
-    only the fine map pushes each basis into them. The sorted bases through x
+    x (a spanning (r + 1)-set with T - x not a basis) is built once and,
+    in the order the bases first meet it, pushed into every sigma through x
+    that contains it (``_through(T)``, max T being x); each sigma is ranked
+    once. The level total needs no count per sigma: a basis B lies in
+    C(B.bit_length() - r, i) sets of r + i elements through max B; only the
+    fine map pushes each basis into them. The sorted bases through x
     are the masks in [2^x, 2^(x+1)); row j of a column, the j-th of them, is
     lane j in the format of ``linalg``, and the column is one int built in
     place: over GF(2), where an entry is 1 whatever its sign, bit j of a mask;
@@ -246,26 +238,14 @@ def _relative_homology(
                     else:
                         # T - a carries the sign (-1)^k when a is the k-th smallest element of T.
                         columns[t] = columns.get(t, 0) + (sign[(t & (a - 1)).bit_count() & 1] << row)
-        # Taken by reversed bit strings, the columns reach each sigma in the
-        # lexicographic order of S = sigma - T: for S1 and S2 of one size,
-        # the least element of S1 ^ S2 = T1 ^ T2 lies in S1 exactly when it
-        # lies in T2. Elimination cost depends on column order; over GF(3) on
-        # a 17-edge ring, taking T in the order the bases first meet it was
-        # about 10% slower.
         pushed: dict[int, list[int]] = {}
-        for t in sorted(columns, key=_reversed):
-            col = columns[t]
-            # Every sigma through x that holds T, in the order of ``_through``.
-            s = mask = (x - 1) & ~t
-            while True:
-                cols = pushed.get(t | s)
+        for t, col in columns.items():
+            for sigma in _through(t):
+                cols = pushed.get(sigma)
                 if cols:
                     cols.append(col)
                 else:
-                    pushed[t | s] = [col]
-                if not s:
-                    break
-                s = (s - 1) & mask
+                    pushed[sigma] = [col]
         for sigma, cols in pushed.items():
             k = 1 if len(cols) == 1 else _rank(cols, p)
             totals[sigma.bit_count() - r] -= k
@@ -299,11 +279,11 @@ def hochster_betti(
     entry +-1: a unit pivot. Taking them all leaves the core, with the bases
     of sigma through x as rows and the spanning (r + 1)-sets T through x with
     T - x not a basis as columns, and the entry is #(bases of sigma through
-    x) - rank(core) (``_relative_homology``), each core eliminated once with
-    its columns in one order per x. Exact sequences, dd = 0 and unit
-    pivots hold with any coefficients, so this is exact over every GF(p), and
-    the sweep, still eliminating over GF(p), tests field independence. A
-    uniform profile of one part (``Matroid._uniform_profile``) skips the sweep.
+    x) - rank(core) (``_relative_homology``), each core eliminated once.
+    Exact sequences, dd = 0 and unit pivots hold with any coefficients, so
+    this is exact over every GF(p), and the sweep, still eliminating over
+    GF(p), tests field independence. A uniform profile of one part
+    (``Matroid._uniform_profile``) skips the sweep.
     """
     n, r = m.n, m.full_rank
     if r == 0:
@@ -430,7 +410,10 @@ def invert_cactus_betti(global_betti: Iterable[int], loops: int) -> CycleProfile
     is not a cactus Betti vector. The vector (1,) with no loops inverts to
     the empty profile, that of a forest.
     """
-    vals = [int(v) for v in global_betti]
+    vals = list(global_betti)
+    for v in vals:
+        if type(v) is not int:
+            raise ValueError(f"Betti entries must be integers, got {v!r}")
     if not isinstance(loops, int) or isinstance(loops, bool) or loops < 0:
         raise ValueError(f"loop count must be a non-negative integer, got {loops!r}")
     if any(v < 0 for v in vals):

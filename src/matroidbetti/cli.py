@@ -366,27 +366,32 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _cmd_invert(args: argparse.Namespace) -> int:
-    values = _parse_int_list(args.betti)
-    profile = invert_cactus_betti(values, args.loops)
+    values, loops = _parse_int_list(args.betti), args.loops
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # str() refuses longer ints
+    too_long = ValueError(
+        f"with {loops} loops, sigma has entries of more than {limit} digits, "
+        "the most this Python converts to text"
+    )
+    # sigma dominates (1 + X)^L, so max sigma >= C(L, L // 2) > 2^(L - bitlen(L + 1)):
+    # a loop count this large is refused before the inversion.
+    if limit and loops - (loops + 1).bit_length() >= (10**limit).bit_length():
+        raise too_long
+    profile = invert_cactus_betti(values, loops)
     roundtrip = cactus_betti(profile)
     sigma = profile.sigma
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # str() refuses longer ints
     if limit and max(sigma) >= 10**limit:
-        raise ValueError(
-            f"with {args.loops} loops, sigma has entries of more than {limit} digits, "
-            "the most this Python converts to text"
-        )
+        raise too_long
     payload = {
         "command": "invert",
         "betti": values,
-        "loops": args.loops,
+        "loops": loops,
         "lengths": list(profile.lengths),
         "sigma": list(sigma),
         "roundtrip": list(roundtrip.global_),
     }
     lines = [
         f"input betti: {_fmt_vec(values)}",
-        f"loops: {args.loops}",
+        f"loops: {loops}",
         f"cycle lengths: {_fmt_vec(profile.lengths)}",
         f"sigma: {_fmt_vec(sigma)}",
         f"roundtrip betti: {_fmt_vec(roundtrip.global_)}",

@@ -53,10 +53,10 @@ class WeightHierarchy:
     weights: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        w = tuple(int(x) for x in self.weights)
+        w = tuple(self.weights)
         object.__setattr__(self, "weights", w)
-        if any(x < 1 for x in w):
-            raise ValidationError(f"weights must be positive, got {w}")
+        if any(type(x) is not int or x < 1 for x in w):
+            raise ValidationError(f"weights must be positive integers, got {w}")
         if any(b <= a for a, b in zip(w, w[1:])):
             raise ValidationError(f"weights must be strictly increasing, got {w}")
 
@@ -237,7 +237,9 @@ def block_weights(parts: Iterable[Iterable[int]]) -> WeightHierarchy:
     """
     conv = [0]
     for part in parts:
-        cur = [0, *map(int, part)]
+        cur = [0, *part]
+        if any(type(x) is not int for x in cur):
+            raise ValueError(f"block weights must be integers, got {cur[1:]}")
         out = [None] * (len(conv) + len(cur) - 1)
         for a, x in enumerate(conv):
             for b, y in enumerate(cur):

@@ -23,9 +23,11 @@ from matroidbetti import (
     Matroid,
     PrimeField,
     ValidationError,
+    WeightHierarchy,
     betti,
     bits,
     block_product_betti,
+    block_weights,
     cactus_betti,
     cycle_matroid,
     direct_sum,
@@ -390,12 +392,10 @@ def test_sweep_hands_no_one_column_matrix_to_elimination(monkeypatch):
 def _cores(m: Matroid) -> dict[int, list[int]]:
     """sigma -> the core columns T of sigma, for each sigma with one, by
     definition: every spanning (r + 1)-set T with T - max T not a basis,
-    pushed into T | A for each set A of elements below max T outside T, and
-    taken in the order of the reversed bit strings of T."""
+    pushed into T | A for each set A of elements below max T outside T."""
     r, bases = m.full_rank, set(m.bases())
     cores: dict[int, list[int]] = {}
-    spanning = map(sum, combinations([1 << e for e in range(m.n)], r + 1))
-    for t in sorted(spanning, key=lambda t: f"{t:0{m.n}b}"[::-1]):
+    for t in map(sum, combinations([1 << e for e in range(m.n)], r + 1)):
         x = t.bit_length() - 1
         if m.rank(t) < r or t ^ (1 << x) in bases:
             continue
@@ -446,9 +446,10 @@ def test_every_field_eliminates_the_same_matrices(monkeypatch, name):
     assert shapes[0] == shapes[1] == shapes[2]
 
 
-def test_sweep_packs_each_core_in_reversed_bit_string_order(monkeypatch):
+def test_sweep_packs_each_core_with_its_columns(monkeypatch):
     # Over GF(2) the column of T has a 1 in row j for the j-th basis through
-    # max T inside T; elimination cost depends on the column order.
+    # max T inside T; each eliminated matrix holds the columns of one core,
+    # in any order.
     m = cycle_matroid(fixture("g1"))
     row = {}
     for b in m.bases():
@@ -461,15 +462,9 @@ def test_sweep_packs_each_core_in_reversed_bit_string_order(monkeypatch):
         for ts in _cores(m).values() if len(ts) > 1
     ]
     assert len(matrices) == 321
-    assert Counter(matrices) == Counter(expected)
-
-
-@pytest.mark.parametrize("n", [1, 8, 9, 63, 64])
-def test_table_bit_reversal_sorts_as_reversed_bit_strings(n):
-    rng = random.Random(SEED + n)
-    masks = [0, (1 << n) - 1, 1 << (n - 1)] + [rng.getrandbits(n) for _ in range(500)]
-    expected = sorted(masks, key=lambda t: f"{t:0{n}b}"[::-1])
-    assert sorted(masks, key=BETTI_MODULE._reversed) == expected
+    assert Counter(tuple(sorted(cols)) for cols in matrices) == Counter(
+        tuple(sorted(cols)) for cols in expected
+    )
 
 
 @pytest.mark.parametrize(
@@ -666,6 +661,23 @@ def test_invert_rejects_malformed_vectors():
         invert_cactus_betti((3, 2), -1)
     with pytest.raises(ValueError, match="loop count"):
         invert_cactus_betti((3, 2), True)
+
+
+@pytest.mark.parametrize(
+    ("build", "error"),
+    [
+        (lambda v: invert_cactus_betti([v, 12, 4], 0), ValueError),
+        (lambda v: CycleProfile([v, 2]), ValidationError),
+        (lambda v: block_weights([[v, 4]]), ValueError),
+        (lambda v: WeightHierarchy((1, v)), ValidationError),
+    ],
+    ids=["invert_cactus_betti", "CycleProfile", "block_weights", "WeightHierarchy"],
+)
+@pytest.mark.parametrize("value", [9.9, 3.0, "3", True], ids=repr)
+def test_public_constructors_accept_only_ints(build, error, value):
+    # A float, a numeric string or a bool is refused, not truncated or parsed.
+    with pytest.raises(error, match="integers"):
+        build(value)
 
 
 # -- dispatcher -------------------------------------------------------------------

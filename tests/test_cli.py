@@ -587,6 +587,21 @@ def test_invert_past_the_digit_limit_exits_1(capsys):
 
 @pytest.mark.skipif(
     not 0 < getattr(sys, "get_int_max_str_digits", int)() <= 4300,
+    reason="needs an int-to-str digit limit no larger than Python's default",
+)
+@pytest.mark.parametrize("loops", [10**6, 10**11])
+def test_invert_refuses_a_huge_loop_count_before_inverting(capsys, loops):
+    # max sigma >= C(L, L // 2), so the refusal needs no inversion: it comes
+    # at once, where building sigma would run for minutes or exhaust memory.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "invert", "--betti", "3,2", "--loops", str(loops))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert f"with {loops} loops, sigma has entries of more than" in err
+
+
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", int)() <= 4300,
     reason="needs an int-from-str digit limit no larger than Python's default",
 )
 def test_invert_overlong_entry_names_the_limit(capsys):
