@@ -12,9 +12,9 @@ of the dual matroid, the multidegree-sigma entry in homological position i is
 the dimension of reduced homology of the induced subcomplex V|sigma in degree
 |sigma| - i - 2. This is the indexing under which a basis sigma contributes
 exactly beta_{0,sigma} = 1 and the cycle matroid of a single m-cycle resolves
-as 0 <- S(-(m-1))^m <- S(-m)^(m-1) <- 0. The sweep ranks one relative boundary
-map per sigma, first cut by unit pivots and dd = 0 to a core, a reduction that
-is exact over every field (``hochster_betti``).
+as 0 <- S(-(m-1))^m <- S(-m)^(m-1) <- 0. The sweep cuts each relative boundary
+map by unit pivots and dd = 0 to a core, whose rank it reads off the lead rows
+under certificates exact over every field (``hochster_betti``).
 
 Three independent algorithms produce the same table and are cross-checked in
 the tests and the command line tool: the Hochster sweep, a block-by-block
@@ -35,11 +35,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import count, groupby
+from itertools import combinations, count, groupby
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .bitset import k_subsets
+from .bitset import bits, k_subsets
 from .complexes import (
     GF2,
     PrimeField,
@@ -175,9 +175,8 @@ class CycleProfile:
 # -- Hochster sweep -----------------------------------------------------------
 
 
-def _through(t: int) -> list[int]:
-    """t | S for each submask S of the elements below max t outside t."""
-    mask = ((1 << (t.bit_length() - 1)) - 1) & ~t
+def _through(t: int, mask: int) -> list[int]:
+    """t | S for each submask S of mask."""
     out, s = [t | mask], mask
     while s:
         s = (s - 1) & mask
@@ -189,43 +188,33 @@ def _relative_homology(
     m: Matroid, fld: PrimeField, fine: bool
 ) -> tuple[list[int], Counter[int]]:
     """The totals, the sum of h(sigma) over the sets sigma of r + i elements
-    for i = 0 .. n - r, and, when ``fine``, the map sigma -> h(sigma) (else
-    empty; zero values kept), with h(sigma) = #(bases of sigma through
-    max sigma) - rank(core) over GF(p) (see ``hochster_betti``).
+    for i = 0 .. n - r, and, when ``fine``, the map sigma -> h(sigma) of each
+    sigma with h(sigma) > 0 (else empty), read off the lead rows of the core
+    columns as ``hochster_betti`` proves.
 
-    The sweep takes one top element x at a time. Each core column T through
-    x (a spanning (r + 1)-set with T - x not a basis) is built once and,
-    in the order the bases first meet it, pushed into every sigma through x
-    that contains it (``_through(T)``, max T being x); each sigma is ranked
-    once. The level total needs no count per sigma: a basis B lies in
-    C(B.bit_length() - r, i) sets of r + i elements through max B; only the
-    fine map pushes each basis into them. The sorted bases through x
+    The sweep takes one top element x at a time. The sorted bases through x
     are the masks in [2^x, 2^(x+1)); row j of a column, the j-th of them, is
     lane j in the format of ``linalg``, and the column is one int built in
     place: over GF(2), where an entry is 1 whatever its sign, bit j of a mask;
     over an odd prime, the residue of the sign added at lane j's offset, each
-    (column, row) pair meeting once, so no lane carries. A core's rows are
-    fixed by its block of bases, not by the field, so every field eliminates
-    the same matrices. A core of one column has rank 1 without elimination,
-    its entries being +-1, units in every field.
+    (column, row) pair meeting once, so no lane carries. A column's lead is
+    read off its bit length, and every field eliminates the same matrices.
     """
     n, r, p = m.n, m.full_rank, fld.p
     bases = m.bases()
     is_basis = set(bases)
     width = lane_width(p)
     sign = (1, p - 1)
-    free = Counter(b.bit_length() - r for b in bases)
-    totals = [sum(c * comb(k, i) for k, c in free.items()) for i in range(n - r + 1)]
+    free: Counter[int] = Counter()  # |P(B)| -> the number of bases B
     h: Counter[int] = Counter()  # sigma -> h(sigma), when fine
 
     for top, block in groupby(bases, int.bit_length):
         x = 1 << (top - 1)
+        rows = list(block)
         columns: dict[int, int] = {}  # T -> its column
         # Row j of the block: the bit 2^j of a GF(2) mask, else lane j's offset.
         offsets = map((1).__lshift__, count()) if p == 2 else count(0, width)
-        for row, b in zip(offsets, block):
-            if fine:
-                h.update(_through(b))
+        for row, b in zip(offsets, rows):
             bx = b ^ x
             rest = (x - 1) & ~b
             while rest:
@@ -238,19 +227,29 @@ def _relative_homology(
                     else:
                         # T - a carries the sign (-1)^k when a is the k-th smallest element of T.
                         columns[t] = columns.get(t, 0) + (sign[(t & (a - 1)).bit_count() & 1] << row)
-        pushed: dict[int, list[int]] = {}
-        for t, col in columns.items():
-            for sigma in _through(t):
-                cols = pushed.get(sigma)
-                if cols:
-                    cols.append(col)
-                else:
-                    pushed[sigma] = [col]
-        for sigma, cols in pushed.items():
-            k = 1 if len(cols) == 1 else _rank(cols, p)
-            totals[sigma.bit_count() - r] -= k
-            if fine:
-                h[sigma] -= k
+        get = columns.get
+        leads = [(col.bit_length() - 1) // width for col in columns.values()]
+        led = rows[:]  # row j -> B | every column led by B, B the j-th basis
+        for j, t in zip(leads, columns):
+            led[j] |= t
+        for j, k in Counter(leads).items():
+            if k == 1:
+                continue
+            b, below = rows[j], j * width  # a column led below row j has at most j * width bits
+            ys = [1 << y for y in bits(b ^ x)]
+            for t, t2 in combinations([b | 1 << a for a in bits(led[j] ^ b)], 2):
+                u = t | t2
+                w = [c for y in ys if 0 < (c := get(u ^ y, 0)).bit_length() <= below]
+                w.append(columns[t])
+                # Columns of distinct leads are in echelon form: independent in every field.
+                need = len(w) if len({(c.bit_length() - 1) // width for c in w}) == len(w) else _rank(w, p)
+                if _rank(w + [columns[t2]], p) != need:
+                    raise ValidationError(f"core columns {t:#x} and {t2:#x} fail their lead certificate over GF({p})")
+        free.update(top - u.bit_count() for u in led)
+        if fine:
+            for b, u in zip(rows, led):
+                h.update(_through(b, (x - 1) & ~u))
+    totals = [sum(c * comb(k, i) for k, c in free.items()) for i in range(n - r + 1)]
     return totals, h
 
 
@@ -272,18 +271,31 @@ def hochster_betti(
     in degree r. So the entry is the number of bases inside sigma minus the
     rank of one boundary map d, and a sigma that does not span has none.
 
-    The sweep eliminates a core of d. With x = max sigma, the columns through
-    x span the image: for a spanning (r + 1)-set T without x, U = T + x spans,
+    The sweep cuts d to a core. With x = max sigma, the columns through x
+    span the image: for a spanning (r + 1)-set T without x, U = T + x spans,
     and dd U = 0 writes dT as a +-1 combination of the d(U - c), c != x, each
     through x or zero. A basis B without x meets one of those, B + x, with
     entry +-1: a unit pivot. Taking them all leaves the core, with the bases
     of sigma through x as rows and the spanning (r + 1)-sets T through x with
     T - x not a basis as columns, and the entry is #(bases of sigma through
-    x) - rank(core) (``_relative_homology``), each core eliminated once.
-    Exact sequences, dd = 0 and unit pivots hold with any coefficients, so
-    this is exact over every GF(p), and the sweep, still eliminating over
-    GF(p), tests field independence. A uniform profile of one part
-    (``Matroid._uniform_profile``) skips the sweep.
+    x) - rank(core). No core is eliminated. With rows in ascending mask
+    order, the lead of a column T, its highest nonzero row, is the largest
+    basis B inside T; columns of distinct leads are in echelon form,
+    independent over any field. For each pair T < T' led by one B, one small
+    elimination certifies that T' lies in the span of T and the columns
+    U - y (U = T | T', y in U - x) led below B, or raises ValidationError.
+    Ordered by (lead, mask), a core column not first in its lead group thus
+    lies in the span of earlier ones of the same core (T | T' lies in sigma),
+    so rank(core) is the number of distinct leads inside sigma, and the entry
+    counts the B through x inside sigma that lead no column inside sigma:
+    level i totals sum_B C(|P(B)|, i), P(B) the elements below x outside
+    every column led by B, and the fine map pushes each B into B | F for F
+    inside P(B) (``_relative_homology``). These are the linear quotients of
+    basis ideals (Herzog and Takayama 2002; Conca and Herzog 2003), each step
+    proved. Exact sequences, dd = 0 and unit pivots hold with any
+    coefficients, so this is exact over every GF(p), and the certificates,
+    eliminated over GF(p), test field independence. A uniform profile of one
+    part (``Matroid._uniform_profile``) skips the sweep.
     """
     n, r = m.n, m.full_rank
     if r == 0:

@@ -57,6 +57,7 @@ class CrosscheckError(Exception):
 
 
 _FIXTURE_NAMES = ("g1", "g2", "g3", "g4")
+_power_of_ten = functools.cache((10).__pow__)  # 10^k has thousands of digits: build it once per k
 
 
 # -- input handling -----------------------------------------------------------
@@ -374,12 +375,12 @@ def _cmd_invert(args: argparse.Namespace) -> int:
     )
     # sigma dominates (1 + X)^L, so max sigma >= C(L, L // 2) > 2^(L - bitlen(L + 1)):
     # a loop count this large is refused before the inversion.
-    if limit and loops - (loops + 1).bit_length() >= (10**limit).bit_length():
+    if limit and loops - (loops + 1).bit_length() >= _power_of_ten(limit).bit_length():
         raise too_long
     profile = invert_cactus_betti(values, loops)
     roundtrip = cactus_betti(profile)
     sigma = profile.sigma
-    if limit and max(sigma) >= 10**limit:
+    if limit and max(sigma) >= _power_of_ten(limit):
         raise too_long
     payload = {
         "command": "invert",

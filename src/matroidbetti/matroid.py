@@ -428,13 +428,15 @@ class _Graph:
         return out
 
     def closure(self, x: int) -> tuple[int, int]:
-        """x and every other edge that joins no two trees of x's forest."""
+        """x and every other edge whose ends x's forest already joins, read
+        off the roots of one union-find pass over x."""
         parent = self.roots[:]
         rank = _union(self.ends, parent, x).bit_count()
-        for i in bits(((1 << len(self.ends)) - 1) ^ x):
-            if not _union(self.ends, parent[:], 1 << i):
-                x |= 1 << i
-        return x, rank
+        for u, v in enumerate(parent):  # point each vertex at its root
+            while parent[v] != v:
+                parent[u] = v = parent[v]
+        rest = ((1 << len(self.ends)) - 1) ^ x
+        return x | sum(1 << i for i in bits(rest) if parent[self.ends[i][0]] == parent[self.ends[i][1]]), rank
 
     def restrict(self, sigma: int) -> "_Graph":
         return _Graph([self.ends[i] for i in bits(sigma)], self.roots)

@@ -12,6 +12,7 @@ from math import comb
 import pytest
 
 from matroidbetti import complexes
+from matroidbetti.cli import main
 from matroidbetti.complexes import SimplicialComplex
 from matroidbetti.linalg import lane_width
 from matroidbetti.matroid import _frontier
@@ -341,9 +342,9 @@ def test_sweep_ranks_bases_not_faces(monkeypatch):
     # bases once is the only bulk rank work, and rows are numbered among the
     # bases through max sigma; a sweep over face levels of V evaluates C(14, 8) +
     # C(14, 9) = 5,005 sets and builds matrices of C(14, 8) = 3,003 rows.
-    # Cut to their unit-pivot cores, the matrices have 2,451 columns in all
-    # (2,652 when one-column cores were eliminated too); the whole boundary
-    # maps have 8,096.
+    # The certificates of the lead rows eliminate 246 columns in all (2,451
+    # when every core of two or more columns was eliminated); the whole
+    # boundary maps have 8,096.
     g1 = cycle_matroid(fixture("g1"))
     m, evaluated = counting(g1)
     rows = _recording_rows(monkeypatch)
@@ -372,15 +373,15 @@ def test_17_edge_ring_over_gf3(monkeypatch):
     assert table.fine == euler_fine_betti(m)
     assert table.global_ == (3343, 16533, 34391, 38472, 24388, 8300, 1184)
     assert rows
-    # A core's rows are the bases of sigma through its largest element: the
-    # widest core has 1,922 rows, against the ring's 3,343 bases.
+    # A certificate's rows are bases through its largest element: the tallest
+    # has 1,978 rows (the widest core 1,922), against the ring's 3,343 bases.
     assert max(height for height, _ in rows) <= 2000
 
 
 def test_sweep_hands_no_one_column_matrix_to_elimination(monkeypatch):
-    # A core of one column has rank 1 in every field, its entries being +-1.
-    # On g1 over GF(2) the sweep used to eliminate 522 matrices, 201 of them
-    # of one column.
+    # A certificate holds two columns that share a lead, and the rank of a
+    # lone column, its entries +-1, is 1 in every field. On g1 over GF(2) the
+    # sweep once eliminated 522 matrices, 201 of them of one column.
     g1 = cycle_matroid(fixture("g1"))
     for fld in (GF2, GF3):
         rows = _recording_rows(monkeypatch)
@@ -410,24 +411,77 @@ def _sweep_graph(name: str) -> Matroid:
     return cycle_matroid(fixture("g1")) if name == "g1" else graph_matroid(12, CHORDED_RING_17)
 
 
+def _lead_groups(m: Matroid) -> Counter[int]:
+    """basis B -> the number of core columns T led by B, by definition: B is
+    the largest basis inside T."""
+    bases = set(m.bases())
+    columns = {t for ts in _cores(m).values() for t in ts}
+    return Counter(max(t ^ 1 << e for e in bits(t) if t ^ 1 << e in bases) for t in columns)
+
+
 @pytest.mark.parametrize("fld", [GF2, GF3, PrimeField(5)], ids=lambda f: f"GF{f.p}")
 @pytest.mark.parametrize(
     ("name", "work"),
-    [("g1", (321, 2_451, 393_004)), ("ring17", (2_258, 37_865, 53_351_335))],
+    [("g1", (36, 246, 37_547)), ("ring17", (338, 3_068, 3_622_617))],
     ids=["g1", "ring17"],
 )
 def test_sweep_ranks_each_core_once(monkeypatch, name, work, fld):
-    # The sweep pushes every column through one top element x into all the
-    # sets sigma through x in one pass. The number of eliminated matrices,
-    # their total columns and their rows times columns are pinned exactly,
-    # the same in every field, and each sigma whose core has two or more
-    # columns is ranked once, with all of them.
+    # No core is eliminated: each core's rank is read once, off its lead
+    # rows. The only matrices are the certificates of the pairs of columns
+    # led by one basis, one elimination per pair on these graphs. Their
+    # number, total columns and rows times columns are pinned exactly, the
+    # same in every field (a sweep eliminating every core had 321, 2,451,
+    # 393,004 on g1 and 2,258, 37,865, 53,351,335 on the ring).
     m = _sweep_graph(name)
     rows = _recording_rows(monkeypatch)
     assert hilbert_check(hochster_betti(m, fld), m)
     assert (len(rows), sum(w for _, w in rows), sum(h * w for h, w in rows)) == work
-    cores = [ts for ts in _cores(m).values() if len(ts) > 1]
-    assert Counter(w for _, w in rows) == Counter(map(len, cores))
+    assert len(rows) == sum(comb(k, 2) for k in _lead_groups(m).values())
+
+
+def _textbook_rank(columns: list[dict[int, int]], p: int) -> int:
+    """Rank over GF(p) of columns given as row -> entry, by textbook
+    elimination on each column's lowest row, with no packed lanes."""
+    pivots: dict[int, dict[int, int]] = {}
+    for col in columns:
+        col = {r: v % p for r, v in col.items() if v % p}
+        while col:
+            low = min(col)
+            piv = pivots.get(low)
+            if piv is None:
+                pivots[low] = col
+                break
+            f = col[low] * pow(piv[low], -1, p) % p
+            for r, v in piv.items():
+                if x := (col.get(r, 0) - f * v) % p:
+                    col[r] = x
+                else:
+                    del col[r]
+    return len(pivots)
+
+
+@pytest.mark.parametrize("fld", [GF2, GF3, PrimeField(5)], ids=lambda f: f"GF{f.p}")
+@pytest.mark.parametrize("name", ["g1", "ring17"])
+def test_core_rank_is_its_number_of_lead_rows(name, fld):
+    # The law the sweep certifies: the core of every sigma, its columns
+    # signed by the standard orientation, has as its rank the number of
+    # distinct leads (largest bases) of its columns.
+    m = _sweep_graph(name)
+    bases = set(m.bases())
+    for sigma, ts in _cores(m).items():
+        cols = [{t ^ 1 << e: (-1) ** k for k, e in enumerate(bits(t)) if t ^ 1 << e in bases} for t in ts]
+        assert _textbook_rank(cols, fld.p) == len({max(col) for col in cols}), sigma
+
+
+def test_a_failed_certificate_is_refused(monkeypatch, capsys):
+    # A rank that calls every matrix independent fails the first certificate:
+    # the sweep raises rather than return a count it has not proved, and the
+    # command line maps that to exit 2.
+    monkeypatch.setattr(BETTI_MODULE, "_rank", lambda cols, p: len(cols))
+    with pytest.raises(ValidationError, match="certificate"):
+        hochster_betti(cycle_matroid(fixture("g1")), GF3)
+    assert main(["betti", "--input", "g1", "--algorithm", "hochster"]) == 2
+    assert "certificate" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["g1", "ring17"])
@@ -448,23 +502,25 @@ def test_every_field_eliminates_the_same_matrices(monkeypatch, name):
 
 def test_sweep_packs_each_core_with_its_columns(monkeypatch):
     # Over GF(2) the column of T has a 1 in row j for the j-th basis through
-    # max T inside T; each eliminated matrix holds the columns of one core,
-    # in any order.
+    # max T inside T. Each certificate matrix holds core columns through one
+    # top element, and its two longest share a lead that no other reaches.
     m = cycle_matroid(fixture("g1"))
     row = {}
     for b in m.bases():
         row[b] = sum(c.bit_length() == b.bit_length() for c in row)
+    packed: dict[int, set[int]] = {}  # top -> the packed columns through it
+    for t in {t for ts in _cores(m).values() for t in ts}:
+        col = sum(1 << row[t ^ (1 << e)] for e in bits(t) if t ^ (1 << e) in row)
+        packed.setdefault(t.bit_length(), set()).add(col)
     matrices = []
-    monkeypatch.setattr(complexes, "gf2_rank", lambda cols: matrices.append(tuple(cols)) or 0)
+    gf2_rank = complexes.gf2_rank
+    monkeypatch.setattr(complexes, "gf2_rank", lambda cols: matrices.append(cols) or gf2_rank(cols))
     hochster_betti(m)
-    expected = [
-        tuple(sum(1 << row[t ^ (1 << e)] for e in bits(t) if t ^ (1 << e) in row) for t in ts)
-        for ts in _cores(m).values() if len(ts) > 1
-    ]
-    assert len(matrices) == 321
-    assert Counter(tuple(sorted(cols)) for cols in matrices) == Counter(
-        tuple(sorted(cols)) for cols in expected
-    )
+    assert len(matrices) == 36
+    for cols in matrices:
+        assert any(set(cols) <= block for block in packed.values())
+        lengths = [0, *sorted(c.bit_length() for c in cols)]
+        assert lengths[-1] == lengths[-2] > lengths[-3], lengths
 
 
 @pytest.mark.parametrize(

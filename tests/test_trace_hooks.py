@@ -43,12 +43,14 @@ def test_trace_hooks_install_and_restore(capsys):
 
 
 def test_trace_hooks_see_the_sweep_eliminations(capsys):
-    # g3 resolves to the Hochster sweep, whose odd-prime eliminations must
-    # reach the counter the hooks put on ``complexes.modp_rank``.
+    # g1 resolves to the Hochster sweep, whose odd-prime certificate
+    # eliminations must reach the counter the hooks put on
+    # ``complexes.modp_rank``. g3 has no two core columns sharing a lead, so
+    # its sweep eliminates nothing.
     tracer = _tracing_module().Tracer()
     tracer.install()
     try:
-        assert main(["betti", "--input", "g3", "--field", "3"]) == 0
+        assert main(["betti", "--input", "g1", "--field", "3"]) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
@@ -62,7 +64,7 @@ def test_trace_hooks_see_the_graph_oracle_and_gf2_eliminations(capsys):
     tracer = _tracing_module().Tracer()
     tracer.install()
     try:
-        assert main(["betti", "--input", "g3"]) == 0
+        assert main(["betti", "--input", "g1"]) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
