@@ -76,14 +76,14 @@ class BettiTable:
     ``global_`` lists the ungraded numbers beta_0 .. beta_{n-r}, always
     n - r + 1 of them: the resolution has length at most n - r, and trailing
     zeros (one per loop) are kept. Step i sits in total degree rank + i, so
-    the graded table ``coarse`` is read off the vector. ``fine`` maps
-    (i, subset mask) to multiplicities when requested.
+    the graded table ``coarse`` is read off the vector. ``fine``, when
+    requested, maps each subset mask sigma to beta_{|sigma|-rank,sigma} > 0.
     """
 
     rank_r: int
     n: int
     global_: tuple[int, ...]
-    fine: dict[tuple[int, int], int] | None = None
+    fine: dict[int, int] | None = None
 
     @property
     def coarse(self) -> dict[tuple[int, int], int]:
@@ -107,20 +107,17 @@ class BettiTable:
         )
 
     def to_json_dict(self) -> dict:
-        coarse: dict[str, dict[str, int]] = {}
-        for (i, j), v in sorted(self.coarse.items()):
-            coarse.setdefault(str(i), {})[str(j)] = v
         out = {
             "rank": self.rank_r,
             "n": self.n,
             "global": list(self.global_),
-            "coarse": coarse,
+            "coarse": {str(i): {str(j): v} for (i, j), v in sorted(self.coarse.items())},
         }
         if self.fine is not None:
             keys = {0: ""}
             fine: dict[str, dict[str, int]] = {}
-            for (i, s), v in sorted(self.fine.items()):
-                fine.setdefault(str(i), {})[_key(keys, s)] = v
+            for s in sorted(self.fine, key=lambda s: (s.bit_count(), s)):
+                fine.setdefault(str(s.bit_count() - self.rank_r), {})[_key(keys, s)] = self.fine[s]
             out["fine"] = fine
         return out
 
@@ -241,9 +238,8 @@ def _relative_homology(
                 u = t | t2
                 w = [c for y in ys if 0 < (c := get(u ^ y, 0)).bit_length() <= below]
                 w.append(columns[t])
-                # Columns of distinct leads are in echelon form: independent in every field.
-                need = len(w) if len({(c.bit_length() - 1) // width for c in w}) == len(w) else _rank(w, p)
-                if _rank(w + [columns[t2]], p) != need:
+                echelon = len({(c.bit_length() - 1) // width for c in w}) == len(w)  # so rank(W) = |W|
+                if not echelon or _rank(w + [columns[t2]], p) != len(w):
                     raise ValidationError(f"core columns {t:#x} and {t2:#x} fail their lead certificate over GF({p})")
         free.update(top - u.bit_count() for u in led)
         if fine:
@@ -281,9 +277,16 @@ def hochster_betti(
     x) - rank(core). No core is eliminated. With rows in ascending mask
     order, the lead of a column T, its highest nonzero row, is the largest
     basis B inside T; columns of distinct leads are in echelon form,
-    independent over any field. For each pair T < T' led by one B, one small
-    elimination certifies that T' lies in the span of T and the columns
-    U - y (U = T | T', y in U - x) led below B, or raises ValidationError.
+    independent over any field. Take a pair T = B + a < T' = B + a' led by
+    one B, and U = T | T'. The columns U - y (y in B - x) led below B have
+    distinct leads: were L the lead of U - y1 and U - y2, then L = U - y1 - y2,
+    and exchange between B and L at y1 makes T - y1 or T' - y1 a basis, so
+    a < y1 (B leads both), and a < y2 likewise; T' - y1 > L is then no basis,
+    T - y1 is, and L > T - y1 forces a' > y2, and a' > y1 likewise; so
+    a' = max(a, a', y1, y2) lies in L, and L > B. With T they are thus
+    independent, and one small elimination certifies that T' lies in their
+    span, or raises ValidationError, as a repeated lead does too (only a rank
+    oracle that breaks basis exchange gives one).
     Ordered by (lead, mask), a core column not first in its lead group thus
     lies in the span of earlier ones of the same core (T | T' lies in sigma),
     so rank(core) is the number of distinct leads inside sigma, and the entry
@@ -301,7 +304,7 @@ def hochster_betti(
     if r == 0:
         # The ideal generated by the empty-set monomial is the whole ring: one
         # generator in degree zero and nothing else.
-        return BettiTable(0, n, (1,) + (0,) * n, {(0, 0): 1} if fine else None)
+        return BettiTable(0, n, (1,) + (0,) * n, {0: 1} if fine else None)
     # Greedy probe: a sane rank oracle always yields a basis; a broken one
     # would make the ideal zero and the sweep meaningless.
     if m.rank(m.greedy_basis()) != r:
@@ -313,11 +316,10 @@ def hochster_betti(
         levels = range(r, n + 1)
         return BettiTable(
             r, n, tuple(comb(n, k) * comb(k - 1, r - 1) for k in levels),
-            {(k - r, s): comb(k - 1, r - 1) for k in levels for s in k_subsets(n, k)} if fine else None,
+            {s: comb(k - 1, r - 1) for k in levels for s in k_subsets(n, k)} if fine else None,
         )
     totals, h = _relative_homology(m, fld, fine)
-    fine_map = {(s.bit_count() - r, s): v for s, v in h.items() if v} if fine else None
-    return BettiTable(r, n, tuple(totals), fine_map)
+    return BettiTable(r, n, tuple(totals), dict(h) if fine else None)
 
 
 # -- block product ------------------------------------------------------------

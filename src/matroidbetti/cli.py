@@ -5,13 +5,14 @@ Reports go to standard output as plain text (default) or versioned JSON
 (``--output json``); both are deterministic, byte for byte, for identical
 inputs and flags.
 
-Exit codes: 0 success, 1 malformed input (deeply nested JSON too), 2
-contract violation (bases failing the exchange axiom, cactus mode on a
-non-cactus input, an invalid cactus Betti vector), 3 cross-check or
-verification mismatch. Usage errors caught by argparse (a missing
-``--input``, a non-integer ``--field``, an unknown option) exit 2 after a
-usage line on stderr, that of the subcommand when one was named; a missing
-or unknown subcommand gets the usage line of ``matroidbetti`` itself.
+Exit codes: 0 success, 1 malformed input (deeply nested JSON too) or out
+of memory (no traceback), 2 contract violation (bases failing the exchange
+axiom, cactus mode on a non-cactus input, an invalid cactus Betti vector),
+3 cross-check or verification mismatch. Usage errors caught by argparse (a
+missing ``--input``, a non-integer ``--field``, an unknown option) exit 2
+after a usage line on stderr, that of the subcommand when one was named; a
+missing or unknown subcommand gets the usage line of ``matroidbetti``
+itself.
 """
 
 from __future__ import annotations
@@ -158,10 +159,6 @@ def _fmt_vec(values) -> str:
     return " ".join(str(v) for v in vals) if vals else "(empty)"
 
 
-def _elements(mask: int) -> list[int]:
-    return list(bits(mask))
-
-
 # -- cross-checks -------------------------------------------------------------
 
 
@@ -234,9 +231,8 @@ def _cmd_betti(args: argparse.Namespace) -> int:
         f"resolution: {table.resolution_text()}",
     ]
     if table.fine is not None and args.output == "text":
-        for (i, sigma), v in sorted(table.fine.items()):
-            elems = ",".join(str(e) for e in _elements(sigma))
-            lines.append(f"beta[{i}, {{{elems}}}] = {v}")
+        for i, row in payload["table"]["fine"].items():
+            lines += (f"beta[{i}, {{{sigma}}}] = {v}" for sigma, v in row.items())
     if args.crosscheck:
         routes = _betti_routes(m, fld, table, resolved)
         names = _check_agreement(
@@ -287,7 +283,7 @@ def _cmd_blocks(args: argparse.Namespace) -> int:
     m, _, label = _parse_input(args.input)
     rows = [
         {
-            "elements": _elements(block.members),
+            "elements": list(bits(block.members)),
             "size": block.matroid.n,
             "rank": block.matroid.full_rank,
             "kind": block.kind,
@@ -319,8 +315,8 @@ def _cmd_cactus(args: argparse.Namespace) -> int:
         "command": "cactus",
         "source": label,
         "is_cactus": cactus,
-        "cycles": [_elements(c) for c in cycles],
-        "bridges": [_elements(b)[0] for b in bridges],
+        "cycles": [list(bits(c)) for c in cycles],
+        "bridges": [b.bit_length() - 1 for b in bridges],
         "loops": loops,
     }
     lines = [
@@ -328,7 +324,7 @@ def _cmd_cactus(args: argparse.Namespace) -> int:
         f"is_cactus: {'yes' if cactus else 'no'}",
     ]
     if not cactus:
-        payload["offending"] = [_elements(o) for o in part.masks("general")]
+        payload["offending"] = [list(bits(o)) for o in part.masks("general")]
         for o in payload["offending"]:
             lines.append(f"offending block: edges {','.join(map(str, o))}")
         _emit(args, payload, lines)
@@ -639,6 +635,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory; this input needs more than the process may allocate", file=sys.stderr)
         return 1
 
 

@@ -142,8 +142,6 @@ def weight_hierarchy(m: Matroid) -> WeightHierarchy:
         return block_weights(range(rj + 1, k + 1) for rj, k in profile)
     n, r = m.n, m.full_rank
     corank = n - r
-    if corank == 0:
-        return WeightHierarchy(())
     flats = _cyclic_flats(m)
     weights = []
     for i in range(1, corank + 1):

@@ -385,10 +385,11 @@ def absolute_betti(m: Matroid, fld: PrimeField = GF2) -> dict[tuple[int, int], i
     return fine
 
 
-def euler_fine_betti(m: Matroid) -> dict[tuple[int, int], int]:
+def euler_fine_betti(m: Matroid) -> dict[int, int]:
     """The nonzero fine Betti numbers of the basis-monomial ideal of ``m``,
-    from the Euler-characteristic form of Hochster's formula:
-    beta_{|sigma| - r, sigma} = |sum of (-1)^|tau| over spanning tau in sigma|.
+    keyed by sigma alone, from the Euler-characteristic form of Hochster's
+    formula: beta_{|sigma| - r, sigma} = |sum of (-1)^|tau| over spanning tau
+    in sigma|.
 
     The resolution is linear, so V|sigma (V the complex of non-spanning sets)
     has homology in one degree only and its dimension is the absolute reduced
@@ -407,7 +408,7 @@ def euler_fine_betti(m: Matroid) -> dict[tuple[int, int], int]:
         for base in range(0, 1 << n, bit << 1):
             for sigma in range(base + bit, base + (bit << 1)):
                 g[sigma] += g[sigma - bit]
-    return {(sigma.bit_count() - r, sigma): abs(v) for sigma, v in enumerate(g) if v}
+    return {sigma: abs(v) for sigma, v in enumerate(g) if v}
 
 
 def hilbert_global(n: int, r: int, spanning: list[int]) -> tuple[int, ...]:

@@ -177,11 +177,16 @@ def test_criterion_10_linearity_and_field_independence(suite_tables):
     rng = random.Random(SEED + 10)
     exhaustive_count = 0
     for m, over_2 in suite_tables:
-        assert all(s.bit_count() == m.full_rank + i for i, s in over_2.fine)
+        # Keyed by sigma alone, entry sigma sits at i = |sigma| - r.
+        r = m.full_rank
+        levels = [0] * len(over_2.global_)
+        for s, v in over_2.fine.items():
+            assert s.bit_count() >= r, (m.provenance, bin(s))
+            levels[s.bit_count() - r] += v
+        assert tuple(levels) == over_2.global_, (m.provenance, m.n)
         over_3 = hochster_betti(m, GF3, fine=True)
         assert over_3.coarse == over_2.coarse, (m.provenance, m.n)
         assert over_3.fine == over_2.fine, (m.provenance, m.n)
-        r = m.full_rank
         if m.n <= 8:
             # Exhaustive: sweep every (i, subset) pair; nothing may appear off
             # the diagonal |subset| = rank + i.

@@ -4,8 +4,10 @@ exit codes, and byte determinism."""
 import importlib
 import io
 import json
+import os
 import pathlib
 import random
+import subprocess
 import sys
 import time
 from math import comb
@@ -190,6 +192,38 @@ def test_repeated_basis_element_exits_1(capsys):
     assert "basis [1, 1] repeats an element" in err  # named as written, from 1
 
 
+@pytest.mark.parametrize(
+    ("source", "message"),
+    [
+        ('{"n": 3, "bases": 5}', "'bases' must be a list of element lists"),
+        ('{"n": 3, "bases": [5]}', "basis 5 is not a list"),
+    ],
+)
+def test_malformed_bases_exit_1(capsys, source, message):
+    code, out, err = run(capsys, "betti", "--input", source)
+    assert (code, out) == (1, "")
+    assert err == f"error: inline input: {message}\n"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS enforced")
+def test_running_out_of_memory_exits_1_without_a_traceback():
+    # The cross-check sweeps the 24-element three-block sum with no estimate
+    # first; under a 300 MB address-space limit it runs out of memory within
+    # seconds, and the command says so in one line.
+    import resource
+
+    limit = 300 * 2**20
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = ["betti", "--crosscheck", "--input", '{"blocks": [[4,8],[4,8],[4,8]]}']
+    proc = subprocess.run(
+        [sys.executable, "-m", "matroidbetti", *argv], capture_output=True, text=True, env=env,
+        timeout=120, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr[-2000:]
+    assert proc.stderr.startswith("error: out of memory") and "Traceback" not in proc.stderr
+
+
 def test_non_matroid_bases_exit_2(capsys):
     code, _, err = run(
         capsys, "betti", "--input", '{"n": 4, "bases": [[1,2],[3,4]]}'
@@ -248,6 +282,13 @@ def test_betti_crosscheck_mismatch_exits_3(capsys, monkeypatch):
         "mismatch: betti tables disagree: blocks gives (9, 12, 4) "
         "but hochster gives (1,)\n"
     )
+
+
+def test_betti_crosscheck_hilbert_mismatch_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli_mod, "hilbert_check", lambda table, m: False)
+    code, out, err = run(capsys, "betti", "--input", TWO_TRIANGLES_JSON, "--crosscheck")
+    assert (code, out) == (3, "")
+    assert err == "mismatch: the Betti table fails the Hilbert series consistency check\n"
 
 
 def test_weights_crosscheck_mismatch_message(capsys, monkeypatch):
@@ -576,13 +617,16 @@ def test_invert_prints_many_loops_at_once(capsys):
 )
 def test_invert_past_the_digit_limit_exits_1(capsys):
     # (1 + X)^14400 has coefficients of more than 4,300 digits: the command
-    # refuses in plain words and leaves the interpreter's limit alone.
+    # refuses in plain words and leaves the interpreter's limit alone. The
+    # bound checked before the inversion refuses 14,400 loops; 14,296 pass it
+    # and are refused by the check of sigma after it.
     limit = sys.get_int_max_str_digits()
-    code, out, err = run(capsys, "invert", "--betti", "2,1", "--loops", "14400")
-    assert (code, out) == (1, "")
-    assert err.count("\n") == 1 and "14400" in err and str(limit) in err
-    assert "set_int_max_str_digits" not in err
-    assert sys.get_int_max_str_digits() == limit
+    for vector, loops in (("2,1", "14400"), ("1", "14296")):
+        code, out, err = run(capsys, "invert", "--betti", vector, "--loops", loops)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and loops in err and str(limit) in err
+        assert "set_int_max_str_digits" not in err
+        assert sys.get_int_max_str_digits() == limit
 
 
 @pytest.mark.skipif(
@@ -637,6 +681,8 @@ def test_invert_bad_arguments(capsys):
     code, _, err = run(capsys, "invert", "--betti", "3,2", "--loops", "-1")
     assert code == 1
     assert err.strip() == "error: loop count must be a non-negative integer, got -1"
+    code, _, err = run(capsys, "invert", "--betti", ",", "--loops", "0")
+    assert (code, err) == (1, "error: empty integer list\n")
 
 
 def test_dual_d1(capsys):

@@ -224,13 +224,13 @@ STRUCTURE_FAMILIES = (
 
 
 def assert_diagonal_fine(table: BettiTable, fine: dict[tuple[int, int], int]) -> None:
-    """Check a sweep's table against an exhaustive fine map (as from
-    ``oracles.absolute_betti``): the two maps are equal, every key (i, sigma)
-    has |sigma| = rank + i, so nothing lies off the diagonal, and the sums
-    over each level i are the global vector."""
-    assert fine == table.fine
+    """Check a sweep's table against an exhaustive fine map keyed (i, sigma)
+    (as from ``oracles.absolute_betti``): every key has |sigma| = rank + i, so
+    nothing lies off the diagonal, the map keyed by sigma alone is the
+    table's, and the sums over each level i are the global vector."""
     r = table.rank_r
     assert all(sigma.bit_count() == r + i for i, sigma in fine), sorted(fine)
+    assert {sigma: v for (_, sigma), v in fine.items()} == table.fine
     sums = [0] * len(table.global_)
     for (i, _), v in fine.items():
         sums[i] += v
