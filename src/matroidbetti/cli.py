@@ -176,11 +176,10 @@ def _weights_routes(m: Matroid, primary: WeightHierarchy) -> dict[str, WeightHie
     """The sweep, the block route on two or more blocks, and the first
     independent route that applies: cactus, size-rank, else circuits."""
     routes = {"sweep": primary}
-    valid = set(_routes(m))
     part = m.blocks()
-    if "blocks" in valid:
+    if len(part.blocks) > 1:
         routes["blocks"] = block_weights(weight_hierarchy(b.matroid) for b in part.blocks)
-    if "cactus" in valid:
+    if part.is_cactus:
         routes["cactus"] = cactus_weights(part.cycle_lengths())
     elif (by_table := weights_via_size_rank(m)) is not None:
         routes["size-rank"] = by_table

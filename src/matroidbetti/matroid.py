@@ -146,15 +146,16 @@ class Matroid:
         enumeration problems for matroids", SIAM J. Discrete Math. 19, 2005).
 
         The closure costs about the cube of the number of circuits, which is
-        large on dense matroids (U(6, 12) has 792). Its work, counted as
-        containment tests plus rank evaluations while shrinking, is therefore
-        bounded by the number of sets the definition-based scan would visit,
-        those of at most full_rank + 1 elements; past that bound the scan runs
-        instead.
+        large on dense matroids (U(6, 12) has 792). Its work is therefore
+        bounded by the work of the definition-based scan, which visits the
+        sets of at most full_rank + 1 elements, each at the cost of a rank
+        evaluation or more; past that bound the scan runs instead. A rank
+        evaluation while shrinking counts one unit and a containment test,
+        one ``&`` of two ints, a quarter unit.
         """
         if self._circuits is None:
             n, r = self.n, self.full_rank
-            budget = sum(comb(n, k) for k in range(1, min(n, r + 1) + 1))
+            budget = 4 * sum(comb(n, k) for k in range(1, min(n, r + 1) + 1))
             found = self._eliminate(budget)
             if found is None:
                 found = self._scan_circuits()
@@ -238,7 +239,8 @@ class Matroid:
 
     def _eliminate(self, budget: int) -> list[int] | None:
         """The circuit family by elimination from the fundamental circuits,
-        or None once the work passes ``budget``."""
+        or None once the work passes ``budget``, counted in quarter units: 1
+        per containment test, 4 per rank evaluation."""
         found = self._fundamental_circuits()
         work = 0
         j = 0
@@ -254,7 +256,7 @@ class Matroid:
                             break
                     else:
                         for x in bits(u):
-                            work += 1
+                            work += 4
                             smaller = u ^ (1 << x)
                             if self.rank(smaller) < smaller.bit_count():
                                 u = smaller

@@ -24,12 +24,13 @@ with either, chosen in this order:
   stays within ``matroid.FRONTIER_BUDGET``, or a uniform sum):
   d_i = min{k : N(k, k - i) > 0};
 * ``weights_via_circuits`` otherwise (basis lists, bare oracles and graphs
-  past the budget). Call a family of circuits non-redundant when every
-  member keeps an element outside the union of the others. The degree of
-  non-redundancy of a subset (the largest non-redundant family of circuits
-  inside it) equals its nullity, so d_i is the smallest union of a
-  non-redundant family of i circuits. Its search costs about the cube of
-  the number of circuits.
+  past the budget). A circuit C with an element e outside a set X raises
+  the nullity by at least one, nullity(X | C) >= nullity(X) + 1, since
+  C - e spans e. So a chain of i circuits, each adding an element to the
+  union of those before it, has a union of nullity at least i; and a set
+  of nullity i holds such a chain, the fundamental circuits of the i
+  elements outside one of its bases, in any order. Hence d_i is the
+  smallest union of such a chain.
 
 The tests check every route against a sweep over every subset.
 """
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .betti import CycleProfile
 from .bitset import k_subsets  # noqa: F401  perfbench/tracing.py wraps weights.k_subsets
@@ -74,23 +75,6 @@ class WeightHierarchy:
 
     def __getitem__(self, i: int) -> int:
         return self.weights[i]
-
-
-def is_nonredundant(circuit_masks: Sequence[int]) -> bool:
-    """True when every circuit keeps an element outside the others' union."""
-    k = len(circuit_masks)
-    if k <= 1:
-        return True
-    prefix = [0] * (k + 1)
-    for i, c in enumerate(circuit_masks):
-        prefix[i + 1] = prefix[i] | c
-    suffix = 0
-    for i in range(k - 1, -1, -1):
-        others = prefix[i] | suffix
-        if circuit_masks[i] & ~others == 0:
-            return False
-        suffix |= circuit_masks[i]
-    return True
 
 
 def _cyclic_flats(m: Matroid) -> dict[int, int]:
@@ -156,56 +140,55 @@ def weight_hierarchy(m: Matroid) -> WeightHierarchy:
 
 
 def weights_via_circuits(m: Matroid) -> WeightHierarchy:
-    """The hierarchy as smallest unions of non-redundant circuit families.
+    """The hierarchy as smallest unions of circuit chains, in which each
+    circuit adds an element to the union of those before it (the module
+    docstring gives the lemma).
 
-    d_i is computed by a depth-first search over families of exactly i
-    circuits, minimizing the union size. Two admissible prunes keep it fast:
-    a partial family with union u needs at least one new element per missing
-    member (so u + (i - k) >= current best is a dead end), and since the
-    hierarchy is strictly increasing the search for d_i can stop as soon as
-    it reaches d_{i-1} + 1.
+    d_i is a depth-first search over chains of exactly i circuits, taken in
+    index order, minimizing the union. A chain that still needs ``need``
+    circuits adds at least one element per circuit, so a union u with
+    |u| + need >= best is a dead end; and since the hierarchy is strictly
+    increasing the search for d_i stops as soon as it reaches d_{i-1} + 1.
+    ``seen`` keeps the least ``start`` at which each (need, union) was
+    entered: an entry at a later start has only circuits the earlier one
+    had, and ``best`` has only fallen since.
     """
     n, r = m.n, m.full_rank
     corank = n - r
     if corank == 0:
         return WeightHierarchy(())
-    circuits = sorted(m.circuits(), key=lambda c: (c.bit_count(), c))
+    circuits = m.circuits()
     k = len(circuits)
     weights: list[int] = []
     prev = 0
     for i in range(1, corank + 1):
         best = n + 1
         lower = prev + 1
+        seen: dict[tuple[int, int], int] = {}
 
-        def extend(start: int, family: list[int], union: int) -> None:
+        def extend(start: int, need: int, union: int) -> None:
             nonlocal best
-            need = i - len(family)
             if need == 0:
-                if union.bit_count() < best:
-                    best = union.bit_count()
+                best = union.bit_count()  # the prune below keeps it under best
                 return
-            if best <= lower:
+            if seen.get((need, union), k) <= start:
                 return
-            for idx in range(start, k):
-                if k - idx < need:
-                    break
+            seen[need, union] = start
+            for idx in range(start, k - need + 1):
                 c = circuits[idx]
                 if c & ~union == 0:
-                    continue  # adds nothing new: the family would be redundant
+                    continue  # adds no element, so maybe no nullity
                 new_union = union | c
                 if new_union.bit_count() + (need - 1) >= best:
                     continue
-                family.append(c)
-                if is_nonredundant(family):
-                    extend(idx + 1, family, new_union)
-                family.pop()
+                extend(idx + 1, need - 1, new_union)
                 if best <= lower:
                     return
 
-        extend(0, [], 0)
+        extend(0, i, 0)
         if best > n:
             raise ValidationError(
-                f"no non-redundant family of {i} circuits exists, "
+                f"no chain of {i} circuits, each adding an element, exists, "
                 f"but the corank is {corank}"
             )
         weights.append(best)

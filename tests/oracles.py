@@ -25,6 +25,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
+from typing import Sequence
 
 from matroidbetti import (
     GF2,
@@ -36,7 +37,6 @@ from matroidbetti import (
     k_subsets,
 )
 from matroidbetti.complexes import SimplicialComplex, boundary_rank
-from matroidbetti.weights import is_nonredundant
 
 
 def fraction_rank(rows: list[list[Fraction]]) -> int:
@@ -463,6 +463,23 @@ def sweep_weights(m: Matroid) -> WeightHierarchy:
         f"rank oracle is inconsistent: found nullities {sorted(found)} "
         f"but corank is {corank}"
     )
+
+
+def is_nonredundant(circuit_masks: Sequence[int]) -> bool:
+    """True when every circuit keeps an element outside the others' union."""
+    k = len(circuit_masks)
+    if k <= 1:
+        return True
+    prefix = [0] * (k + 1)
+    for i, c in enumerate(circuit_masks):
+        prefix[i + 1] = prefix[i] | c
+    suffix = 0
+    for i in range(k - 1, -1, -1):
+        others = prefix[i] | suffix
+        if circuit_masks[i] & ~others == 0:
+            return False
+        suffix |= circuit_masks[i]
+    return True
 
 
 def degree_of_nonredundancy(m: Matroid, sigma: int) -> int:

@@ -205,6 +205,12 @@ def test_malformed_bases_exit_1(capsys, source, message):
     assert err == f"error: inline input: {message}\n"
 
 
+def test_non_integer_edge_endpoints_exit_1(capsys):
+    code, out, err = run(capsys, "betti", "--input", '{"vertices": 3, "edges": [[1.5, 2]]}')
+    assert (code, out) == (1, "")
+    assert err == "error: edge [1.5, 2] has non-integer endpoints\n"
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS enforced")
 def test_running_out_of_memory_exits_1_without_a_traceback():
     # The cross-check sweeps the 24-element three-block sum with no estimate

@@ -1,4 +1,4 @@
-"""Weight hierarchies: the cyclic-flat route against the circuit-family
+"""Weight hierarchies: the cyclic-flat route against the circuit-chain
 search, the size-rank table and the subset sweep of the definition, the work
 each route does, non-redundancy, the block min-plus rule, and the
 sorted-prefix closed form."""
@@ -24,9 +24,15 @@ from matroidbetti import (
     uniform,
     weight_hierarchy,
 )
-from matroidbetti.weights import is_nonredundant, weights_via_circuits, weights_via_size_rank
+from matroidbetti.weights import weights_via_circuits, weights_via_size_rank
 
-from oracles import degree_of_nonredundancy, matrix_tree_count, minplus_naive, sweep_weights
+from oracles import (
+    degree_of_nonredundancy,
+    is_nonredundant,
+    matrix_tree_count,
+    minplus_naive,
+    sweep_weights,
+)
 from util import (
     SEED,
     STRUCTURE_FAMILIES,
@@ -135,6 +141,7 @@ def test_named_hierarchies():
 
 def test_sweep_matches_circuit_search():
     battery = [
+        uniform(3, 3),
         uniform(2, 3),
         uniform(1, 4),
         uniform(2, 5),
@@ -184,6 +191,12 @@ def test_inconsistent_oracle_is_rejected():
     m = Matroid(3, table.__getitem__)
     with pytest.raises(ValidationError, match="inconsistent"):
         weight_hierarchy(m)
+    # Not monotone either: {0, 1} has rank 0. The corank is 2, yet the loop
+    # {0} is the only circuit, so no chain of two circuits exists.
+    m = Matroid(2, (0, 0, 1, 0).__getitem__)
+    assert m.circuits() == (0b01,)
+    with pytest.raises(ValidationError, match="no chain of 2 circuits"):
+        weights_via_circuits(m)
 
 
 # The 16-edge cactus on 12 vertices: five circuits (a loop, a parallel pair
@@ -196,12 +209,23 @@ CACTUS_16 = (
 
 # name: (matroid, weights, bound on distinct rank evaluations, scans). A
 # subset sweep makes 2^n - 1 evaluations: 16,383 on g1 and U(6, 14), 65,535
-# on the cactus. U(6, 14) has 3,432 circuits, so elimination gives up and the
-# scan over sets of at most 7 elements runs, within the sweep's 16,383.
+# on the cactus, 524,287 on the 19-edge ring. U(6, 14) has 3,432 circuits, so
+# elimination gives up and the scan over sets of at most 7 elements runs,
+# within the sweep's 16,383. The ring's 123 circuits come from elimination,
+# whose containment tests count a quarter of a rank evaluation each. The
+# circuit-chain search must answer within 1 s: it enters each (circuits still
+# needed, union) once, at its least start, and took seconds on the ring
+# without that.
 WORK_CASES = {
     "g1": (lambda: cycle_matroid(fixture("g1")), (3, 6, 8, 11, 14), 1000, 0),
     "cactus16": (lambda: graph_matroid(12, CACTUS_16), (1, 3, 6, 10, 14), 500, 0),
     "U6_14": (lambda: uniform(6, 14), (7, 8, 9, 10, 11, 12, 13, 14), 2**14 - 1, 1),
+    "ring19": (
+        lambda: chorded_ring(random.Random(5), 12, 7),
+        (3, 5, 7, 10, 13, 15, 16, 19),
+        15_000,
+        0,
+    ),
 }
 
 
@@ -214,7 +238,9 @@ def test_weights_work_bound(monkeypatch, name):
     m, evaluated = counting(make())
     assert weight_hierarchy(m).weights == weights
     assert m.circuits()
+    start = time.perf_counter()
     assert weights_via_circuits(m).weights == weights
+    assert time.perf_counter() - start < 1.0
     assert len(evaluated) <= bound
     assert len(calls) == scans
 
