@@ -39,7 +39,7 @@ from itertools import combinations, count, groupby
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .bitset import bits, k_subsets
+from .bitset import k_subsets
 from .complexes import (
     GF2,
     PrimeField,
@@ -48,7 +48,7 @@ from .complexes import (
     face_numbers,  # noqa: F401  perfbench/tracing.py wraps betti.face_numbers
 )
 from .errors import ValidationError
-from .linalg import lane_width
+from .linalg import pack
 from .matroid import BlockPartition, Matroid
 
 
@@ -189,29 +189,23 @@ def _relative_homology(
     sigma with h(sigma) > 0 (else empty), read off the lead rows of the core
     columns as ``hochster_betti`` proves.
 
-    The sweep takes one top element x at a time. The sorted bases through x
-    are the masks in [2^x, 2^(x+1)); row j of a column, the j-th of them, is
-    lane j in the format of ``linalg``, and the column is one int built in
-    place: over GF(2), where an entry is 1 whatever its sign, bit j of a mask;
-    over an odd prime, the residue of the sign added at lane j's offset, each
-    (column, row) pair meeting once, so no lane carries. A column's lead is
-    read off its bit length, and every field eliminates the same matrices.
+    The sweep takes one top element x at a time. A core column T through x
+    is one small int in every field: the mask of the elements z with T - z a
+    basis through x, its rows. Its lead, the largest basis in T, is T less
+    the least of them. Only certificates are packed, by ``linalg.pack`` over
+    the rows they touch, so every field eliminates the same matrices.
     """
     n, r, p = m.n, m.full_rank, fld.p
     bases = m.bases()
     is_basis = set(bases)
-    width = lane_width(p)
-    sign = (1, p - 1)
     free: Counter[int] = Counter()  # |P(B)| -> the number of bases B
     h: Counter[int] = Counter()  # sigma -> h(sigma), when fine
 
     for top, block in groupby(bases, int.bit_length):
         x = 1 << (top - 1)
         rows = list(block)
-        columns: dict[int, int] = {}  # T -> its column
-        # Row j of the block: the bit 2^j of a GF(2) mask, else lane j's offset.
-        offsets = map((1).__lshift__, count()) if p == 2 else count(0, width)
-        for row, b in zip(offsets, rows):
+        columns: dict[int, int] = {}  # T -> the elements it drops to a basis through x
+        for b in rows:
             bx = b ^ x
             rest = (x - 1) & ~b
             while rest:
@@ -219,32 +213,28 @@ def _relative_homology(
                 rest ^= a
                 if bx | a not in is_basis:
                     t = b | a
-                    if p == 2:
-                        columns[t] = columns.get(t, 0) | row
-                    else:
-                        # T - a carries the sign (-1)^k when a is the k-th smallest element of T.
-                        columns[t] = columns.get(t, 0) + (sign[(t & (a - 1)).bit_count() & 1] << row)
-        get = columns.get
-        leads = [(col.bit_length() - 1) // width for col in columns.values()]
-        led = rows[:]  # row j -> B | every column led by B, B the j-th basis
-        for j, t in zip(leads, columns):
-            led[j] |= t
-        for j, k in Counter(leads).items():
-            if k == 1:
+                    columns[t] = columns.get(t, 0) | a
+        get, below = columns.get, [1 << e for e in range(top - 1)]
+        led: dict[int, int] = {}  # B -> B | every column led by B, for each B leading one
+        for t, d in columns.items():
+            b = t ^ (d & -d)
+            led[b] = led.get(b, b) | t
+        for b, u in led.items():
+            if (group := u ^ b) & (group - 1) == 0:  # the a of each B + a led by B; one needs no certificate
                 continue
-            b, below = rows[j], j * width  # a column led below row j has at most j * width bits
-            ys = [1 << y for y in bits(b ^ x)]
-            for t, t2 in combinations([b | 1 << a for a in bits(led[j] ^ b)], 2):
+            ys = [y for y in below if b & y]
+            for t, t2 in combinations([b | a for a in below if group & a], 2):
                 u = t | t2
-                w = [c for y in ys if 0 < (c := get(u ^ y, 0)).bit_length() <= below]
-                w.append(columns[t])
-                echelon = len({(c.bit_length() - 1) // width for c in w}) == len(w)  # so rank(W) = |W|
-                if not echelon or _rank(w + [columns[t2]], p) != len(w):
+                w = [(c, d) for y in ys if (d := get(c := u ^ y, 0)) and c ^ (d & -d) < b]
+                w.append((t, columns[t]))
+                echelon = len({c ^ (d & -d) for c, d in w}) == len(w)  # so rank(W) = |W|
+                if not echelon or _rank(pack([*w, (t2, columns[t2])], p), p) != len(w):
                     raise ValidationError(f"core columns {t:#x} and {t2:#x} fail their lead certificate over GF({p})")
-        free.update(top - u.bit_count() for u in led)
+        free[top - r] += len(rows) - len(led)  # a B leading no column has P(B) = all below x outside B
+        free.update(map(int.bit_count, map((2 * x - 1).__xor__, led.values())))
         if fine:
-            for b, u in zip(rows, led):
-                h.update(_through(b, (x - 1) & ~u))
+            for b in rows:
+                h.update(_through(b, (x - 1) & ~led.get(b, b)))
     totals = [sum(c * comb(k, i) for k, c in free.items()) for i in range(n - r + 1)]
     return totals, h
 

@@ -79,7 +79,7 @@ def _from_dict(data: object, label: str) -> tuple[Matroid, Graph | None]:
     if not isinstance(data, dict):
         raise ValueError(f"{label}: expected a JSON object, got {type(data).__name__}")
     if "edges" in data or "vertices" in data:
-        g = Graph.from_json_dict(data)
+        g = Graph.from_json_dict(data, label)
         return cycle_matroid(g), g
     if "uniform" in data:
         r, n = _rank_size(data["uniform"], f"{label}: 'uniform' must be a [rank, size] pair")

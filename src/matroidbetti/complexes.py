@@ -2,12 +2,12 @@
 
 Boundary matrices are assembled with the standard orientation (vertices of
 a face in ascending order; removing the j-th smallest vertex carries sign
-(-1)^j), one packed int per column in the lane format of ``linalg``, and
-ranks are computed exactly over a prime field. The Hochster sweep in
-``betti`` eliminates through this module's ``_rank``, as ``boundary_rank``
-does. The library builds no complex itself: ``SimplicialComplex``,
-``face_numbers`` and ``boundary_rank`` carry the reference homology of the
-tests, and the benchmark's trace hooks wrap them by these names.
+(-1)^j) by ``linalg.pack``, and ranks are computed exactly over a prime
+field. The Hochster sweep in ``betti`` eliminates through this module's
+``_rank``, as ``boundary_rank`` does. The library builds no complex
+itself: ``SimplicialComplex``, ``face_numbers`` and ``boundary_rank`` carry
+the reference homology of the tests, and the benchmark's trace hooks wrap
+them by these names.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from math import comb
 from typing import Callable, Sequence
 
 from .bitset import bits, check_ground, check_subset, k_subsets
-from .linalg import gf2_rank, is_prime, lane_width, modp_rank
+from .linalg import gf2_rank, is_prime, modp_rank, pack
 
 
 @dataclass(frozen=True)
@@ -118,9 +118,9 @@ def boundary_rank(
 
     When both levels are complete skeleta of the simplex (face counts equal
     the binomials), the rank is the classical value C(n_vertices - 1, k - 1)
-    and no elimination is performed. Otherwise each column is packed into
-    one int in the ``linalg`` lane format, with coefficient 1 or p - 1 by the
-    parity of the removed vertex's position, and eliminated exactly.
+    and no elimination is performed. Otherwise each column is handed to
+    ``linalg.pack`` with the vertices whose removal gives a face of ``rows``,
+    and the packed matrix is eliminated exactly.
     """
     if not cols or not rows:
         return 0
@@ -129,16 +129,6 @@ def boundary_rank(
         return 0
     if len(cols) == comb(n_vertices, ck) and len(rows) == comb(n_vertices, ck - 1):
         return comb(n_vertices - 1, ck - 1)
-    width = lane_width(p)
-    row_at = {f: i * width for i, f in enumerate(rows)}
-    sign = (1, p - 1)
-    packed = []
-    for f in cols:
-        v = 0
-        for t, e in enumerate(bits(f)):
-            at = row_at.get(f ^ (1 << e))
-            if at is not None:
-                v |= sign[t & 1] << at
-        packed.append(v)
-    return _rank(packed, p)
-
+    faces = set(rows)
+    drops = [sum(1 << e for e in bits(f) if f ^ (1 << e) in faces) for f in cols]
+    return _rank(pack(zip(cols, drops), p), p)

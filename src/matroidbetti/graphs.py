@@ -59,28 +59,28 @@ class Graph:
         return len(self.edges)
 
     @staticmethod
-    def from_json_dict(data: dict) -> "Graph":
+    def from_json_dict(data: dict, label: str = "graph JSON") -> "Graph":
         if not isinstance(data, dict):
-            raise ValueError(f"graph JSON must be an object, got {type(data).__name__}")
+            raise ValueError(f"{label}: expected a JSON object, got {type(data).__name__}")
         try:
             vertices = data["vertices"]
             edges = data["edges"]
         except KeyError as exc:
-            raise ValueError(f"graph JSON is missing the {exc.args[0]!r} key") from None
+            raise ValueError(f"{label}: missing the {exc.args[0]!r} key") from None
         if not isinstance(vertices, int) or isinstance(vertices, bool):
-            raise ValueError(f"'vertices' must be an int, got {vertices!r}")
+            raise ValueError(f"{label}: 'vertices' must be an int, got {vertices!r}")
         if not isinstance(edges, list):
-            raise ValueError("'edges' must be a list of [u, v] pairs")
+            raise ValueError(f"{label}: 'edges' must be a list of [u, v] pairs")
         zero_indexed = []
         for e in edges:
             if not isinstance(e, (list, tuple)) or len(e) != 2:
-                raise ValueError(f"edge {e!r} is not a [u, v] pair")
+                raise ValueError(f"{label}: edge {e!r} is not a [u, v] pair")
             u, v = e
             if not all(isinstance(x, int) and not isinstance(x, bool) for x in (u, v)):
-                raise ValueError(f"edge {e!r} has non-integer endpoints")
+                raise ValueError(f"{label}: edge {e!r} has non-integer endpoints")
             if not (1 <= u <= vertices and 1 <= v <= vertices):
                 raise ValueError(
-                    f"edge {e!r} out of range 1..{vertices} (the format is 1-indexed)"
+                    f"{label}: edge {e!r} out of range 1..{vertices} (the format is 1-indexed)"
                 )
             zero_indexed.append((u - 1, v - 1))
         return Graph(vertices, ())._with_edges(zero_indexed)

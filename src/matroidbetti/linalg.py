@@ -1,8 +1,9 @@
 """Exact matrix rank over prime fields, on bit-packed columns.
 
-Matrices arrive column by column, and every column is one Python int. Row
-``i`` of a column occupies the ``i``-th lane of ``lane_width(p)`` bits and
-holds a residue in ``[0, p)``; a column is ``sum(value_i << (i * width))``.
+Only this module knows the lane format. Callers hand ``pack`` boundary
+columns as the masks of a face and of the elements it drops, and every
+column becomes one Python int: row ``i`` occupies the ``i``-th lane of
+``lane_width(p)`` bits and holds a residue in ``[0, p)``.
 Over GF(2) a lane is one bit, so a column is a plain bit mask and
 elimination is XOR. Over an odd prime a lane is wide enough that one
 elimination step ``cur + (p - f) * pivot`` cannot carry into the next lane,
@@ -93,6 +94,25 @@ def lane_layout(p: int) -> LaneLayout:
 def lane_width(p: int) -> int:
     """Bits per row in a packed column over GF(p): one bit for p = 2."""
     return 1 if p == 2 else lane_layout(p).width
+
+
+def pack(columns: Iterable[tuple[int, int]], p: int) -> list[int]:
+    """The columns (f, d), d inside f, packed over GF(p): column (f, d) has
+    the entry (-1)^k in the row of the face f - z for each element z of d,
+    z the k-th smallest element of f (the standard orientation). The rows
+    are just the faces the columns touch, each taking the next lane when a
+    column first touches it."""
+    lane: dict[int, int] = {}
+    width, sign = lane_width(p), (1, p - 1)
+    packed = []
+    for f, d in columns:
+        v = 0
+        while d:
+            z = d & -d
+            d ^= z
+            v |= sign[(f & (z - 1)).bit_count() & 1] << width * lane.setdefault(f ^ z, len(lane))
+        packed.append(v)
+    return packed
 
 
 def gf2_rank(columns: Iterable[int]) -> int:

@@ -373,9 +373,10 @@ def test_17_edge_ring_over_gf3(monkeypatch):
     assert table.fine == euler_fine_betti(m)
     assert table.global_ == (3343, 16533, 34391, 38472, 24388, 8300, 1184)
     assert rows
-    # A certificate's rows are bases through its largest element: the tallest
-    # has 1,978 rows (the widest core 1,922), against the ring's 3,343 bases.
-    assert max(height for height, _ in rows) <= 2000
+    # A certificate has only the rows its columns touch: the tallest has 47,
+    # against the ring's 3,343 bases (1,978 when every basis through its
+    # largest element below its lead was a row).
+    assert max(height for height, _ in rows) <= 50
 
 
 def test_sweep_hands_no_one_column_matrix_to_elimination(monkeypatch):
@@ -422,7 +423,7 @@ def _lead_groups(m: Matroid) -> Counter[int]:
 @pytest.mark.parametrize("fld", [GF2, GF3, PrimeField(5)], ids=lambda f: f"GF{f.p}")
 @pytest.mark.parametrize(
     ("name", "work"),
-    [("g1", (36, 246, 37_547)), ("ring17", (338, 3_068, 3_622_617))],
+    [("g1", (36, 246, 3_128)), ("ring17", (338, 3_068, 79_758))],
     ids=["g1", "ring17"],
 )
 def test_sweep_ranks_each_core_once(monkeypatch, name, work, fld):
@@ -430,8 +431,11 @@ def test_sweep_ranks_each_core_once(monkeypatch, name, work, fld):
     # rows. The only matrices are the certificates of the pairs of columns
     # led by one basis, one elimination per pair on these graphs. Their
     # number, total columns and rows times columns are pinned exactly, the
-    # same in every field (a sweep eliminating every core had 321, 2,451,
-    # 393,004 on g1 and 2,258, 37,865, 53,351,335 on the ring).
+    # same in every field. A certificate has only the rows its columns
+    # touch: with every basis through max T below the lead as a row, the
+    # cells were 37,547 on g1 and 3,622,617 on the ring, and a sweep
+    # eliminating every such core had 321, 2,451, 393,004 on g1 and 2,258,
+    # 37,865, 53,351,335 on the ring.
     m = _sweep_graph(name)
     rows = _recording_rows(monkeypatch)
     assert hilbert_check(hochster_betti(m, fld), m)
@@ -488,22 +492,22 @@ def test_a_failed_certificate_is_refused(monkeypatch, capsys):
 def test_certificate_columns_but_the_last_have_distinct_leads(monkeypatch, fld):
     # The lemma in ``hochster_betti``: the columns U - y led below B have
     # pairwise distinct leads, so each certificate matrix but its last column
-    # T' is in echelon form, and one elimination decides it. Every matrix
-    # handed to elimination is recorded, on g1, the 17-edge ring and the
-    # random linear matroids over GF(2), GF(3) and GF(5).
-    matrices = []
-    rank = BETTI_MODULE._rank
-    monkeypatch.setattr(BETTI_MODULE, "_rank", lambda cols, p: matrices.append(cols) or rank(cols, p))
-    width = lane_width(fld.p)
+    # T' is in echelon form, and one elimination decides it. The lead of a
+    # column T, its largest basis, is T less the least element of its mask.
+    # Every certificate is recorded as packed, on g1, the 17-edge ring and
+    # the random linear matroids over GF(2), GF(3) and GF(5).
+    certificates = []
+    pack = BETTI_MODULE.pack
+    monkeypatch.setattr(BETTI_MODULE, "pack", lambda cols, p: certificates.append(cols) or pack(cols, p))
     for cases in ([_sweep_graph("g1"), _sweep_graph("ring17")], *map(structure_cases, ("gf2", "gf3", "gf5"))):
-        matrices.clear()
+        certificates.clear()
         for m in cases:
             hochster_betti(m, fld)
-        assert matrices
-        for cols in matrices:
-            leads = {(c.bit_length() - 1) // width for c in cols[:-1]}
+        assert certificates
+        for cols in certificates:
+            leads = {t ^ (d & -d) for t, d in cols[:-1]}
             assert len(leads) == len(cols) - 1 >= 1
-            assert rank(cols, fld.p) == len(cols) - 1
+            assert BETTI_MODULE._rank(pack(cols, fld.p), fld.p) == len(cols) - 1
 
 
 @pytest.mark.parametrize("name", ["g1", "ring17"])
@@ -523,26 +527,26 @@ def test_every_field_eliminates_the_same_matrices(monkeypatch, name):
 
 
 def test_sweep_packs_each_core_with_its_columns(monkeypatch):
-    # Over GF(2) the column of T has a 1 in row j for the j-th basis through
-    # max T inside T. Each certificate matrix holds core columns through one
-    # top element, and its two longest share a lead that no other reaches.
+    # The sweep keeps a core column T as the mask of the elements z with
+    # T - z a basis, and packs only the columns of a certificate. Each one
+    # holds columns through one top element, every row a basis inside
+    # T | T', and its last two, T and T', share the largest lead: T less the
+    # least element of its mask.
     m = cycle_matroid(fixture("g1"))
-    row = {}
-    for b in m.bases():
-        row[b] = sum(c.bit_length() == b.bit_length() for c in row)
-    packed: dict[int, set[int]] = {}  # top -> the packed columns through it
-    for t in {t for ts in _cores(m).values() for t in ts}:
-        col = sum(1 << row[t ^ (1 << e)] for e in bits(t) if t ^ (1 << e) in row)
-        packed.setdefault(t.bit_length(), set()).add(col)
-    matrices = []
-    gf2_rank = complexes.gf2_rank
-    monkeypatch.setattr(complexes, "gf2_rank", lambda cols: matrices.append(cols) or gf2_rank(cols))
+    bases = set(m.bases())
+    masks = {t: sum(1 << e for e in bits(t) if t ^ 1 << e in bases) for ts in _cores(m).values() for t in ts}
+    certificates = []
+    pack = BETTI_MODULE.pack
+    monkeypatch.setattr(BETTI_MODULE, "pack", lambda cols, p: certificates.append(cols) or pack(cols, p))
     hochster_betti(m)
-    assert len(matrices) == 36
-    for cols in matrices:
-        assert any(set(cols) <= block for block in packed.values())
-        lengths = [0, *sorted(c.bit_length() for c in cols)]
-        assert lengths[-1] == lengths[-2] > lengths[-3], lengths
+    assert len(certificates) == 36
+    for cols in certificates:
+        assert all(masks[t] == d for t, d in cols)
+        assert len({t.bit_length() for t, _ in cols}) == 1
+        u = cols[-1][0] | cols[-2][0]
+        assert all(t ^ 1 << e in bases and t & ~u == 0 for t, d in cols for e in bits(d))
+        leads = [t ^ (d & -d) for t, d in cols]
+        assert leads[-1] == leads[-2] > max(leads[:-2], default=0), leads
 
 
 @pytest.mark.parametrize(

@@ -14,11 +14,12 @@ from math import comb
 
 import pytest
 
-from matroidbetti import BettiTable, Matroid, WeightHierarchy, fixture
+from matroidbetti import BettiTable, Matroid, WeightHierarchy, cycle_matroid, fixture
+from matroidbetti.betti import _global_from_spanning
 from matroidbetti import cli as cli_mod
 from matroidbetti.cli import main
 
-from util import chorded_ring
+from util import chorded_ring, ring_graph
 
 TWO_TRIANGLES_JSON = (
     '{"vertices": 5, "edges": [[1,2],[2,3],[3,1],[3,4],[4,5],[5,3]]}'
@@ -208,26 +209,60 @@ def test_malformed_bases_exit_1(capsys, source, message):
 def test_non_integer_edge_endpoints_exit_1(capsys):
     code, out, err = run(capsys, "betti", "--input", '{"vertices": 3, "edges": [[1.5, 2]]}')
     assert (code, out) == (1, "")
-    assert err == "error: edge [1.5, 2] has non-integer endpoints\n"
+    assert err == "error: inline input: edge [1.5, 2] has non-integer endpoints\n"
+
+
+@pytest.mark.parametrize(
+    ("source", "message"),
+    [
+        ('{"vertices": 3}', "missing the 'edges' key"),
+        ('{"vertices": 3, "edges": [[1, 4]]}', "edge [1, 4] out of range 1..3 (the format is 1-indexed)"),
+    ],
+    ids=["no-edges", "out-of-range"],
+)
+def test_malformed_graphs_name_their_source(capsys, source, message):
+    code, out, err = run(capsys, "betti", "--input", source)
+    assert (code, out) == (1, "")
+    assert err == f"error: inline input: {message}\n"
+
+
+def _run_limited(argv: list[str], megabytes: int) -> subprocess.CompletedProcess:
+    """The command line in a child process under an address-space limit."""
+    import resource
+
+    limit = megabytes * 2**20
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run(
+        [sys.executable, "-m", "matroidbetti", *argv], capture_output=True, text=True, env=env,
+        timeout=120, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS enforced")
 def test_running_out_of_memory_exits_1_without_a_traceback():
-    # The cross-check sweeps the 24-element three-block sum with no estimate
+    # The cross-check sweeps the 32-element four-block sum with no estimate
     # first; under a 300 MB address-space limit it runs out of memory within
     # seconds, and the command says so in one line.
-    import resource
-
-    limit = 300 * 2**20
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    argv = ["betti", "--crosscheck", "--input", '{"blocks": [[4,8],[4,8],[4,8]]}']
-    proc = subprocess.run(
-        [sys.executable, "-m", "matroidbetti", *argv], capture_output=True, text=True, env=env,
-        timeout=120, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-    )
+    proc = _run_limited(["betti", "--crosscheck", "--input", '{"blocks": [[4,8],[4,8],[4,8],[4,8]]}'], 300)
     assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr[-2000:]
     assert proc.stderr.startswith("error: out of memory") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS enforced")
+def test_a_23_edge_sweep_fits_in_150_mb():
+    # A core column is the mask of the elements it drops and only certificate
+    # columns are packed, so the sweep's memory follows the bases, not bases
+    # times columns. The 23-edge ring sweeps under a 150 MB address-space
+    # limit (lane-packed columns as tall as their leads peaked at 324 MB),
+    # and its table is the image of the spanning counts taken here.
+    g = ring_graph(random.Random(5), 14, 9)
+    proc = _run_limited(["betti", "--algorithm", "hochster", "--output", "json", "--input", json.dumps(g.to_json_dict())], 150)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    m = cycle_matroid(g)
+    n, r = m.n, m.full_rank
+    expected = BettiTable(r, n, _global_from_spanning(n, r, m._spanning_counts()))
+    assert json.loads(proc.stdout)["table"] == expected.to_json_dict()
 
 
 def test_non_matroid_bases_exit_2(capsys):

@@ -74,15 +74,20 @@ def random_multigraph(rng: random.Random) -> Matroid:
     return cycle_matroid(random_graph(rng))
 
 
-def chorded_ring(rng: random.Random, vertices: int, chords: int) -> Matroid:
-    """The cycle matroid of a ``vertices``-cycle with ``chords`` distinct
-    seeded chords between non-adjacent vertices: one block, not a cactus."""
+def ring_graph(rng: random.Random, vertices: int, chords: int) -> Graph:
+    """A ``vertices``-cycle with ``chords`` distinct seeded chords between
+    non-adjacent vertices: one block, not a cactus."""
     picked: set[tuple[int, int]] = set()
     while len(picked) < chords:
         a, b = sorted(rng.sample(range(vertices), 2))
         if b - a not in (1, vertices - 1):
             picked.add((a, b))
-    return graph_matroid(vertices, [(i, (i + 1) % vertices) for i in range(vertices)] + sorted(picked))
+    return Graph(vertices, tuple([(i, (i + 1) % vertices) for i in range(vertices)] + sorted(picked)))
+
+
+def chorded_ring(rng: random.Random, vertices: int, chords: int) -> Matroid:
+    """The cycle matroid of ``ring_graph``."""
+    return cycle_matroid(ring_graph(rng, vertices, chords))
 
 
 def random_graph(rng: random.Random) -> Graph:
