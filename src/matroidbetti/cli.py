@@ -7,12 +7,12 @@ inputs and flags.
 
 Exit codes: 0 success, 1 malformed input (deeply nested JSON too) or out
 of memory (no traceback), 2 contract violation (bases failing the exchange
-axiom, cactus mode on a non-cactus input, an invalid cactus Betti vector),
-3 cross-check or verification mismatch. Usage errors caught by argparse (a
-missing ``--input``, a non-integer ``--field``, an unknown option) exit 2
-after a usage line on stderr, that of the subcommand when one was named; a
-missing or unknown subcommand gets the usage line of ``matroidbetti``
-itself.
+axiom, cactus mode on a non-cactus input, an invalid cactus Betti vector)
+or a refused Hilbert check (a graph past the frontier budget), 3 cross-check
+or verification mismatch. Usage errors caught by argparse (a missing
+``--input``, a non-integer ``--field``, an unknown option) exit 2 after a
+usage line on stderr, that of the subcommand when one was named; a missing
+or unknown subcommand gets the usage line of ``matroidbetti`` itself.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .graphs import Graph, cycle_matroid, fixture, is_cactus
 from .matroid import Matroid, _from_bases, multi_uniform, uniform
 from .weights import (
     WeightHierarchy,
+    _cyclic_flat_weights,
     block_weights,
     cactus_weights,
     weight_hierarchy,
@@ -173,12 +174,19 @@ def _betti_routes(
 
 
 def _weights_routes(m: Matroid, primary: WeightHierarchy) -> dict[str, WeightHierarchy]:
-    """The sweep, the block route on two or more blocks, and the first
-    independent route that applies: cactus, size-rank, else circuits."""
-    routes = {"sweep": primary}
+    """The sweep (the cyclic flats, or the closed form on a uniform sum), the
+    block route on two or more blocks, and the first of cactus, size-rank,
+    circuits. Where ``weight_hierarchy`` took the sweep's or the block
+    route's way, that route is the primary itself."""
     part = m.blocks()
-    if len(part.blocks) > 1:
-        routes["blocks"] = block_weights(weight_hierarchy(b.matroid) for b in part.blocks)
+    several = len(part.blocks) > 1
+    table_first = m._uniform_profile() is None and m._presentation is not None
+    from_flats = not table_first or (not several and m._size_rank() is None)
+    routes = {"sweep": primary if from_flats else _cyclic_flat_weights(m)}
+    if several:
+        routes["blocks"] = primary if table_first else block_weights(
+            weight_hierarchy(b.matroid) for b in part.blocks
+        )
     if part.is_cactus:
         routes["cactus"] = cactus_weights(part.cycle_lengths())
     elif (by_table := weights_via_size_rank(m)) is not None:

@@ -21,8 +21,8 @@ its own presentation, not through its matroid. ``from_bases`` fills the cache
 ``_bases`` of ``bases()`` with the sorted list it was given. Every other
 matroid (``dual``, ``direct_sum``, ``Matroid(n, rank_fn)``) derives all of it
 from the oracle, and so do circuits past the fundamental ones. Instances are
-immutable; rank values, bases, circuits and the block partition are cached on
-first use.
+immutable; rank values, bases, circuits, the block partition and the
+size-rank table are cached on first use.
 
 Blocks are the classes of the connectivity relation: two elements are
 related when some circuit contains both. They are found without listing the
@@ -59,7 +59,7 @@ class Matroid:
 
     __slots__ = (
         "n", "provenance", "labels", "_rank_fn", "_cache", "_full", "_bases", "_circuits",
-        "_blocks", "_presentation",
+        "_blocks", "_presentation", "_table",
     )
 
     def __init__(
@@ -80,6 +80,7 @@ class Matroid:
         self._circuits: tuple[int, ...] | None = None
         self._blocks: BlockPartition | None = None
         self._presentation: _Graph | _UniformSum | None = None
+        self._table: SizeRank | None | bool = False  # False until _size_rank builds it
 
     # -- rank oracle -------------------------------------------------------
 
@@ -197,30 +198,43 @@ class Matroid:
 
     def _spanning_counts(self) -> list[int]:
         """s_0 .. s_n, s_k the number of spanning k-sets: N(k, r), read off the
-        size-rank table (``_size_rank``); without a table, from the ranks of
-        the sets of r or more elements (no smaller set spans)."""
+        size-rank table (``_size_rank``); without a presentation, from the
+        ranks of the sets of r or more elements (no smaller set spans); on a
+        graph past ``FRONTIER_BUDGET``, ValidationError instead of that scan."""
         n, r = self.n, self.full_rank
         table = self._size_rank()
         if table is not None:
             return [table.get((k, r), 0) for k in range(n + 1)]
+        if self._presentation is not None:
+            sets = sum(comb(n, k) for k in range(r, n + 1))
+            raise ValidationError(
+                f"the size-rank table of this graph passes the frontier budget of "
+                f"{FRONTIER_BUDGET:,} bits; the spanning counts would rank {sets:,} sets"
+            )
         return [0] * r + [sum(self.rank(s) == r for s in k_subsets(n, k)) for k in range(r, n + 1)]
 
     def _size_rank(self) -> SizeRank | None:
-        """N(k, rho), the number of k-sets of rank rho, for each nonzero one:
-        the product of the tables of the blocks' presentations, a graph's by
-        the frontier search (None past ``FRONTIER_BUDGET``), a uniform sum's
-        in closed form; None for a matroid without a presentation."""
-        if self._presentation is None:
-            return None
-        table: SizeRank = {(0, 0): 1}
-        for block in self.blocks().blocks:
-            # A block restricts the presentation. Not block.matroid._size_rank():
-            # a connected matroid's one block is a fresh restriction of itself.
-            part = block.matroid._presentation.size_rank()
-            if part is None:
-                return None
-            table = _table_mul(table, part)
-        return table
+        """N(k, rho), the number of k-sets of rank rho, for each nonzero one,
+        built once and kept: a uniform sum's or a single block's by its
+        presentation (a graph's by the frontier search, None past
+        ``FRONTIER_BUDGET``), else the product of the blocks' kept tables."""
+        if self._table is False:
+            p = self._presentation
+            blocks = self.blocks().blocks if isinstance(p, _Graph) else ()
+            if len(blocks) < 2:
+                self._table = None if p is None else p.size_rank()
+            else:
+                table: SizeRank | None = {(0, 0): 1}
+                for block in blocks:
+                    bm = block.matroid
+                    if bm._table is False:  # one block: no partition of its own needed
+                        bm._table = bm._presentation.size_rank()
+                    if bm._table is None:
+                        table = None
+                        break
+                    table = _table_mul(table, bm._table)
+                self._table = table
+        return self._table  # type: ignore[return-value]
 
     def _uniform_profile(self) -> list[tuple[int, int]] | None:
         """The (r_j, k_j) of each part of a uniform sum, as ``multi_uniform``

@@ -4,25 +4,28 @@ The i-th weight of a matroid is the smallest size of a subset with nullity i
 (nullity = size minus rank). The hierarchy d_1 < d_2 < ... < d_{n-r} is
 strictly increasing and ends at d_{n-r} = n.
 
-``weight_hierarchy`` reads the weights off the cyclic flats (closed unions
-of circuits), which it lists from the circuits of ``Matroid.circuits``: the
-14-edge fixture g1 has 30 cyclic flats against 2^14 subsets.
+``weight_hierarchy`` reads the weights off a table before it lists a
+circuit. A uniform sum answers in closed form. A graph of two or more blocks
+answers by the paper's block theorem: the hierarchy of a direct sum is the
+min-plus convolution of its parts' (``block_weights``), each part answering
+on its own. A single block reads the size-rank table N(k, rho), the number
+of k-sets of rank rho (``weights_via_size_rank``, from the table that
+``Matroid._size_rank`` builds once per matroid): d_i = min{k : N(k, k - i)
+> 0}. Only bare oracles, basis lists and graphs whose frontier search passes
+``matroid.FRONTIER_BUDGET`` reach the cyclic flats (closed unions of
+circuits), listed from ``Matroid.circuits``: the 14-edge fixture g1 has 30
+cyclic flats against 2^14 subsets. For a disjoint union of circuits with
+lengths n_1 <= ... <= n_t the hierarchy is the sequence of prefix sums of the
+sorted lengths (``cactus_weights``).
 
-For direct sums the hierarchy is the min-plus convolution of the parts
-(``block_weights``), and for a disjoint union of circuits with lengths
-n_1 <= ... <= n_t it is simply the sequence of prefix sums of the sorted
-lengths (``cactus_weights``).
-
-``weights --crosscheck`` compares the cyclic-flat route with the block
-route (on two or more blocks) and with one more route that shares nothing
-with either, chosen in this order:
+``weights --crosscheck`` compares the cyclic flats (reported as ``sweep``,
+or the closed form on a uniform sum) with the block route (on two or more
+blocks) and with one more route, chosen in this order:
 
 * ``cactus_weights``, when every block is a circuit, a loop or a coloop;
-* ``weights_via_size_rank``, when the matroid has a size-rank table N(k,
-  rho), the number of k-sets of rank rho (``Matroid._size_rank``, the
-  product of the blocks' tables: every block a graph whose frontier search
-  stays within ``matroid.FRONTIER_BUDGET``, or a uniform sum):
-  d_i = min{k : N(k, k - i) > 0};
+* ``weights_via_size_rank``, when the matroid has a size-rank table (every
+  block a graph whose frontier search stays within the budget, or a uniform
+  sum);
 * ``weights_via_circuits`` otherwise (basis lists, bare oracles and graphs
   past the budget). A circuit C with an element e outside a set X raises
   the nullity by at least one, nullity(X | C) >= nullity(X) + 1, since
@@ -77,15 +80,40 @@ class WeightHierarchy:
         return self.weights[i]
 
 
-def _cyclic_flats(m: Matroid) -> dict[int, int]:
-    """Every cyclic flat of ``m`` (a closed union of circuits), mapped to its
-    rank.
+def weight_hierarchy(m: Matroid) -> WeightHierarchy:
+    """All weights d_1..d_{n-r}, by the first route that applies: a uniform
+    sum's closed form (d_i of U(r, k) is r + i; ``Matroid._uniform_profile``
+    also finds a cycle, a parallel class, a forest or loops uniform); on a
+    presented matroid of two or more blocks, the paper's block theorem over
+    the blocks' own hierarchies; on a presented single block, its size-rank
+    table, unless its search passed the budget; else the cyclic flats."""
+    profile = m._uniform_profile()
+    if profile is not None:
+        return block_weights(range(rj + 1, k + 1) for rj, k in profile)
+    if m._presentation is not None:
+        blocks = m.blocks().blocks
+        if len(blocks) > 1:
+            return block_weights(weight_hierarchy(b.matroid) for b in blocks)
+        if (by_table := weights_via_size_rank(m)) is not None:
+            return by_table
+    return _cyclic_flat_weights(m)
 
-    The smallest is cl(empty set), the set of loops. Every other cyclic flat
-    Z is the closure of the union of the circuits inside it, so adding those
-    circuits one at a time, Z' -> cl(Z' | C), reaches Z from cl(empty set);
-    and cl(Z' | C) is always a cyclic flat. The result is that closure, with
-    each cl taken by ``Matroid._closure``.
+
+def _cyclic_flat_weights(m: Matroid) -> WeightHierarchy:
+    """All weights from the cyclic flats (closed unions of circuits):
+
+        d_i = i + min{ r(Z) : Z a cyclic flat with |Z| - r(Z) >= i }.
+
+    A set sigma of nullity i gives a cyclic flat no larger in rank: deleting
+    the coloops of M|sigma keeps its nullity and leaves a union of circuits,
+    whose closure Z has the same rank and no smaller nullity, so
+    |sigma| >= r(Z) + i. Conversely a basis of Z plus i more elements of Z
+    has rank r(Z) and nullity i.
+
+    The least cyclic flat is cl(empty set), the loops. Any other Z is the
+    closure of the union of the circuits inside it, so adding them one at a
+    time, Z' -> cl(Z' | C), reaches Z from cl(empty set); and cl(Z' | C) is
+    always a cyclic flat. The flats are that closure, by ``Matroid._closure``.
     """
     bottom, r0 = m._closure(0)
     flats = {bottom: r0}
@@ -103,30 +131,7 @@ def _cyclic_flats(m: Matroid) -> dict[int, int]:
             if flat not in flats:
                 flats[flat] = rank
                 todo.append(flat)
-    return flats
-
-
-def weight_hierarchy(m: Matroid) -> WeightHierarchy:
-    """All weights d_1..d_{n-r} from the cyclic flats:
-
-        d_i = i + min{ r(Z) : Z a cyclic flat with |Z| - r(Z) >= i }.
-
-    A set sigma of nullity i gives a cyclic flat no larger in rank: deleting
-    the coloops of M|sigma keeps its nullity and leaves a union of circuits,
-    whose closure Z has the same rank and no smaller nullity, so
-    |sigma| >= r(Z) + i. Conversely a basis of Z plus i more elements of Z
-    has rank r(Z) and nullity i.
-
-    A uniform sum answers without its circuits: d_i of U(r, k) is r + i, and
-    ``block_weights`` combines the parts (``Matroid._uniform_profile``, which
-    also finds a cycle, a parallel class, a forest or loops uniform).
-    """
-    profile = m._uniform_profile()
-    if profile is not None:
-        return block_weights(range(rj + 1, k + 1) for rj, k in profile)
-    n, r = m.n, m.full_rank
-    corank = n - r
-    flats = _cyclic_flats(m)
+    corank = m.n - m.full_rank
     weights = []
     for i in range(1, corank + 1):
         ranks = [rz for z, rz in flats.items() if z.bit_count() - rz >= i]
@@ -204,9 +209,7 @@ def weights_via_size_rank(m: Matroid) -> WeightHierarchy | None:
     table = m._size_rank()
     if table is None:
         return None
-    least: dict[int, int] = {}
-    for k, rho in table:
-        least[k - rho] = min(k, least.get(k - rho, k))
+    least = {k - rho: k for k, rho in sorted(table, reverse=True)}  # the least k per nullity
     return WeightHierarchy(tuple(k for i, k in sorted(least.items()) if i))
 
 

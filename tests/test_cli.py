@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from math import comb
 
 import pytest
@@ -18,6 +19,7 @@ from matroidbetti import BettiTable, Matroid, WeightHierarchy, cycle_matroid, fi
 from matroidbetti.betti import _global_from_spanning
 from matroidbetti import cli as cli_mod
 from matroidbetti.cli import main
+from matroidbetti.weights import weights_via_size_rank
 
 from util import chorded_ring, ring_graph
 
@@ -265,6 +267,24 @@ def test_a_23_edge_sweep_fits_in_150_mb():
     assert json.loads(proc.stdout)["table"] == expected.to_json_dict()
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS enforced")
+@pytest.mark.parametrize("vertices, chords", [(15, 10), (20, 10), (30, 20)])
+def test_weights_of_large_rings_read_the_table(vertices, chords):
+    # One block with a size-rank table: the 25-, 30- and 50-edge rings answer
+    # under a 1 GB address-space limit in under 2 s, process start included,
+    # without a cyclic flat (through which they took 2.2 s, 2.9 s and more
+    # than 20 s).
+    g = ring_graph(random.Random(5), vertices, chords)
+    start = time.perf_counter()
+    proc = _run_limited(["weights", "--output", "json", "--input", json.dumps(g.to_json_dict())], 1024)
+    assert time.perf_counter() - start < 2.0
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    d = json.loads(proc.stdout)["d"]
+    assert d == list(weights_via_size_rank(cycle_matroid(g)))
+    if vertices == 30:
+        assert len(d) == 21 and d[-1] == 50
+
+
 def test_non_matroid_bases_exit_2(capsys):
     code, _, err = run(
         capsys, "betti", "--input", '{"n": 4, "bases": [[1,2],[3,4]]}'
@@ -400,6 +420,43 @@ def test_weights_crosscheck_takes_one_independent_route(capsys, source, route):
     code, data, _ = run_json(capsys, "weights", "--input", source, "--crosscheck")
     assert code == 0
     assert {"cactus", "size-rank", "circuits"} & set(data["crosscheck"]["routes"]) == {route}
+
+
+@pytest.mark.parametrize(
+    "source, lists, combines",
+    [
+        (TWO_TRIANGLES_JSON, 1, 0),
+        ("g1", 1, 0),
+        ('{"blocks": [[2, 4], [1, 3], [0, 1]]}', 0, 1),
+        (BASES_JSON, 1, 0),
+    ],
+    ids=["cactus", "g1", "uniform-sum", "bases"],
+)
+def test_weights_crosscheck_lists_the_cyclic_flats_at_most_once(
+    capsys, monkeypatch, source, lists, combines
+):
+    # The answer reads a closed form, the block theorem or a table before the
+    # cyclic flats. The sweep route lists them once on a graph, and is the
+    # answer itself on a uniform sum (a closed form) and on a basis list (the
+    # cyclic flats already). The block route is the answer itself on two
+    # triangles (the block theorem); only the uniform sum combines its blocks
+    # again.
+    weights_mod = importlib.import_module("matroidbetti.weights")
+    calls = Counter()
+
+    def counting(name, f):
+        def wrapped(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapped
+
+    flats = counting("flats", weights_mod._cyclic_flat_weights)
+    monkeypatch.setattr(weights_mod, "_cyclic_flat_weights", flats)
+    monkeypatch.setattr(cli_mod, "_cyclic_flat_weights", flats)
+    monkeypatch.setattr(cli_mod, "block_weights", counting("combine", cli_mod.block_weights))
+    code, data, _ = run_json(capsys, "weights", "--input", source, "--crosscheck")
+    assert (code, calls["flats"], calls["combine"]) == (0, lists, combines)
+    assert "sweep" in data["crosscheck"]["routes"]
 
 
 def test_weights_crosscheck_size_rank_mismatch(capsys, monkeypatch):
@@ -870,3 +927,43 @@ def test_verify_battery_text(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "passed" in out.splitlines()[-1]
+
+
+def test_verify_battery_builds_one_table_per_fixture(capsys, monkeypatch):
+    # g1..g4 are single blocks: weight_hierarchy reads each one's size-rank
+    # table, built once and kept, and hilbert_check reads the same table, so
+    # no cyclic flat is listed. The two triangles' weights come from their
+    # cycles in closed form, so their Hilbert check builds their two block
+    # tables, one each.
+    matroid_mod = importlib.import_module("matroidbetti.matroid")
+    weights_mod = importlib.import_module("matroidbetti.weights")
+    size_rank, cyclic_flats, hilbert = (
+        matroid_mod._Graph.size_rank, weights_mod._cyclic_flat_weights, cli_mod.hilbert_check
+    )
+    built = Counter()
+    flats = []
+    in_check = []
+
+    def counting_size_rank(self):
+        built[self.ends] += 1
+        return size_rank(self)
+
+    def counting_flats(m):
+        flats.append(m)
+        return cyclic_flats(m)
+
+    def counting_check(table, m):
+        before = built.total()
+        ok = hilbert(table, m)
+        in_check.append(built.total() - before)
+        return ok
+
+    monkeypatch.setattr(matroid_mod._Graph, "size_rank", counting_size_rank)
+    monkeypatch.setattr(weights_mod, "_cyclic_flat_weights", counting_flats)
+    monkeypatch.setattr(cli_mod, "hilbert_check", counting_check)
+    code, data, _ = run_json(capsys, "verify-paper")
+    assert (code, data["failed"], data["total"]) == (0, 0, 37)
+    for name in ("g1", "g2", "g3", "g4"):
+        assert built[cycle_matroid(fixture(name))._presentation.ends] == 1, name
+    assert flats == []
+    assert in_check == [0, 0, 0, 0, 2] and built.total() == 6  # g1..g4, then two triangles

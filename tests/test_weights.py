@@ -24,6 +24,7 @@ from matroidbetti import (
     uniform,
     weight_hierarchy,
 )
+from matroidbetti.matroid import FRONTIER_BUDGET
 from matroidbetti.weights import weights_via_circuits, weights_via_size_rank
 
 from oracles import (
@@ -352,6 +353,21 @@ def test_the_50_edge_ring_gets_its_size_rank_table():
     assert m._spanning_counts() == [table.get((k, 29), 0) for k in range(51)]
     w = weights_via_size_rank(m)
     assert len(w) == 21 and w[-1] == 50
+
+
+def test_spanning_counts_refuse_a_graph_past_the_frontier_budget():
+    # The 60-edge ring's table stops past the budget, and the oracle scan
+    # of its sets of 39 or more edges would rank about 1.6 x 10^16 sets: the
+    # spanning counts are refused within a second, naming the budget and that
+    # count. A bare oracle keeps the scan (test_frontier_search_matches_the_
+    # oracle_scan in test_betti.py).
+    m = chorded_ring(random.Random(5), 40, 20)
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="frontier budget") as info:
+        m._spanning_counts()
+    assert time.perf_counter() - start < 1.0
+    sets = sum(comb(60, k) for k in range(39, 61))
+    assert f"{FRONTIER_BUDGET:,}" in str(info.value) and f"{sets:,}" in str(info.value)
 
 
 # -- block min-plus rule ------------------------------------------------------------
