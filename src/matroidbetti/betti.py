@@ -365,30 +365,16 @@ def _cactus_table(part: BlockPartition) -> BettiTable:
     return BettiTable(core.rank_r + bridges, part.n, core.global_)
 
 
-def _shift_nonnegative(poly: list[int], x: int) -> bool:
-    """True when every coefficient of poly(x + Y) is >= 0, where ``poly`` is
-    little-endian and monic. Taylor shift by repeated synthetic division:
-    pass i fixes the coefficient of Y^i."""
-    c = list(poly)
-    deg = len(c) - 1
-    for i in range(deg):
-        for k in range(deg - 1, i - 1, -1):
-            c[k] += x * c[k + 1]
-        if c[i] < 0:
-            return False
-    return True
-
-
-def _divide_out(coeffs: list[int], root: int) -> list[int] | None:
-    """Quotient of a little-endian polynomial by (X - root), or None when
-    the remainder is not zero."""
+def _divide_out(coeffs: list[int], root: int) -> list[int]:
+    """Quotient of a little-endian polynomial by (X - root), one of its
+    roots."""
     deg = len(coeffs) - 1
     out = [0] * deg
     carry = coeffs[deg]
     for k in range(deg - 1, -1, -1):
         out[k] = carry
         carry = coeffs[k] + root * carry
-    return out if carry == 0 else None
+    return out
 
 
 def invert_cactus_betti(global_betti: Iterable[int], loops: int) -> CycleProfile:
@@ -406,13 +392,17 @@ def invert_cactus_betti(global_betti: Iterable[int], loops: int) -> CycleProfile
     right-hand side is then P(X) = X^t - sigma_1 X^{t-1} + ... +
     (-1)^t sigma_t, sigma_j the elementary symmetric polynomials of the other
     lengths, and those lengths are the roots of P. They are found largest
-    first, each by bisection on [1, sigma_1]: when P splits over the reals,
-    P(x + Y) has no negative coefficient exactly when x is at least its
-    largest root, and the least such x is checked to be a root and divided
-    out. Any failure along the way (a non-positive sigma, sigma_0 != 1, or a
-    root that is not a positive integer) raises ValidationError: the vector
-    is not a cactus Betti vector. The vector (1,) with no loops inverts to
-    the empty profile, that of a forest.
+    first by integer Newton steps from above, starting at sigma_1 and, after
+    each root, at that root: x <- x - max(1, floor(P(x) / P'(x))), until
+    P(x) = 0, when x is divided out. If P is real-rooted and every root is
+    <= x, then P'(x) / P(x) = sum_k 1 / (x - r_k), so x - P(x) / P'(x) is
+    still >= the largest root, and so is its floor when that root is an
+    integer; a step of 1 is safe too, since P / P' < 1 puts that root at or
+    below x - 1. So P(x) < 0, P'(x) <= 0 or x < 1 can only come of a vector
+    that is not a cactus's. Any failure along the way (a non-positive sigma,
+    sigma_0 != 1, or a root that is not a positive integer) raises
+    ValidationError: the vector is not a cactus Betti vector. The vector
+    (1,) with no loops inverts to the empty profile, that of a forest.
     """
     vals = list(global_betti)
     for v in vals:
@@ -441,24 +431,19 @@ def invert_cactus_betti(global_betti: Iterable[int], loops: int) -> CycleProfile
         raise ValidationError(f"not a cactus Betti vector: sigma_0 = {sig[0]}")
 
     roots: list[int] = []
-    hi = sig[1] if t else 0  # positive roots summing to sigma_1 are <= sigma_1
-    while len(poly) > 1:
-        # The least x >= 1 at which poly(x + Y) has no negative coefficient
-        # is the largest root when that root is a positive integer.
-        if not _shift_nonnegative(poly, hi):
+    x = sig[1] if t else 0  # positive roots summing to sigma_1 are <= sigma_1
+    while len(poly) > 1 and x >= 1:
+        p = dp = 0  # poly(x) and poly'(x), by one Horner pass
+        for c in reversed(poly):
+            dp = dp * x + p
+            p = p * x + c
+        if p == 0:
+            roots.append(x)
+            poly = _divide_out(poly, x)
+        elif p < 0 or dp <= 0:
             break
-        lo = 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _shift_nonnegative(poly, mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        quotient = _divide_out(poly, hi)
-        if quotient is None:
-            break
-        roots.append(hi)
-        poly = quotient
+        else:
+            x -= max(1, p // dp)
     if len(poly) != 1:
         raise ValidationError(
             "not a cactus Betti vector: the length polynomial does not split "
@@ -566,7 +551,9 @@ def dual_min_distance(m: Matroid) -> int:
     Otherwise levels 1 (a coloop) and 2 take at most n + C(n, 2) rank calls.
     Past them the answer is the least over the blocks of rank >= 1, since
     every circuit of the dual lies in one block; each block answers from its
-    own profile or scans on from level 3, and so does a single block.
+    own profile, else from its kept size-rank table (a graph's, by the
+    frontier search), else scans on from level 3, and so does a single
+    block.
 
     Raises ValidationError when the dual is free (rank 0 on the primal side),
     since then the dual has no circuits at all.
@@ -583,11 +570,16 @@ def dual_min_distance(m: Matroid) -> int:
 
 def _dual_girth(m: Matroid, start: int, stop: int | None = None) -> int | None:
     """The least i in [start, stop) at which m, of rank >= 1, has an i-set
-    whose complement does not span, or None; a uniform profile answers at
-    once. No circuit of the dual may be smaller than ``start``."""
+    whose complement does not span, or None. A uniform profile answers at
+    once, and with no stop so does a kept size-rank table (``_size_rank``):
+    the least i with N(n - i, r) < C(n, i). No circuit of the dual may be
+    smaller than ``start``."""
     n, r, full = m.n, m.full_rank, m.full_mask
     profile = m._uniform_profile()
     if profile is not None:
         return min(k - rj + 1 for rj, k in profile if rj)
+    table = m._size_rank() if stop is None else None
+    if table is not None:
+        return next(i for i in count(start) if table.get((n - i, r), 0) < comb(n, i))
     levels = count(start) if stop is None else range(start, stop)
     return next((i for i in levels if any(m.rank(full ^ s) < r for s in k_subsets(n, i))), None)

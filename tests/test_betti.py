@@ -3,6 +3,8 @@ the block product, the closed form for circuit unions, and its inversion."""
 
 import dataclasses
 import importlib
+import io
+import json
 import random
 import time
 from collections import Counter
@@ -674,6 +676,38 @@ def test_invert_large_lengths_is_fast(lengths):
     assert time.perf_counter() - start < 1.0
 
 
+def test_invert_four_hundred_distinct_lengths_is_fast():
+    # Lengths 2..401: P has degree 400 and sigma_1 = 80,600. Bisecting on
+    # [1, sigma_1] with a Taylor shift per probe took about 5 s.
+    lengths = tuple(range(401, 1, -1))
+    beta = cactus_betti(lengths).global_
+    start = time.perf_counter()
+    assert invert_cactus_betti(beta, 0).lengths == lengths[::-1]
+    assert time.perf_counter() - start < 2.0
+
+
+def test_invert_refuses_complex_roots_at_once():
+    # P = X^2 - s1 X + s2 with s2 = s1^2 / 4 + 1 has the roots s1 / 2 +- i:
+    # every sigma is positive and sigma_0 = 1, but the Newton steps from
+    # sigma_1 = 10^40 pass below s1 / 2, where P' < 0.
+    s1 = 10**40
+    s2 = s1 * s1 // 4 + 1
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="does not split"):
+        invert_cactus_betti((s2, 2 * s2 - s1, 1 - s2 + (2 * s2 - s1)), 0)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "lengths", [(7, 7, 8, 10**12, 10**12 + 1), (2, 2, 2, 3, 10**30, 10**30, 10**30 + 1)]
+)
+def test_invert_adjacent_and_repeated_large_roots(lengths):
+    # After each root the steps restart from it, so a root repeated or one
+    # below the last is found by the next step; a step may never pass it.
+    p = CycleProfile(lengths)
+    assert invert_cactus_betti(cactus_betti(p).global_, 0) == p
+
+
 def test_invert_divides_out_many_loops_at_once():
     # Each loop is a known root 1; without dividing (X - 1)^3000 out first,
     # the bisection would run on a polynomial of degree 3001.
@@ -1023,6 +1057,21 @@ def test_dual_minimum_distance_takes_the_least_block_past_level_two():
     ]
     for m in cases:
         assert dual_min_distance(m) == brute_circuits(m.dual())[0].bit_count(), m
+
+
+def test_dual_d1_of_complete_graphs_reads_the_size_rank_table(capsys, monkeypatch):
+    # K_v has no dual circuit below its least cut, the v - 1 edges at a
+    # vertex. Scanning complements from level 3 took 3.6 s on K8 and did not
+    # finish on K9 in 20 s; the table answers K9 through the CLI.
+    for v in (5, 6):
+        m = cycle_matroid(Graph(v, tuple(combinations(range(v), 2))))
+        assert dual_min_distance(m) == brute_circuits(m.dual())[0].bit_count() == v - 1
+    edges = "".join(f"{a} {b}\n" for a, b in combinations(range(1, 10), 2))
+    monkeypatch.setattr("sys.stdin", io.StringIO(edges))
+    start = time.perf_counter()
+    assert main(["dual-d1", "--input", "-", "--output", "json"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(capsys.readouterr().out)["d1"] == 8
 
 
 def test_dual_minimum_distance_of_uniform_sums(monkeypatch):
