@@ -37,18 +37,16 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, count, groupby
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .bitset import k_subsets
 from .complexes import (
     GF2,
     PrimeField,
-    _rank,
     boundary_rank,  # noqa: F401  perfbench/tracing.py wraps betti.boundary_rank
     face_numbers,  # noqa: F401  perfbench/tracing.py wraps betti.face_numbers
 )
 from .errors import ValidationError
-from .linalg import pack
 from .matroid import BlockPartition, Matroid
 
 
@@ -181,21 +179,26 @@ def _through(t: int, mask: int) -> list[int]:
     return out
 
 
-def _relative_homology(
-    m: Matroid, fld: PrimeField, fine: bool
-) -> tuple[list[int], Counter[int]]:
-    """The totals, the sum of h(sigma) over the sets sigma of r + i elements
-    for i = 0 .. n - r, and, when ``fine``, the map sigma -> h(sigma) of each
-    sigma with h(sigma) > 0 (else empty), read off the lead rows of the core
-    columns as ``hochster_betti`` proves.
+def _certified(get: Callable[[int, int], int], b: int, ys: list[int], t: int, t2: int) -> bool:
+    """Whether T = t < T' = t2 led by b pass their lead certificate (``hochster_betti``)."""
+    u = t | t2
+    led = {y: lead for y in ys if (d := get(c := u ^ y, 0)) and (lead := c ^ (d & -d)) < b}
+    seen = todo = u ^ t2  # the component of a, the element of U outside T'
+    while todo:
+        v = todo & -todo
+        new = get(u ^ v, 0) & ~seen
+        seen, todo = seen | new, todo ^ v | new
+    return not seen & ~(sum(led) | u ^ t | u ^ t2) and len(set(led.values())) == len(led)
 
-    The sweep takes one top element x at a time. A core column T through x
-    is one small int in every field: the mask of the elements z with T - z a
-    basis through x, its rows. Its lead, the largest basis in T, is T less
-    the least of them. Only certificates are packed, by ``linalg.pack`` over
-    the rows they touch, so every field eliminates the same matrices.
-    """
-    n, r, p = m.n, m.full_rank, fld.p
+
+def _relative_homology(m: Matroid, fine: bool) -> tuple[list[int], Counter[int]]:
+    """The totals, the sum of h(sigma) over the sets sigma of r + i elements
+    for i = 0 .. n - r, and, when ``fine``, the map sigma -> h(sigma) > 0
+    (else empty), read off the lead rows of the core columns as
+    ``hochster_betti`` proves. A core column T through the top element x is
+    the mask of the z with T - z a basis through x, its rows, and its lead
+    is T less the least of them. No field eliminates a matrix."""
+    n, r = m.n, m.full_rank
     bases = m.bases()
     is_basis = set(bases)
     free: Counter[int] = Counter()  # |P(B)| -> the number of bases B
@@ -224,12 +227,8 @@ def _relative_homology(
                 continue
             ys = [y for y in below if b & y]
             for t, t2 in combinations([b | a for a in below if group & a], 2):
-                u = t | t2
-                w = [(c, d) for y in ys if (d := get(c := u ^ y, 0)) and c ^ (d & -d) < b]
-                w.append((t, columns[t]))
-                echelon = len({c ^ (d & -d) for c, d in w}) == len(w)  # so rank(W) = |W|
-                if not echelon or _rank(pack([*w, (t2, columns[t2])], p), p) != len(w):
-                    raise ValidationError(f"core columns {t:#x} and {t2:#x} fail their lead certificate over GF({p})")
+                if not _certified(get, b, ys, t, t2):
+                    raise ValidationError(f"core columns {t:#x} and {t2:#x} fail their lead certificate")
         free[top - r] += len(rows) - len(led)  # a B leading no column has P(B) = all below x outside B
         free.update(map(int.bit_count, map((2 * x - 1).__xor__, led.values())))
         if fine:
@@ -261,34 +260,40 @@ def hochster_betti(
     span the image: for a spanning (r + 1)-set T without x, U = T + x spans,
     and dd U = 0 writes dT as a +-1 combination of the d(U - c), c != x, each
     through x or zero. A basis B without x meets one of those, B + x, with
-    entry +-1: a unit pivot. Taking them all leaves the core, with the bases
-    of sigma through x as rows and the spanning (r + 1)-sets T through x with
-    T - x not a basis as columns, and the entry is #(bases of sigma through
-    x) - rank(core). No core is eliminated. With rows in ascending mask
-    order, the lead of a column T, its highest nonzero row, is the largest
-    basis B inside T; columns of distinct leads are in echelon form,
-    independent over any field. Take a pair T = B + a < T' = B + a' led by
-    one B, and U = T | T'. The columns U - y (y in B - x) led below B have
-    distinct leads: were L the lead of U - y1 and U - y2, then L = U - y1 - y2,
-    and exchange between B and L at y1 makes T - y1 or T' - y1 a basis, so
-    a < y1 (B leads both), and a < y2 likewise; T' - y1 > L is then no basis,
-    T - y1 is, and L > T - y1 forces a' > y2, and a' > y1 likewise; so
-    a' = max(a, a', y1, y2) lies in L, and L > B. With T they are thus
-    independent, and one small elimination certifies that T' lies in their
-    span, or raises ValidationError, as a repeated lead does too (only a rank
-    oracle that breaks basis exchange gives one).
-    Ordered by (lead, mask), a core column not first in its lead group thus
-    lies in the span of earlier ones of the same core (T | T' lies in sigma),
-    so rank(core) is the number of distinct leads inside sigma, and the entry
-    counts the B through x inside sigma that lead no column inside sigma:
-    level i totals sum_B C(|P(B)|, i), P(B) the elements below x outside
-    every column led by B, and the fine map pushes each B into B | F for F
-    inside P(B) (``_relative_homology``). These are the linear quotients of
-    basis ideals (Herzog and Takayama 2002; Conca and Herzog 2003), each step
-    proved. Exact sequences, dd = 0 and unit pivots hold with any
-    coefficients, so this is exact over every GF(p), and the certificates,
-    eliminated over GF(p), test field independence. A uniform profile of one
-    part (``Matroid._uniform_profile``) skips the sweep.
+    entry +-1: a unit pivot. Taking them all leaves the core: rows the bases
+    of sigma through x, columns the spanning (r + 1)-sets T through x with
+    T - x not a basis, and the entry #(bases of sigma through x) -
+    rank(core). With rows in ascending mask order, the lead of a column T,
+    its highest nonzero row, is the largest basis B inside T; columns of
+    distinct leads are independent over any field. Take T = B + a <
+    T' = B + a' led by one B, and U = T | T'. The columns U - y (y in B - x)
+    led below B have distinct leads: were L the lead of U - y1 and U - y2,
+    then L = U - y1 - y2, and exchange between B and L at y1 makes T - y1 or
+    T' - y1 a basis, so a < y1 (B leads both), and a < y2 likewise;
+    T' - y1 > L is then no basis, T - y1 is, and L > T - y1 forces a' > y2,
+    and a' > y1 likewise; so a' = max(a, a', y1, y2) lies in L, and L > B.
+    In the graph G on U - x with y ~ z when U - y - z is a basis, the mask
+    of a core column U - v is v's neighbourhood. Scaled by (-1)^(the position
+    of v in U), dd U = 0 gives each row U - y - z the entries +1 and -1 in
+    U - y and U - z: on S, a, a' and the y of those columns, a signed
+    incidence matrix, where an edge leaving S is a row with one entry. So
+    over every field T' = U - a is in the span of the others iff the
+    component of a in G[S] has no edge leaving S (its scaled columns sum to
+    0, and a vanishing combination is constant on components and 0 where an
+    edge leaves S), for any family of r-sets. ``_certified`` walks it and
+    checks the leads; a failure (only a rank oracle that breaks basis
+    exchange gives one) raises ValidationError. So, ordered by (lead, mask),
+    a core column not first in its lead group lies in the span of earlier
+    ones of the same core (T | T' lies in sigma): rank(core) is the number
+    of distinct leads inside sigma, and the entry counts the B through x
+    inside sigma that lead no column inside sigma. Level i totals
+    sum_B C(|P(B)|, i), P(B) the elements below x outside every column led
+    by B, and the fine map pushes each B into B | F for F inside P(B)
+    (``_relative_homology``): the linear quotients of basis ideals (Herzog
+    and Takayama 2002; Conca and Herzog 2003), each step proved. Exact
+    sequences, dd = 0 and unit pivots hold with any coefficients and the
+    walks do no arithmetic, so every GF(p) gives the same table. A uniform
+    profile of one part (``Matroid._uniform_profile``) skips the sweep.
     """
     n, r = m.n, m.full_rank
     if r == 0:
@@ -308,7 +313,7 @@ def hochster_betti(
             r, n, tuple(comb(n, k) * comb(k - 1, r - 1) for k in levels),
             {s: comb(k - 1, r - 1) for k in levels for s in k_subsets(n, k)} if fine else None,
         )
-    totals, h = _relative_homology(m, fld, fine)
+    totals, h = _relative_homology(m, fine)
     return BettiTable(r, n, tuple(totals), dict(h) if fine else None)
 
 

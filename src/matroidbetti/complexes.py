@@ -2,12 +2,10 @@
 
 Boundary matrices are assembled with the standard orientation (vertices of
 a face in ascending order; removing the j-th smallest vertex carries sign
-(-1)^j) by ``linalg.pack``, and ranks are computed exactly over a prime
-field. The Hochster sweep in ``betti`` eliminates through this module's
-``_rank``, as ``boundary_rank`` does. The library builds no complex
-itself: ``SimplicialComplex``, ``face_numbers`` and ``boundary_rank`` carry
-the reference homology of the tests, and the benchmark's trace hooks wrap
-them by these names.
+(-1)^j) by ``linalg.pack`` and ranked exactly over a prime field. The
+library builds no complex and eliminates no matrix: ``SimplicialComplex``,
+``face_numbers`` and ``boundary_rank`` carry the reference homology of the
+tests, and the benchmark's trace hooks wrap them by these names.
 """
 
 from __future__ import annotations
@@ -102,10 +100,6 @@ def face_numbers(c: SimplicialComplex) -> FVector:
     return FVector(tuple(len(c.faces_of_size(k)) for k in range(c.n + 1)))
 
 
-def _rank(columns: list[int], p: int) -> int:
-    return gf2_rank(columns) if p == 2 else modp_rank(columns, p)
-
-
 def boundary_rank(
     cols: Sequence[int], rows: Sequence[int], n_vertices: int, p: int = 2
 ) -> int:
@@ -131,4 +125,5 @@ def boundary_rank(
         return comb(n_vertices - 1, ck - 1)
     faces = set(rows)
     drops = [sum(1 << e for e in bits(f) if f ^ (1 << e) in faces) for f in cols]
-    return _rank(pack(zip(cols, drops), p), p)
+    packed = pack(zip(cols, drops), p)
+    return gf2_rank(packed) if p == 2 else modp_rank(packed, p)

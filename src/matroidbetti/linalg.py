@@ -101,7 +101,7 @@ def pack(columns: Iterable[tuple[int, int]], p: int) -> list[int]:
     the entry (-1)^k in the row of the face f - z for each element z of d,
     z the k-th smallest element of f (the standard orientation). The rows
     are just the faces the columns touch, each taking the next lane when a
-    column first touches it."""
+    column first touches it. ``complexes.boundary_rank`` is the one caller."""
     lane: dict[int, int] = {}
     width, sign = lane_width(p), (1, p - 1)
     packed = []

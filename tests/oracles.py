@@ -15,8 +15,10 @@ cyclic flats, the degree of non-redundancy by a search over circuit
 families instead of the rank, global Betti vectors read off the
 Hilbert-series numerator over every degree instead of the library's map
 from spanning counts, and basis counts of graphs by the matrix-tree
-theorem instead of a search over edge sets. Agreement between these and
-the library is therefore a genuine two-route check.
+theorem instead of a search over edge sets. The Hochster sweep's lead
+certificates are decided by elimination over GF(p), packed by ``linalg.pack``,
+instead of by a walk on a basis graph. Agreement between these and the
+library is therefore a genuine two-route check.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
-from typing import Sequence
+from typing import Callable, Sequence
 
 from matroidbetti import (
     GF2,
@@ -37,6 +39,7 @@ from matroidbetti import (
     k_subsets,
 )
 from matroidbetti.complexes import SimplicialComplex, boundary_rank
+from matroidbetti.linalg import modp_rank, pack
 
 
 def fraction_rank(rows: list[list[Fraction]]) -> int:
@@ -519,3 +522,24 @@ def degree_of_nonredundancy(m: Matroid, sigma: int) -> int:
 
     extend(0, [])
     return best
+
+
+def certificate_columns(
+    get: Callable[[int, int], int], b: int, ys: list[int], t: int, t2: int
+) -> list[tuple[int, int]]:
+    """The columns of the lead certificate of the core columns T = t and
+    T' = t2 led by the basis b, each as (column, its mask from ``get``): W,
+    the columns U - y (U = T | T', y in ys) led below b, then T, then T'."""
+    u = t | t2
+    w = [(c, d) for y in ys if (d := get(c := u ^ y, 0)) and c ^ (d & -d) < b]
+    return [*w, (t, get(t, 0)), (t2, get(t2, 0))]
+
+
+def lead_certificate(columns: list[tuple[int, int]], p: int) -> bool:
+    """Whether the certificate passes by elimination over GF(p), as the sweep
+    decided it before its walk: the columns but the last, W and T, have
+    distinct leads (so they are independent), and adding the last, T', leaves
+    the rank at their number (so T' lies in their span)."""
+    w = columns[:-1]
+    echelon = len({c ^ (d & -d) for c, d in w}) == len(w)  # so rank(W) = |W|
+    return echelon and modp_rank(pack(columns, p), p) == len(w)

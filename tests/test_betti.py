@@ -13,10 +13,8 @@ from math import comb
 
 import pytest
 
-from matroidbetti import complexes
 from matroidbetti.cli import main
 from matroidbetti.complexes import SimplicialComplex
-from matroidbetti.linalg import lane_width
 from matroidbetti.matroid import _frontier
 from matroidbetti import (
     BettiTable,
@@ -48,9 +46,11 @@ from matroidbetti import (
 from oracles import (
     absolute_betti,
     brute_circuits,
+    certificate_columns,
     convolve_naive,
     euler_fine_betti,
     hilbert_global,
+    lead_certificate,
     matrix_tree_count,
     taylor_fine_betti,
     taylor_global_betti,
@@ -240,26 +240,25 @@ def test_relative_chains_match_absolute_homology(fld):
 )
 def test_field_independence(fld, monkeypatch):
     # Over every odd prime the seeded graphs and the chorded rings, whose
-    # blocks run to hundreds of bases, give the GF(2) tables, fine and coarse.
-    rank = BETTI_MODULE._rank
-    eliminated = 0
-
-    def ranking(cols, p):
-        nonlocal eliminated
-        eliminated += p != 2
-        return rank(cols, p)
-
-    monkeypatch.setattr(BETTI_MODULE, "_rank", ranking)
+    # blocks run to hundreds of bases, give the GF(2) tables, fine and coarse,
+    # and the sweep decides the same lead certificates, some of them, as over
+    # GF(2).
+    certificates = _recording_certificates(monkeypatch)
+    decided = {GF2: [], fld: []}
     rng = random.Random(SEED)
     cases = [uniform(2, 4), two_triangles_matroid(), multi_uniform([(1, 2), (2, 3)])]
     cases += [random_multigraph(rng) for _ in range(40)]
     cases += [chorded_ring(rng, v, c) for v, c in ((9, 4), (10, 4), (11, 3))]
     for m in cases:
-        over_2 = hochster_betti(m, GF2, fine=True)
-        over_p = hochster_betti(m, fld, fine=True)
-        assert over_2.coarse == over_p.coarse
-        assert over_2.fine == over_p.fine
-    assert eliminated > 0
+        tables = {}
+        for f in decided:
+            certificates.clear()
+            tables[f] = hochster_betti(m, f, fine=True)
+            decided[f] += certificates
+        assert tables[GF2].coarse == tables[fld].coarse
+        assert tables[GF2].fine == tables[fld].fine
+    assert decided[fld]
+    assert decided[GF2] == decided[fld]
 
 
 def test_sweep_reads_each_face_level_once(monkeypatch):
@@ -308,7 +307,7 @@ def test_all_bases_fine_table_matches_the_relative_chain_sweep():
     for n in range(1, 8):
         for r in range(1, n + 1):
             table = hochster_betti(uniform(r, n), GF3, fine=True)
-            totals, h = BETTI_MODULE._relative_homology(uniform(r, n), GF3, fine=True)
+            totals, h = BETTI_MODULE._relative_homology(uniform(r, n), fine=True)
             assert table.global_ == tuple(totals), (r, n)
             assert table.fine == h, (r, n)
 
@@ -322,21 +321,24 @@ def test_uniform_26_is_answered_at_once():
     assert t.global_ == hilbert_global(26, 3, spanning)
 
 
-def _recording_rows(monkeypatch) -> list[tuple[int, int]]:
-    """The row and column counts of every matrix the sweep eliminates, as it
-    runs."""
-    rows = []
-    for name in ("gf2_rank", "modp_rank"):
-        rank = getattr(complexes, name)
+def _recording_certificates(monkeypatch) -> list[list[tuple[int, int]]]:
+    """The columns of every lead certificate the sweep decides, as it runs,
+    each as (column, mask): W, then T, then T' (``certificate_columns``)."""
+    certificates = []
+    certified = BETTI_MODULE._certified
 
-        def recording(columns, *p, rank=rank):
-            width = lane_width(*p) if p else 1
-            height = -(-max((c.bit_length() for c in columns), default=0) // width)
-            rows.append((height, len(columns)))
-            return rank(columns, *p)
+    def recording(get, b, ys, t, t2):
+        certificates.append(certificate_columns(get, b, ys, t, t2))
+        return certified(get, b, ys, t, t2)
 
-        monkeypatch.setattr(complexes, name, recording)
-    return rows
+    monkeypatch.setattr(BETTI_MODULE, "_certified", recording)
+    return certificates
+
+
+def _shapes(certificates: list[list[tuple[int, int]]]) -> list[tuple[int, int]]:
+    """The (rows, columns) of each certificate matrix: its rows are the bases
+    its columns drop to, as many as ``linalg.pack`` would give lanes."""
+    return [(len({c ^ 1 << e for c, d in cols for e in bits(d)}), len(cols)) for cols in certificates]
 
 
 def test_sweep_ranks_bases_not_faces(monkeypatch):
@@ -344,13 +346,14 @@ def test_sweep_ranks_bases_not_faces(monkeypatch):
     # bases once is the only bulk rank work, and rows are numbered among the
     # bases through max sigma; a sweep over face levels of V evaluates C(14, 8) +
     # C(14, 9) = 5,005 sets and builds matrices of C(14, 8) = 3,003 rows.
-    # The certificates of the lead rows eliminate 246 columns in all (2,451
+    # The certificates of the lead rows decide on 246 columns in all (2,451
     # when every core of two or more columns was eliminated); the whole
     # boundary maps have 8,096.
     g1 = cycle_matroid(fixture("g1"))
     m, evaluated = counting(g1)
-    rows = _recording_rows(monkeypatch)
+    certificates = _recording_certificates(monkeypatch)
     table = hochster_betti(m)
+    rows = _shapes(certificates)
     assert table.global_ == (393, 1459, 2187, 1652, 628, 96)
     assert len(evaluated) <= comb(14, 9) + 28
     assert rows
@@ -370,10 +373,11 @@ CHORDED_RING_17 = (
 def test_17_edge_ring_over_gf3(monkeypatch):
     m = graph_matroid(12, CHORDED_RING_17)
     assert (m.n, m.full_rank, len(m.bases())) == (17, 11, 3343)
-    rows = _recording_rows(monkeypatch)
+    certificates = _recording_certificates(monkeypatch)
     table = hochster_betti(m, GF3, fine=True)
     assert table.fine == euler_fine_betti(m)
     assert table.global_ == (3343, 16533, 34391, 38472, 24388, 8300, 1184)
+    rows = _shapes(certificates)
     assert rows
     # A certificate has only the rows its columns touch: the tallest has 47,
     # against the ring's 3,343 bases (1,978 when every basis through its
@@ -386,9 +390,11 @@ def test_sweep_hands_no_one_column_matrix_to_elimination(monkeypatch):
     # lone column, its entries +-1, is 1 in every field. On g1 over GF(2) the
     # sweep once eliminated 522 matrices, 201 of them of one column.
     g1 = cycle_matroid(fixture("g1"))
+    certificates = _recording_certificates(monkeypatch)
     for fld in (GF2, GF3):
-        rows = _recording_rows(monkeypatch)
+        certificates.clear()
         assert hochster_betti(g1, fld).global_ == (393, 1459, 2187, 1652, 628, 96)
+        rows = _shapes(certificates)
         assert rows
         assert min(width for _, width in rows) >= 2
 
@@ -431,16 +437,17 @@ def _lead_groups(m: Matroid) -> Counter[int]:
 def test_sweep_ranks_each_core_once(monkeypatch, name, work, fld):
     # No core is eliminated: each core's rank is read once, off its lead
     # rows. The only matrices are the certificates of the pairs of columns
-    # led by one basis, one elimination per pair on these graphs. Their
-    # number, total columns and rows times columns are pinned exactly, the
-    # same in every field. A certificate has only the rows its columns
-    # touch: with every basis through max T below the lead as a row, the
-    # cells were 37,547 on g1 and 3,622,617 on the ring, and a sweep
-    # eliminating every such core had 321, 2,451, 393,004 on g1 and 2,258,
-    # 37,865, 53,351,335 on the ring.
+    # led by one basis, one walk per pair on these graphs. Their number,
+    # total columns and rows times columns are pinned exactly, the same in
+    # every field. A certificate has only the rows its columns touch: with
+    # every basis through max T below the lead as a row, the cells were
+    # 37,547 on g1 and 3,622,617 on the ring, and a sweep eliminating every
+    # such core had 321, 2,451, 393,004 on g1 and 2,258, 37,865, 53,351,335
+    # on the ring.
     m = _sweep_graph(name)
-    rows = _recording_rows(monkeypatch)
+    certificates = _recording_certificates(monkeypatch)
     assert hilbert_check(hochster_betti(m, fld), m)
+    rows = _shapes(certificates)
     assert (len(rows), sum(w for _, w in rows), sum(h * w for h, w in rows)) == work
     assert len(rows) == sum(comb(k, 2) for k in _lead_groups(m).values())
 
@@ -480,10 +487,10 @@ def test_core_rank_is_its_number_of_lead_rows(name, fld):
 
 
 def test_a_failed_certificate_is_refused(monkeypatch, capsys):
-    # A rank that calls every matrix independent fails the first certificate:
-    # the sweep raises rather than return a count it has not proved, and the
-    # command line maps that to exit 2.
-    monkeypatch.setattr(BETTI_MODULE, "_rank", lambda cols, p: len(cols))
+    # A certificate that fails every pair fails the first one: the sweep
+    # raises rather than return a count it has not proved, and the command
+    # line maps that to exit 2.
+    monkeypatch.setattr(BETTI_MODULE, "_certified", lambda get, b, ys, t, t2: False)
     with pytest.raises(ValidationError, match="certificate"):
         hochster_betti(cycle_matroid(fixture("g1")), GF3)
     assert main(["betti", "--input", "g1", "--algorithm", "hochster"]) == 2
@@ -494,13 +501,11 @@ def test_a_failed_certificate_is_refused(monkeypatch, capsys):
 def test_certificate_columns_but_the_last_have_distinct_leads(monkeypatch, fld):
     # The lemma in ``hochster_betti``: the columns U - y led below B have
     # pairwise distinct leads, so each certificate matrix but its last column
-    # T' is in echelon form, and one elimination decides it. The lead of a
-    # column T, its largest basis, is T less the least element of its mask.
-    # Every certificate is recorded as packed, on g1, the 17-edge ring and
-    # the random linear matroids over GF(2), GF(3) and GF(5).
-    certificates = []
-    pack = BETTI_MODULE.pack
-    monkeypatch.setattr(BETTI_MODULE, "pack", lambda cols, p: certificates.append(cols) or pack(cols, p))
+    # T' is in echelon form, and one elimination would decide it. The lead
+    # of a column T, its largest basis, is T less the least element of its
+    # mask. Every certificate is recorded, on g1, the 17-edge ring and the
+    # random linear matroids over GF(2), GF(3) and GF(5), and eliminated.
+    certificates = _recording_certificates(monkeypatch)
     for cases in ([_sweep_graph("g1"), _sweep_graph("ring17")], *map(structure_cases, ("gf2", "gf3", "gf5"))):
         certificates.clear()
         for m in cases:
@@ -509,37 +514,82 @@ def test_certificate_columns_but_the_last_have_distinct_leads(monkeypatch, fld):
         for cols in certificates:
             leads = {t ^ (d & -d) for t, d in cols[:-1]}
             assert len(leads) == len(cols) - 1 >= 1
-            assert BETTI_MODULE._rank(pack(cols, fld.p), fld.p) == len(cols) - 1
+            assert lead_certificate(cols, fld.p)
+
+
+def _set_families(rng: random.Random, count: int) -> list[Matroid]:
+    """Seeded families of r-sets that break basis exchange, so are the bases
+    of no matroid, each as ``Matroid(n, rank_fn)`` with the rank of s the
+    most elements s shares with a member, so that its bases are the family."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(4, 8)
+        pool = [sum(1 << e for e in c) for c in combinations(range(n), rng.randint(2, n - 2))]
+        family = set(rng.sample(pool, rng.randint(2, len(pool))))
+        exchange = all(any(b ^ 1 << x ^ 1 << y in family for y in bits(c & ~b))
+                       for b in family for c in family for x in bits(b & ~c))
+        if not exchange:
+            out.append(Matroid(n, lambda s, family=tuple(family): max((s & b).bit_count() for b in family)))
+    return out
+
+
+@pytest.mark.parametrize("fld", [GF2, GF3, PrimeField(5)], ids=lambda f: f"GF{f.p}")
+def test_certificate_walk_matches_the_elimination_oracle(monkeypatch, fld):
+    # Every lead certificate the sweep decides by its walk is decided again
+    # by the elimination of ``oracles.lead_certificate`` over the same field,
+    # with the same outcome, on matroids and on families of r-sets that are
+    # the bases of none. The sweep is let run on past a failed certificate, so that every
+    # certificate of a family is compared; some must fail with distinct
+    # leads, on the walk, and some on a repeated lead.
+    certified = BETTI_MODULE._certified
+    outcomes = Counter()
+
+    def comparing(get, b, ys, t, t2):
+        ok = certified(get, b, ys, t, t2)
+        cols = certificate_columns(get, b, ys, t, t2)
+        assert lead_certificate(cols, fld.p) == ok, (b, t, t2)
+        outcomes[ok, len({c ^ (d & -d) for c, d in cols[:-1]}) == len(cols) - 1] += 1
+        return True
+
+    monkeypatch.setattr(BETTI_MODULE, "_certified", comparing)
+    rng = random.Random(SEED + 34)
+    cases = [_sweep_graph("g1"), _sweep_graph("ring17")]
+    cases += [m for family in ("gf2", "gf3", "gf5") for m in structure_cases(family)]
+    cases += [random_multigraph(rng) for _ in range(60)]
+    for m in cases:
+        hochster_betti(m, fld)
+    assert outcomes == {(True, True): 1340}
+    for m in _set_families(rng, 300):
+        hochster_betti(m, fld)
+    assert outcomes[False, True] > 0 and outcomes[False, False] > 0
 
 
 @pytest.mark.parametrize("name", ["g1", "ring17"])
 def test_every_field_eliminates_the_same_matrices(monkeypatch, name):
     # A core's rows are the bases of its block, whatever the field, so the
-    # sweep hands GF(2), GF(3) and GF(5) matrices of the same heights and
-    # widths, in the same order.
+    # sweep decides the same certificates over GF(2), GF(3) and GF(5),
+    # column for column, in the same order.
     m = _sweep_graph(name)
-    rows = _recording_rows(monkeypatch)
-    shapes = []
+    certificates = _recording_certificates(monkeypatch)
+    decided = []
     for fld in (GF2, GF3, PrimeField(5)):
-        rows.clear()
+        certificates.clear()
         hochster_betti(m, fld)
-        shapes.append(list(rows))
-    assert shapes[0]
-    assert shapes[0] == shapes[1] == shapes[2]
+        decided.append(list(certificates))
+    assert decided[0]
+    assert decided[0] == decided[1] == decided[2]
 
 
 def test_sweep_packs_each_core_with_its_columns(monkeypatch):
     # The sweep keeps a core column T as the mask of the elements z with
-    # T - z a basis, and packs only the columns of a certificate. Each one
+    # T - z a basis, and a certificate reads only those masks. Each one
     # holds columns through one top element, every row a basis inside
     # T | T', and its last two, T and T', share the largest lead: T less the
     # least element of its mask.
     m = cycle_matroid(fixture("g1"))
     bases = set(m.bases())
     masks = {t: sum(1 << e for e in bits(t) if t ^ 1 << e in bases) for ts in _cores(m).values() for t in ts}
-    certificates = []
-    pack = BETTI_MODULE.pack
-    monkeypatch.setattr(BETTI_MODULE, "pack", lambda cols, p: certificates.append(cols) or pack(cols, p))
+    certificates = _recording_certificates(monkeypatch)
     hochster_betti(m)
     assert len(certificates) == 36
     for cols in certificates:
@@ -710,7 +760,7 @@ def test_invert_adjacent_and_repeated_large_roots(lengths):
 
 def test_invert_divides_out_many_loops_at_once():
     # Each loop is a known root 1; without dividing (X - 1)^3000 out first,
-    # the bisection would run on a polynomial of degree 3001.
+    # the Newton steps would run on a polynomial of degree 3001.
     start = time.perf_counter()
     profile = invert_cactus_betti((3, 2), 3000)
     assert time.perf_counter() - start < 1.0

@@ -327,21 +327,21 @@ def test_uniform_sums_and_families_sweep_to_the_euler_table(monkeypatch):
     # read off their lead rows, and only the second sum has columns sharing
     # a lead: three pairs, one certificate each.
     betti_mod = importlib.import_module("matroidbetti.betti")
-    rank = betti_mod._rank
-    ranked = []
+    certified = betti_mod._certified
+    decided = []
 
-    def recording(cols, p):
-        ranked.append(len(cols))
-        return rank(cols, p)
+    def recording(get, b, ys, t, t2):
+        decided.append((t, t2))
+        return certified(get, b, ys, t, t2)
 
-    monkeypatch.setattr(betti_mod, "_rank", recording)
+    monkeypatch.setattr(betti_mod, "_certified", recording)
     family = from_bases(5, combinations(range(5), 2))
     sums = (multi_uniform([(1, 2), (2, 3), (0, 2)]), multi_uniform([(2, 4), (1, 3)]))
     for m, certificates in zip((family, *sums), (0, 0, 3)):
         assert m._uniform_profile() is None or len(m._uniform_profile()) > 1
-        ranked.clear()
+        decided.clear()
         table = hochster_betti(m, fine=True)
-        assert len(ranked) == certificates, parts_of(m)
+        assert len(decided) == certificates, parts_of(m)
         assert table.fine == euler_fine_betti(m)
         assert hilbert_check(table, m)
 

@@ -42,31 +42,44 @@ def test_trace_hooks_install_and_restore(capsys):
     assert "matroid.blocks" in {span[0] for span in tracer.spans}
 
 
-def test_trace_hooks_see_the_sweep_eliminations(capsys):
-    # g1 resolves to the Hochster sweep, whose odd-prime certificate
-    # eliminations must reach the counter the hooks put on
-    # ``complexes.modp_rank``. g3 has no two core columns sharing a lead, so
-    # its sweep eliminates nothing.
+def _sweep_then_boundary(argv: list[str], p: int):
+    """A traced ``main(argv)`` that runs the Hochster sweep, then one boundary
+    rank over GF(p) that must eliminate: the (calls, columns) of each rank
+    counter after the sweep, and the tracer."""
+    complexes = importlib.import_module("matroidbetti.complexes")
     tracer = _tracing_module().Tracer()
     tracer.install()
     try:
-        assert main(["betti", "--input", "g1", "--field", "3"]) == 0
+        assert main(argv) == 0
+        swept = {name: (calls, cols) for name, (calls, _, _, cols) in tracer.counters.items()
+                 if name in ("linalg.gf2_rank", "linalg.modp_rank")}
+        # Two edges of a triangle over its three vertices: rank 2.
+        assert complexes.boundary_rank([0b011, 0b110], [0b001, 0b010, 0b100], 3, p) == 2
     finally:
         tracer.uninstall()
+    return swept, tracer
+
+
+def test_trace_hooks_see_the_sweep_eliminations(capsys):
+    # g1 resolves to the Hochster sweep, which decides its certificates by
+    # walks and eliminates no matrix over GF(3); the odd-prime eliminations
+    # of a boundary rank must reach the counter the hooks put on
+    # ``complexes.modp_rank``, through ``complexes.boundary_rank``.
+    swept, tracer = _sweep_then_boundary(["betti", "--input", "g1", "--field", "3"], 3)
     capsys.readouterr()
-    assert tracer.counters["linalg.modp_rank"][0] > 0
+    assert swept == {"linalg.gf2_rank": (0, 0), "linalg.modp_rank": (0, 0)}
+    assert tracer.counters["complexes.boundary_rank"][0] == 1
+    assert tracer.counters["linalg.modp_rank"][0] == 1 and tracer.counters["linalg.modp_rank"][3] == 2
 
 
 def test_trace_hooks_see_the_graph_oracle_and_gf2_eliminations(capsys):
     # The benchmark's oracle and GF(2) per-layer metrics read these two
     # counters: the graph oracle is reached through ``Matroid.__init__`` and
-    # the sweep's GF(2) eliminations through ``complexes.gf2_rank``.
-    tracer = _tracing_module().Tracer()
-    tracer.install()
-    try:
-        assert main(["betti", "--input", "g1"]) == 0
-    finally:
-        tracer.uninstall()
+    # GF(2) eliminations through ``complexes.gf2_rank``, which the sweep no
+    # longer calls and ``complexes.boundary_rank`` does.
+    swept, tracer = _sweep_then_boundary(["betti", "--input", "g1"], 2)
     capsys.readouterr()
     assert tracer.counters["graphs.rank_fn"][0] > 0
-    assert tracer.counters["linalg.gf2_rank"][0] > 0
+    assert swept == {"linalg.gf2_rank": (0, 0), "linalg.modp_rank": (0, 0)}
+    assert tracer.counters["complexes.boundary_rank"][0] == 1
+    assert tracer.counters["linalg.gf2_rank"][0] == 1 and tracer.counters["linalg.gf2_rank"][3] == 2
