@@ -28,7 +28,6 @@ from .betti import (
     resolve_algorithm,
 )
 from .bitset import bits, k_subsets, mask_of
-from .complexes import GF2, PrimeField
 from .errors import ValidationError
 from .graphs import Graph, cycle_matroid, fixture, is_cactus
 from .matroid import (
@@ -54,10 +53,8 @@ __all__ = [
     "Block",
     "BlockPartition",
     "CycleProfile",
-    "GF2",
     "Graph",
     "Matroid",
-    "PrimeField",
     "ValidationError",
     "WeightHierarchy",
     "betti",

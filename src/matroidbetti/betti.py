@@ -41,8 +41,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .bitset import k_subsets
 from .complexes import (
-    GF2,
-    PrimeField,
     boundary_rank,  # noqa: F401  perfbench/tracing.py wraps betti.boundary_rank
     face_numbers,  # noqa: F401  perfbench/tracing.py wraps betti.face_numbers
 )
@@ -238,12 +236,7 @@ def _relative_homology(m: Matroid, fine: bool) -> tuple[list[int], Counter[int]]
     return totals, h
 
 
-def hochster_betti(
-    m: Matroid,
-    fld: PrimeField = GF2,
-    *,
-    fine: bool = False,
-) -> BettiTable:
+def hochster_betti(m: Matroid, *, fine: bool = False) -> BettiTable:
     """Betti table of the basis-monomial ideal via Hochster's formula.
 
     The sweep visits only multidegrees sigma with |sigma| = rank + i
@@ -292,8 +285,9 @@ def hochster_betti(
     (``_relative_homology``): the linear quotients of basis ideals (Herzog
     and Takayama 2002; Conca and Herzog 2003), each step proved. Exact
     sequences, dd = 0 and unit pivots hold with any coefficients and the
-    walks do no arithmetic, so every GF(p) gives the same table. A uniform
-    profile of one part (``Matroid._uniform_profile``) skips the sweep.
+    walks do no arithmetic, so the table is the same over every field and
+    the sweep takes none. A uniform profile of one part
+    (``Matroid._uniform_profile``) skips the sweep.
     """
     n, r = m.n, m.full_rank
     if r == 0:
@@ -491,13 +485,7 @@ def resolve_algorithm(m: Matroid, algorithm: str = "auto", *, fine: bool = False
     return "hochster" if fine else next(_routes(m))
 
 
-def betti(
-    m: Matroid,
-    algorithm: str = "auto",
-    fld: PrimeField = GF2,
-    *,
-    fine: bool = False,
-) -> BettiTable:
+def betti(m: Matroid, algorithm: str = "auto", *, fine: bool = False) -> BettiTable:
     """Betti table of the basis-monomial ideal of ``m``.
 
     ``algorithm`` is one of:
@@ -511,9 +499,9 @@ def betti(
     """
     algorithm = resolve_algorithm(m, algorithm, fine=fine)
     if algorithm == "hochster":
-        return hochster_betti(m, fld, fine=fine)
+        return hochster_betti(m, fine=fine)
     if algorithm == "blocks":
-        tables = [hochster_betti(b.matroid, fld) for b in m.blocks().blocks]
+        tables = [hochster_betti(b.matroid) for b in m.blocks().blocks]
         return block_product_betti(tables)
     return _cactus_table(m.blocks())
 
@@ -576,14 +564,14 @@ def dual_min_distance(m: Matroid) -> int:
 def _dual_girth(m: Matroid, start: int, stop: int | None = None) -> int | None:
     """The least i in [start, stop) at which m, of rank >= 1, has an i-set
     whose complement does not span, or None. A uniform profile answers at
-    once, and with no stop so does a kept size-rank table (``_size_rank``):
-    the least i with N(n - i, r) < C(n, i). No circuit of the dual may be
-    smaller than ``start``."""
+    once, and with no stop, m one block, so does its kept size-rank table
+    (``_block_size_rank``): the least i with N(n - i, r) < C(n, i). No
+    circuit of the dual may be smaller than ``start``."""
     n, r, full = m.n, m.full_rank, m.full_mask
     profile = m._uniform_profile()
     if profile is not None:
         return min(k - rj + 1 for rj, k in profile if rj)
-    table = m._size_rank() if stop is None else None
+    table = m._block_size_rank() if stop is None else None
     if table is not None:
         return next(i for i in count(start) if table.get((n - i, r), 0) < comb(n, i))
     levels = count(start) if stop is None else range(start, stop)

@@ -1,11 +1,14 @@
 """Prime fields, simplicial complexes as membership oracles, and boundary ranks.
 
-Boundary matrices are assembled with the standard orientation (vertices of
-a face in ascending order; removing the j-th smallest vertex carries sign
-(-1)^j) by ``linalg.pack`` and ranked exactly over a prime field. The
-library builds no complex and eliminates no matrix: ``SimplicialComplex``,
-``face_numbers`` and ``boundary_rank`` carry the reference homology of the
-tests, and the benchmark's trace hooks wrap them by these names.
+The basis ideals have linear quotients, so their Betti numbers do not depend
+on the field: ``PrimeField`` is only the checked order that ``betti --field``
+echoes. Boundary matrices are assembled with the standard orientation
+(vertices of a face in ascending order; removing the j-th smallest vertex
+carries sign (-1)^j) by ``linalg.pack`` and ranked exactly over a prime
+field. The library builds no complex and eliminates no matrix:
+``SimplicialComplex``, ``face_numbers`` and ``boundary_rank`` carry the
+reference homology of the tests, and the benchmark's trace hooks wrap them
+by these names.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .linalg import gf2_rank, is_prime, modp_rank, pack
 
 @dataclass(frozen=True)
 class PrimeField:
-    """GF(p) for a prime p. The package default is GF(2).
+    """GF(p) for a prime p, as ``betti --field`` checks it.
 
     A non-prime order raises ValueError, and so does any order at or above
     ``linalg.PRIME_TEST_BOUND``, where primality is no longer decided.
@@ -31,9 +34,6 @@ class PrimeField:
     def __post_init__(self) -> None:
         if not is_prime(self.p):
             raise ValueError(f"field characteristic must be prime, got {self.p!r}")
-
-
-GF2 = PrimeField(2)
 
 
 class SimplicialComplex:
@@ -114,7 +114,7 @@ def boundary_rank(
     the binomials), the rank is the classical value C(n_vertices - 1, k - 1)
     and no elimination is performed. Otherwise each column is handed to
     ``linalg.pack`` with the vertices whose removal gives a face of ``rows``,
-    and the packed matrix is eliminated exactly.
+    and the sparse matrix is eliminated exactly.
     """
     if not cols or not rows:
         return 0

@@ -1,24 +1,19 @@
-"""Exact matrix rank over prime fields, on bit-packed columns.
+"""Exact matrix rank over prime fields, on sparse columns.
 
-Only this module knows the lane format. Callers hand ``pack`` boundary
-columns as the masks of a face and of the elements it drops, and every
-column becomes one Python int: row ``i`` occupies the ``i``-th lane of
-``lane_width(p)`` bits and holds a residue in ``[0, p)``.
-Over GF(2) a lane is one bit, so a column is a plain bit mask and
-elimination is XOR. Over an odd prime a lane is wide enough that one
-elimination step ``cur + (p - f) * pivot`` cannot carry into the next lane,
-and one Barrett multiply-shift then reduces every lane mod p at once (see
-``lane_layout``). Every step is a handful of whole-int operations, whatever
-the number of rows and whatever the prime. Eliminations pivot on a column's
-highest nonzero lane, which ``int.bit_length`` finds without a pass over the
-column, and each step shortens the column. Everything is exact integer
-arithmetic; there is no floating point anywhere in this package.
+Callers hand ``pack`` boundary columns as the masks of a face and of the
+elements it drops. Rows are numbered as columns first touch them. Over
+GF(2) a column becomes one bit mask and elimination is XOR; over an odd
+prime it becomes a dict from row to residue, eliminated with ``%`` and
+modular inverses. Both pivot on a column's highest row. The library
+eliminates no matrix: the tests' reference homology
+(``complexes.boundary_rank``) and their lead-certificate oracle do.
+Everything is exact integer arithmetic; there is no floating point anywhere
+in this package.
 """
 
 from __future__ import annotations
 
-from functools import cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 # The strong probable-prime test to the first thirteen prime bases is exact
 # for every n below this bound, the least strong pseudoprime to all of them
@@ -62,117 +57,59 @@ def is_prime(p: int) -> bool:
     return True
 
 
-class LaneLayout(NamedTuple):
-    """Lane parameters for packed columns over an odd prime p.
-
-    A lane value after one elimination step is at most p(p - 1), which fits
-    in ``value_bits`` = w bits. With ``shift`` = s = w + bitlen(p) and
-    ``multiplier`` = M = ceil(2^s / p), floor(x * M / 2^s) = floor(x / p)
-    for every x < 2^w. ``width`` = L is wide enough that x * M (< 2^L) never
-    spills into the next lane and the quotient (< p) fits in the L - s bits
-    above the shift, so a whole column reduces as
-    ``x - p * ((x * M >> s) & mask)``, where ``mask`` keeps the low L - s
-    bits of every lane.
-    """
-
-    width: int
-    value_bits: int
-    shift: int
-    multiplier: int
-
-
-@cache
-def lane_layout(p: int) -> LaneLayout:
-    """The packed-lane parameters for GF(p), p an odd prime."""
-    w = (p * (p - 1)).bit_length()
-    s = w + p.bit_length()
-    mult = -(-(1 << s) // p)
-    width = max((((1 << w) - 1) * mult).bit_length(), s + p.bit_length())
-    return LaneLayout(width, w, s, mult)
-
-
-def lane_width(p: int) -> int:
-    """Bits per row in a packed column over GF(p): one bit for p = 2."""
-    return 1 if p == 2 else lane_layout(p).width
-
-
-def pack(columns: Iterable[tuple[int, int]], p: int) -> list[int]:
-    """The columns (f, d), d inside f, packed over GF(p): column (f, d) has
-    the entry (-1)^k in the row of the face f - z for each element z of d,
-    z the k-th smallest element of f (the standard orientation). The rows
-    are just the faces the columns touch, each taking the next lane when a
-    column first touches it. ``complexes.boundary_rank`` is the one caller."""
-    lane: dict[int, int] = {}
-    width, sign = lane_width(p), (1, p - 1)
-    packed = []
+def pack(columns: Iterable[tuple[int, int]], p: int) -> list:
+    """The columns (f, d), d inside f, over GF(p): column (f, d) has the
+    entry (-1)^k in the row of the face f - z for each element z of d, z the
+    k-th smallest element of f (the standard orientation). The rows are just
+    the faces the columns touch, numbered as a column first touches each.
+    Over GF(2) a column is the bit mask of its rows, over an odd prime a
+    ``{row: residue}`` dict."""
+    row: dict[int, int] = {}
+    packed: list = []
     for f, d in columns:
-        v = 0
+        col = {}
         while d:
             z = d & -d
             d ^= z
-            v |= sign[(f & (z - 1)).bit_count() & 1] << width * lane.setdefault(f ^ z, len(lane))
-        packed.append(v)
+            col[row.setdefault(f ^ z, len(row))] = p - 1 if (f & (z - 1)).bit_count() & 1 else 1
+        packed.append(sum(1 << i for i in col) if p == 2 else col)
     return packed
 
 
 def gf2_rank(columns: Iterable[int]) -> int:
-    """Rank over GF(2) of the matrix whose columns are the given bit masks.
-
-    Args:
-        columns: each int encodes one column, bit ``i`` set when row ``i``
-            holds a 1 (the packed format with one-bit lanes).
-
-    Returns:
-        The rank.
-    """
+    """Rank over GF(2) of the matrix whose columns are the given bit masks,
+    bit ``i`` set when row ``i`` holds a 1."""
     pivots: dict[int, int] = {}
-    rank = 0
     for v in columns:
         while v:
-            top = v.bit_length()
-            w = pivots.get(top)
+            w = pivots.get(top := v.bit_length())
             if w is None:
                 pivots[top] = v
-                rank += 1
                 break
             v ^= w
-    return rank
+    return len(pivots)
 
 
-def modp_rank(columns: Sequence[int], p: int) -> int:
-    """Rank over GF(p) of the matrix whose columns are packed ints.
-
-    Args:
-        columns: one int per column; row ``i`` is the lane of
-            ``lane_width(p)`` bits at bit ``i * lane_width(p)``, holding a
-            residue in ``[0, p)``.
-        p: a prime. GF(2) input goes to ``gf2_rank``.
-
-    Returns:
-        The rank.
-    """
+def modp_rank(columns: Sequence, p: int) -> int:
+    """Rank over GF(p) of the matrix whose columns are ``{row: residue}``
+    dicts, as ``pack`` gives them; GF(2) columns, bit masks, go to
+    ``gf2_rank``."""
     if p == 2:
         return gf2_rank(columns)
-    width, _, shift, mult = lane_layout(p)
-    top = max((c.bit_length() for c in columns), default=0)
-    lanes = -(-top // width)
-    ones = ((1 << (lanes * width)) - 1) // ((1 << width) - 1)
-    qmask = ((1 << (width - shift)) - 1) * ones
-    pivots: dict[int, int] = {}
-    rank = 0
-    for cur in columns:
+    pivots: dict[int, dict[int, int]] = {}  # row -> the column pivoting there, scaled to 1
+    for col in columns:
+        cur = {r: v % p for r, v in col.items() if v % p}
         while cur:
-            at = (cur.bit_length() - 1) // width * width
-            f = cur >> at
-            piv = pivots.get(at)
+            top = max(cur)
+            piv = pivots.get(top)
             if piv is None:
-                if f != 1:
-                    cur *= pow(f, -1, p)
-                    cur -= p * (((cur * mult) >> shift) & qmask)
-                pivots[at] = cur
-                rank += 1
+                inv = pow(cur[top], -1, p)
+                pivots[top] = {r: v * inv % p for r, v in cur.items()}
                 break
-            # The lead lane becomes f + (p - f) = p and reduces to 0.
-            cur += (p - f) * piv
-            cur -= p * (((cur * mult) >> shift) & qmask)
-    return rank
+            f = cur[top]
+            for r, v in piv.items():
+                if x := (cur.get(r, 0) - f * v) % p:
+                    cur[r] = x
+                else:
+                    del cur[r]
+    return len(pivots)

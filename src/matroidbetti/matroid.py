@@ -216,24 +216,28 @@ class Matroid:
     def _size_rank(self) -> SizeRank | None:
         """N(k, rho), the number of k-sets of rank rho, for each nonzero one,
         built once and kept: a uniform sum's or a single block's by its
-        presentation (a graph's by the frontier search, None past
-        ``FRONTIER_BUDGET``), else the product of the blocks' kept tables."""
+        presentation (``_block_size_rank``), else the product of the blocks'
+        kept tables."""
         if self._table is False:
-            p = self._presentation
-            blocks = self.blocks().blocks if isinstance(p, _Graph) else ()
+            blocks = self.blocks().blocks if isinstance(self._presentation, _Graph) else ()
             if len(blocks) < 2:
-                self._table = None if p is None else p.size_rank()
-            else:
-                table: SizeRank | None = {(0, 0): 1}
-                for block in blocks:
-                    bm = block.matroid
-                    if bm._table is False:  # one block: no partition of its own needed
-                        bm._table = bm._presentation.size_rank()
-                    if bm._table is None:
-                        table = None
-                        break
-                    table = _table_mul(table, bm._table)
-                self._table = table
+                return self._block_size_rank()
+            table: SizeRank | None = {(0, 0): 1}
+            for block in blocks:
+                if (own := block.matroid._block_size_rank()) is None:
+                    table = None
+                    break
+                table = _table_mul(table, own)
+            self._table = table
+        return self._table  # type: ignore[return-value]
+
+    def _block_size_rank(self) -> SizeRank | None:
+        """``_size_rank`` of a matroid known to be one block, or a uniform
+        sum, with no partition of its own: its presentation's table (a
+        graph's by the frontier search, None past ``FRONTIER_BUDGET``), or
+        None with no presentation. Built once and kept."""
+        if self._table is False:
+            self._table = None if self._presentation is None else self._presentation.size_rank()
         return self._table  # type: ignore[return-value]
 
     def _uniform_profile(self) -> list[tuple[int, int]] | None:

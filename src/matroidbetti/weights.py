@@ -7,8 +7,8 @@ strictly increasing and ends at d_{n-r} = n.
 ``weight_hierarchy`` reads the weights off a table before it lists a
 circuit. A uniform sum answers in closed form. A graph of two or more blocks
 answers by the paper's block theorem: the hierarchy of a direct sum is the
-min-plus convolution of its parts' (``block_weights``), each part answering
-on its own. A single block reads the size-rank table N(k, rho), the number
+min-plus convolution of its parts' (``block_weights``), each block taking
+the single-block routes with no partition of its own. A single block reads the size-rank table N(k, rho), the number
 of k-sets of rank rho (``weights_via_size_rank``, from the table that
 ``Matroid._size_rank`` builds once per matroid): d_i = min{k : N(k, k - i)
 > 0}. Only bare oracles, basis lists and graphs whose frontier search passes
@@ -81,22 +81,29 @@ class WeightHierarchy:
 
 
 def weight_hierarchy(m: Matroid) -> WeightHierarchy:
-    """All weights d_1..d_{n-r}, by the first route that applies: a uniform
-    sum's closed form (d_i of U(r, k) is r + i; ``Matroid._uniform_profile``
-    also finds a cycle, a parallel class, a forest or loops uniform); on a
-    presented matroid of two or more blocks, the paper's block theorem over
-    the blocks' own hierarchies; on a presented single block, its size-rank
-    table, unless its search passed the budget; else the cyclic flats."""
+    """All weights d_1..d_{n-r}: on a presented matroid of two or more
+    blocks that is not a uniform sum, the paper's block theorem over the
+    blocks, each sent straight to the single-block routes with no partition
+    of its own (``_one_block_weights``); else those routes on the whole."""
+    if m._presentation is not None and m._uniform_profile() is None:
+        blocks = m.blocks().blocks
+        if len(blocks) > 1:
+            return block_weights(_one_block_weights(b.matroid) for b in blocks)
+    return _one_block_weights(m)
+
+
+def _one_block_weights(m: Matroid) -> WeightHierarchy:
+    """The first route that applies to one block, or to a matroid taken
+    whole: a uniform sum's closed form (d_i of U(r, k) is r + i;
+    ``Matroid._uniform_profile`` also finds a cycle, a parallel class, a
+    forest or loops uniform); its presentation's size-rank table, unless the
+    search passed the budget; else the cyclic flats."""
     profile = m._uniform_profile()
     if profile is not None:
         return block_weights(range(rj + 1, k + 1) for rj, k in profile)
-    if m._presentation is not None:
-        blocks = m.blocks().blocks
-        if len(blocks) > 1:
-            return block_weights(weight_hierarchy(b.matroid) for b in blocks)
-        if (by_table := weights_via_size_rank(m)) is not None:
-            return by_table
-    return _cyclic_flat_weights(m)
+    if m._block_size_rank() is None:
+        return _cyclic_flat_weights(m)
+    return weights_via_size_rank(m)  # reads the table just kept
 
 
 def _cyclic_flat_weights(m: Matroid) -> WeightHierarchy:

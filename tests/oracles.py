@@ -6,7 +6,7 @@ of induced-subcomplex homology over GF(p), absolute homology of every induced
 subcomplex in every degree instead of the relative chains of the diagonal
 sweep (only the boundary ranks come from the library), a multi-index
 convolution instead of iterated polynomial products, dense Fraction/GF(2)/
-GF(p) eliminations over lists instead of the packed-integer pivoting in the
+GF(p) eliminations over lists instead of the sparse pivoting in the
 package, graph ranks by breadth-first search instead of union-find, blocks
 from a union-find over every circuit instead of over the fundamental
 circuits of one basis, circuits and weight hierarchies read off
@@ -16,8 +16,8 @@ families instead of the rank, global Betti vectors read off the
 Hilbert-series numerator over every degree instead of the library's map
 from spanning counts, and basis counts of graphs by the matrix-tree
 theorem instead of a search over edge sets. The Hochster sweep's lead
-certificates are decided by elimination over GF(p), packed by ``linalg.pack``,
-instead of by a walk on a basis graph. Agreement between these and the
+certificates are decided by elimination over GF(p), assembled by
+``linalg.pack``, instead of by a walk on a basis graph. Agreement between these and the
 library is therefore a genuine two-route check.
 """
 
@@ -30,16 +30,18 @@ from math import comb
 from typing import Callable, Sequence
 
 from matroidbetti import (
-    GF2,
     Matroid,
-    PrimeField,
     ValidationError,
     WeightHierarchy,
     bits,
     k_subsets,
 )
-from matroidbetti.complexes import SimplicialComplex, boundary_rank
+from matroidbetti.complexes import PrimeField, SimplicialComplex, boundary_rank
 from matroidbetti.linalg import modp_rank, pack
+
+GF2 = PrimeField(2)
+# The fields the oracles check the sweep over; the sweep itself takes none.
+FIELDS = (GF2, PrimeField(3), PrimeField(5))
 
 
 def fraction_rank(rows: list[list[Fraction]]) -> int:
@@ -96,7 +98,7 @@ def dense_gf2_rank(rows: list[list[int]]) -> int:
 
 
 def dense_modp_rank(columns: list[list[int]], p: int) -> int:
-    """Textbook GF(p) elimination over lists of residues (no lane packing):
+    """Textbook GF(p) elimination over dense lists of residues:
     pivot on the first nonzero entry of each column, clear it from the rest."""
     mat = [[x % p for x in col] for col in columns]
     rank = 0

@@ -14,15 +14,13 @@ from math import comb
 import pytest
 
 from matroidbetti.cli import main
-from matroidbetti.complexes import SimplicialComplex
+from matroidbetti.complexes import PrimeField, SimplicialComplex
 from matroidbetti.matroid import _frontier
 from matroidbetti import (
     BettiTable,
     CycleProfile,
-    GF2,
     Graph,
     Matroid,
-    PrimeField,
     ValidationError,
     WeightHierarchy,
     betti,
@@ -44,6 +42,7 @@ from matroidbetti import (
 )
 
 from oracles import (
+    FIELDS,
     absolute_betti,
     brute_circuits,
     certificate_columns,
@@ -70,7 +69,6 @@ from util import (
     two_triangles,
 )
 
-GF3 = PrimeField(3)
 # The package attribute ``matroidbetti.betti`` is the function, not the module.
 BETTI_MODULE = importlib.import_module("matroidbetti.betti")
 
@@ -215,50 +213,48 @@ def _differential_cases() -> list[Matroid]:
     return cases
 
 
-@pytest.mark.parametrize("fld", [GF2, GF3, PrimeField(5)], ids=lambda f: f"GF{f.p}")
-def test_relative_chains_match_absolute_homology(fld):
-    # The diagonal sweep ranks relative chains (bases of sigma against the
-    # spanning (r + 1)-subsets of sigma); ``absolute_betti`` ranks the
-    # absolute homology of V|sigma in every degree; the Euler oracle does no
-    # linear algebra at all. All three fine tables must agree. The coarse
-    # sweep counts bases by a closed form, not per sigma, so its levels are
-    # checked against the Euler oracle's too.
+@pytest.fixture(scope="module")
+def differential_sweeps() -> list[tuple[Matroid, BettiTable]]:
+    """Each differential case with its one fine sweep, checked against the
+    Euler oracle, which does no linear algebra at all. The coarse sweep
+    counts bases by a closed form, not per sigma, so its levels are checked
+    against the Euler oracle's too."""
+    out = []
     for m in _differential_cases():
-        fast = hochster_betti(m, fld, fine=True)
+        fast = hochster_betti(m, fine=True)
         euler = euler_fine_betti(m)
         assert fast.fine == euler, (m.provenance, m.n)
-        assert_diagonal_fine(fast, absolute_betti(m, fld))
         levels = [0] * (m.n - m.full_rank + 1)
         for s, h in euler.items():
             levels[s.bit_count() - m.full_rank] += h
-        assert hochster_betti(m, fld).global_ == tuple(levels), (m.provenance, m.n)
+        assert hochster_betti(m).global_ == tuple(levels), (m.provenance, m.n)
+        out.append((m, fast))
+    return out
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f"GF{f.p}")
+def test_relative_chains_match_absolute_homology(differential_sweeps, fld):
+    # The diagonal sweep reads relative chains (bases of sigma against the
+    # spanning (r + 1)-subsets of sigma) and takes no field; ``absolute_betti``
+    # ranks the absolute homology of V|sigma in every degree over GF(p). The
+    # one sweep must give the homology over GF(2), GF(3) and GF(5).
+    for m, fast in differential_sweeps:
+        assert_diagonal_fine(fast, absolute_betti(m, fld))
 
 
 @pytest.mark.parametrize(
     "fld",
-    [GF3, PrimeField(5), PrimeField(7), PrimeField(13), PrimeField(17), PrimeField(2**61 - 1)],
+    [PrimeField(p) for p in (3, 5, 7, 13, 17, 2**61 - 1)],
 )
-def test_field_independence(fld, monkeypatch):
-    # Over every odd prime the seeded graphs and the chorded rings, whose
-    # blocks run to hundreds of bases, give the GF(2) tables, fine and coarse,
-    # and the sweep decides the same lead certificates, some of them, as over
-    # GF(2).
-    certificates = _recording_certificates(monkeypatch)
-    decided = {GF2: [], fld: []}
+def test_field_independence(fld):
+    # The sweep takes no field: its one table, fine and coarse, is the
+    # homology of V|sigma over each odd prime too, up to 2^61 - 1, on seeded
+    # multigraphs small enough for every (i, sigma) to be ranked.
     rng = random.Random(SEED)
     cases = [uniform(2, 4), two_triangles_matroid(), multi_uniform([(1, 2), (2, 3)])]
-    cases += [random_multigraph(rng) for _ in range(40)]
-    cases += [chorded_ring(rng, v, c) for v, c in ((9, 4), (10, 4), (11, 3))]
+    cases += [random_multigraph(rng) for _ in range(12)]
     for m in cases:
-        tables = {}
-        for f in decided:
-            certificates.clear()
-            tables[f] = hochster_betti(m, f, fine=True)
-            decided[f] += certificates
-        assert tables[GF2].coarse == tables[fld].coarse
-        assert tables[GF2].fine == tables[fld].fine
-    assert decided[fld]
-    assert decided[GF2] == decided[fld]
+        assert_diagonal_fine(hochster_betti(m, fine=True), absolute_betti(m, fld))
 
 
 def test_sweep_reads_each_face_level_once(monkeypatch):
@@ -306,7 +302,7 @@ def test_all_bases_fine_table_matches_the_relative_chain_sweep():
     # which ranks the relative chains of every sigma.
     for n in range(1, 8):
         for r in range(1, n + 1):
-            table = hochster_betti(uniform(r, n), GF3, fine=True)
+            table = hochster_betti(uniform(r, n), fine=True)
             totals, h = BETTI_MODULE._relative_homology(uniform(r, n), fine=True)
             assert table.global_ == tuple(totals), (r, n)
             assert table.fine == h, (r, n)
@@ -337,7 +333,7 @@ def _recording_certificates(monkeypatch) -> list[list[tuple[int, int]]]:
 
 def _shapes(certificates: list[list[tuple[int, int]]]) -> list[tuple[int, int]]:
     """The (rows, columns) of each certificate matrix: its rows are the bases
-    its columns drop to, as many as ``linalg.pack`` would give lanes."""
+    its columns drop to, as many as ``linalg.pack`` would number."""
     return [(len({c ^ 1 << e for c, d in cols for e in bits(d)}), len(cols)) for cols in certificates]
 
 
@@ -374,9 +370,10 @@ def test_17_edge_ring_over_gf3(monkeypatch):
     m = graph_matroid(12, CHORDED_RING_17)
     assert (m.n, m.full_rank, len(m.bases())) == (17, 11, 3343)
     certificates = _recording_certificates(monkeypatch)
-    table = hochster_betti(m, GF3, fine=True)
+    table = hochster_betti(m, fine=True)
     assert table.fine == euler_fine_betti(m)
     assert table.global_ == (3343, 16533, 34391, 38472, 24388, 8300, 1184)
+    assert all(lead_certificate(cols, 3) for cols in certificates)
     rows = _shapes(certificates)
     assert rows
     # A certificate has only the rows its columns touch: the tallest has 47,
@@ -391,12 +388,10 @@ def test_sweep_hands_no_one_column_matrix_to_elimination(monkeypatch):
     # sweep once eliminated 522 matrices, 201 of them of one column.
     g1 = cycle_matroid(fixture("g1"))
     certificates = _recording_certificates(monkeypatch)
-    for fld in (GF2, GF3):
-        certificates.clear()
-        assert hochster_betti(g1, fld).global_ == (393, 1459, 2187, 1652, 628, 96)
-        rows = _shapes(certificates)
-        assert rows
-        assert min(width for _, width in rows) >= 2
+    assert hochster_betti(g1).global_ == (393, 1459, 2187, 1652, 628, 96)
+    rows = _shapes(certificates)
+    assert rows
+    assert min(width for _, width in rows) >= 2
 
 
 def _cores(m: Matroid) -> dict[int, list[int]]:
@@ -428,25 +423,39 @@ def _lead_groups(m: Matroid) -> Counter[int]:
     return Counter(max(t ^ 1 << e for e in bits(t) if t ^ 1 << e in bases) for t in columns)
 
 
-@pytest.mark.parametrize("fld", [GF2, GF3, PrimeField(5)], ids=lambda f: f"GF{f.p}")
+@pytest.fixture(scope="module")
+def swept_graphs() -> dict[str, tuple[Matroid, BettiTable, list]]:
+    """g1 and the 17-edge ring, each with its one coarse sweep and the
+    columns of every lead certificate that sweep decided."""
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        certificates = _recording_certificates(mp)
+        for name in ("g1", "ring17"):
+            certificates.clear()
+            m = _sweep_graph(name)
+            out[name] = (m, hochster_betti(m), list(certificates))
+    return out
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f"GF{f.p}")
 @pytest.mark.parametrize(
     ("name", "work"),
     [("g1", (36, 246, 3_128)), ("ring17", (338, 3_068, 79_758))],
     ids=["g1", "ring17"],
 )
-def test_sweep_ranks_each_core_once(monkeypatch, name, work, fld):
+def test_sweep_ranks_each_core_once(swept_graphs, name, work, fld):
     # No core is eliminated: each core's rank is read once, off its lead
     # rows. The only matrices are the certificates of the pairs of columns
-    # led by one basis, one walk per pair on these graphs. Their number,
-    # total columns and rows times columns are pinned exactly, the same in
-    # every field. A certificate has only the rows its columns touch: with
-    # every basis through max T below the lead as a row, the cells were
-    # 37,547 on g1 and 3,622,617 on the ring, and a sweep eliminating every
-    # such core had 321, 2,451, 393,004 on g1 and 2,258, 37,865, 53,351,335
-    # on the ring.
-    m = _sweep_graph(name)
-    certificates = _recording_certificates(monkeypatch)
-    assert hilbert_check(hochster_betti(m, fld), m)
+    # led by one basis, one walk per pair on these graphs, and each passes
+    # by elimination over GF(2), GF(3) and GF(5). Their number, total
+    # columns and rows times columns are pinned exactly. A certificate has
+    # only the rows its columns touch: with every basis through max T below
+    # the lead as a row, the cells were 37,547 on g1 and 3,622,617 on the
+    # ring, and a sweep eliminating every such core had 321, 2,451, 393,004
+    # on g1 and 2,258, 37,865, 53,351,335 on the ring.
+    m, table, certificates = swept_graphs[name]
+    assert hilbert_check(table, m)
+    assert all(lead_certificate(cols, fld.p) for cols in certificates)
     rows = _shapes(certificates)
     assert (len(rows), sum(w for _, w in rows), sum(h * w for h, w in rows)) == work
     assert len(rows) == sum(comb(k, 2) for k in _lead_groups(m).values())
@@ -473,12 +482,12 @@ def _textbook_rank(columns: list[dict[int, int]], p: int) -> int:
     return len(pivots)
 
 
-@pytest.mark.parametrize("fld", [GF2, GF3, PrimeField(5)], ids=lambda f: f"GF{f.p}")
+@pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f"GF{f.p}")
 @pytest.mark.parametrize("name", ["g1", "ring17"])
 def test_core_rank_is_its_number_of_lead_rows(name, fld):
     # The law the sweep certifies: the core of every sigma, its columns
-    # signed by the standard orientation, has as its rank the number of
-    # distinct leads (largest bases) of its columns.
+    # signed by the standard orientation, has as its rank over GF(p) the
+    # number of distinct leads (largest bases) of its columns.
     m = _sweep_graph(name)
     bases = set(m.bases())
     for sigma, ts in _cores(m).items():
@@ -492,24 +501,35 @@ def test_a_failed_certificate_is_refused(monkeypatch, capsys):
     # line maps that to exit 2.
     monkeypatch.setattr(BETTI_MODULE, "_certified", lambda get, b, ys, t, t2: False)
     with pytest.raises(ValidationError, match="certificate"):
-        hochster_betti(cycle_matroid(fixture("g1")), GF3)
+        hochster_betti(cycle_matroid(fixture("g1")))
     assert main(["betti", "--input", "g1", "--algorithm", "hochster"]) == 2
     assert "certificate" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("fld", [GF2, GF3, PrimeField(5)], ids=lambda f: f"GF{f.p}")
-def test_certificate_columns_but_the_last_have_distinct_leads(monkeypatch, fld):
+@pytest.fixture(scope="module")
+def certificate_groups() -> list[list[list[tuple[int, int]]]]:
+    """The columns of every lead certificate one sweep decides, for g1 and
+    the 17-edge ring, then for the random linear matroids over GF(2), GF(3)
+    and GF(5), one list per group."""
+    groups = []
+    with pytest.MonkeyPatch.context() as mp:
+        certificates = _recording_certificates(mp)
+        for cases in ([_sweep_graph("g1"), _sweep_graph("ring17")], *map(structure_cases, ("gf2", "gf3", "gf5"))):
+            certificates.clear()
+            for m in cases:
+                hochster_betti(m)
+            groups.append(list(certificates))
+    return groups
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f"GF{f.p}")
+def test_certificate_columns_but_the_last_have_distinct_leads(certificate_groups, fld):
     # The lemma in ``hochster_betti``: the columns U - y led below B have
     # pairwise distinct leads, so each certificate matrix but its last column
     # T' is in echelon form, and one elimination would decide it. The lead
     # of a column T, its largest basis, is T less the least element of its
-    # mask. Every certificate is recorded, on g1, the 17-edge ring and the
-    # random linear matroids over GF(2), GF(3) and GF(5), and eliminated.
-    certificates = _recording_certificates(monkeypatch)
-    for cases in ([_sweep_graph("g1"), _sweep_graph("ring17")], *map(structure_cases, ("gf2", "gf3", "gf5"))):
-        certificates.clear()
-        for m in cases:
-            hochster_betti(m, fld)
+    # mask. Every certificate of each group is eliminated over GF(p).
+    for certificates in certificate_groups:
         assert certificates
         for cols in certificates:
             leads = {t ^ (d & -d) for t, d in cols[:-1]}
@@ -533,51 +553,49 @@ def _set_families(rng: random.Random, count: int) -> list[Matroid]:
     return out
 
 
-@pytest.mark.parametrize("fld", [GF2, GF3, PrimeField(5)], ids=lambda f: f"GF{f.p}")
-def test_certificate_walk_matches_the_elimination_oracle(monkeypatch, fld):
-    # Every lead certificate the sweep decides by its walk is decided again
-    # by the elimination of ``oracles.lead_certificate`` over the same field,
-    # with the same outcome, on matroids and on families of r-sets that are
-    # the bases of none. The sweep is let run on past a failed certificate, so that every
-    # certificate of a family is compared; some must fail with distinct
-    # leads, on the walk, and some on a repeated lead.
+@pytest.fixture(scope="module")
+def walk_verdicts() -> tuple[list, list]:
+    """The columns of every lead certificate one sweep decides, each with
+    the walk's verdict, on matroids, then on families of r-sets that are the
+    bases of none. The sweep is let run on past a failed certificate, so
+    that every certificate of a family is recorded."""
     certified = BETTI_MODULE._certified
-    outcomes = Counter()
+    verdicts: list = []
 
-    def comparing(get, b, ys, t, t2):
-        ok = certified(get, b, ys, t, t2)
-        cols = certificate_columns(get, b, ys, t, t2)
-        assert lead_certificate(cols, fld.p) == ok, (b, t, t2)
-        outcomes[ok, len({c ^ (d & -d) for c, d in cols[:-1]}) == len(cols) - 1] += 1
+    def recording(get, b, ys, t, t2):
+        verdicts.append((certificate_columns(get, b, ys, t, t2), certified(get, b, ys, t, t2)))
         return True
 
-    monkeypatch.setattr(BETTI_MODULE, "_certified", comparing)
     rng = random.Random(SEED + 34)
     cases = [_sweep_graph("g1"), _sweep_graph("ring17")]
     cases += [m for family in ("gf2", "gf3", "gf5") for m in structure_cases(family)]
     cases += [random_multigraph(rng) for _ in range(60)]
-    for m in cases:
-        hochster_betti(m, fld)
-    assert outcomes == {(True, True): 1340}
-    for m in _set_families(rng, 300):
-        hochster_betti(m, fld)
-    assert outcomes[False, True] > 0 and outcomes[False, False] > 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BETTI_MODULE, "_certified", recording)
+        for m in cases:
+            hochster_betti(m)
+        matroids = verdicts[:]
+        verdicts.clear()
+        for m in _set_families(rng, 300):
+            hochster_betti(m)
+    return matroids, verdicts
 
 
-@pytest.mark.parametrize("name", ["g1", "ring17"])
-def test_every_field_eliminates_the_same_matrices(monkeypatch, name):
-    # A core's rows are the bases of its block, whatever the field, so the
-    # sweep decides the same certificates over GF(2), GF(3) and GF(5),
-    # column for column, in the same order.
-    m = _sweep_graph(name)
-    certificates = _recording_certificates(monkeypatch)
-    decided = []
-    for fld in (GF2, GF3, PrimeField(5)):
-        certificates.clear()
-        hochster_betti(m, fld)
-        decided.append(list(certificates))
-    assert decided[0]
-    assert decided[0] == decided[1] == decided[2]
+@pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f"GF{f.p}")
+def test_certificate_walk_matches_the_elimination_oracle(walk_verdicts, fld):
+    # Every lead certificate the sweep decides by its walk is decided again
+    # by the elimination of ``oracles.lead_certificate`` over GF(p), with the
+    # same outcome. On the families some must fail with distinct leads, on
+    # the walk, and some on a repeated lead.
+    for verdicts in walk_verdicts:
+        for cols, ok in verdicts:
+            assert lead_certificate(cols, fld.p) == ok, cols
+    outcomes = [
+        Counter((ok, len({c ^ (d & -d) for c, d in cols[:-1]}) == len(cols) - 1) for cols, ok in verdicts)
+        for verdicts in walk_verdicts
+    ]
+    assert outcomes[0] == {(True, True): 1340}
+    assert outcomes[1][False, True] > 0 and outcomes[1][False, False] > 0
 
 
 def test_sweep_packs_each_core_with_its_columns(monkeypatch):

@@ -170,6 +170,28 @@ def test_unrecognized_object_exits_1(capsys):
     assert "unrecognized input object" in err
 
 
+@pytest.mark.parametrize("name", ["g1", "g3"])
+def test_the_field_is_only_a_label(capsys, name):
+    # The Betti numbers of a basis ideal are the same over every field, so
+    # with --fine --crosscheck, --field p prints the --field 2 report, in
+    # text and in JSON, but for the field line or member.
+    for output in ("text", "json"):
+        argv = ["betti", "--input", name, "--fine", "--crosscheck", "--output", output]
+        code, base, _ = run(capsys, *argv, "--field", "2")
+        assert code == 0
+        for p in (3, 5, 2**61 - 1):
+            code, out, _ = run(capsys, *argv, "--field", str(p))
+            assert code == 0
+            if output == "json":
+                got, want = json.loads(out), json.loads(base)
+                assert (got.pop("field"), want.pop("field")) == (p, 2)
+                assert got == want
+            else:
+                got, want = out.splitlines(), base.splitlines()
+                assert len(got) == len(want)
+                assert [(x, y) for x, y in zip(got, want) if x != y] == [(f"field: GF({p})", "field: GF(2)")]
+
+
 def test_non_prime_field_exits_1(capsys):
     code, _, err = run(capsys, "betti", "--input", "g3", "--field", "4")
     assert code == 1

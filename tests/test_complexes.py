@@ -6,22 +6,19 @@ from math import comb
 import pytest
 
 from matroidbetti import (
-    GF2,
-    PrimeField,
     mask_of,
     uniform,
 )
-from matroidbetti.complexes import SimplicialComplex, boundary_rank, face_numbers
+from matroidbetti.complexes import PrimeField, SimplicialComplex, boundary_rank, face_numbers
 
 from matroidbetti.linalg import (
     PRIME_TEST_BOUND,
     is_prime,
-    lane_layout,
-    lane_width,
     modp_rank,
 )
 
 from oracles import (
+    GF2,
     dense_gf2_rank,
     dense_modp_rank,
     dual_alexander_complex,
@@ -280,9 +277,13 @@ def test_face_numbers_of_uniform_dual_complex():
 WIDE_PRIMES = (3, 5, 7, 13, 17, 101, 65537, 2**61 - 1)
 
 
-def pack(column, p):
-    width = lane_width(p)
-    return sum((x % p) << (i * width) for i, x in enumerate(column))
+def sparse(column, p):
+    """A dense column of residues in the format ``linalg.pack`` gives:
+    over GF(2) the bit mask of its odd rows, else ``{row: residue}`` for the
+    nonzero rows."""
+    if p == 2:
+        return sum((x & 1) << i for i, x in enumerate(column))
+    return {i: x % p for i, x in enumerate(column) if x % p}
 
 
 def test_modp_rank_matches_dense_reference():
@@ -306,23 +307,4 @@ def test_modp_rank_matches_dense_reference():
             rng.shuffle(cols)
             cases.append(cols)
         for cols in cases:
-            assert modp_rank([pack(c, p) for c in cols], p) == dense_modp_rank(cols, p)
-
-
-def test_lane_layout_leaves_no_carry():
-    for p in WIDE_PRIMES:
-        width, w, s, mult = lane_layout(p)
-        assert p * (p - 1) < 1 << w  # one elimination step fits in w bits
-        assert ((1 << w) - 1) * mult < 1 << width  # x * M stays in its lane
-        assert 0 <= mult * p - (1 << s) < p
-        assert (mult * p - (1 << s)) << w <= 1 << s  # Barrett is exact below 2^w
-        assert p < 1 << (width - s)  # the quotient fits above the shift
-        # the reduction of whole columns, lanes at their extremes
-        values = [0, 1, p - 1, p, p + 1, p * (p - 1), (1 << w) - 1] * 3
-        x = sum(v << (i * width) for i, v in enumerate(values))
-        ones = sum(1 << (i * width) for i in range(len(values)))
-        qmask = ((1 << (width - s)) - 1) * ones
-        reduced = x - p * (((x * mult) >> s) & qmask)
-        lanes = [(reduced >> (i * width)) & ((1 << width) - 1) for i in range(len(values))]
-        assert lanes == [v % p for v in values]
-        assert reduced >> (len(values) * width) == 0
+            assert modp_rank([sparse(c, p) for c in cols], p) == dense_modp_rank(cols, p)

@@ -7,17 +7,15 @@ import inspect
 import pathlib
 
 import matroidbetti
-from matroidbetti import hochster_betti
+from matroidbetti import betti, hochster_betti
 
 PUBLIC = {
     "BettiTable",
     "Block",
     "BlockPartition",
     "CycleProfile",
-    "GF2",
     "Graph",
     "Matroid",
-    "PrimeField",
     "ValidationError",
     "WeightHierarchy",
     "betti",
@@ -46,7 +44,7 @@ PUBLIC = {
 
 
 def test_all_lists_exactly_the_public_names():
-    assert len(matroidbetti.__all__) == len(PUBLIC) == 32
+    assert len(matroidbetti.__all__) == len(PUBLIC) == 30
     assert set(matroidbetti.__all__) == PUBLIC
 
 
@@ -56,9 +54,11 @@ def test_every_public_name_resolves():
 
 
 def test_sweep_has_no_exhaustive_mode():
+    # Nor a field: the Betti numbers of a basis ideal are the same over every
+    # field, and only ``betti --field`` checks and echoes one.
     params = inspect.signature(hochster_betti).parameters
-    assert list(params) == ["m", "fld", "fine"]
-    assert "exhaustive" not in params
+    assert list(params) == ["m", "fine"]
+    assert list(inspect.signature(betti).parameters) == ["m", "algorithm", "fine"]
 
 
 def test_lower_layers_do_not_import_upper_ones():

@@ -12,12 +12,14 @@ from math import comb
 import pytest
 
 from matroidbetti import (
+    Graph,
     Matroid,
     ValidationError,
     WeightHierarchy,
     block_weights,
     cactus_weights,
     cycle_matroid,
+    dual_min_distance,
     fixture,
     mask_of,
     multi_uniform,
@@ -43,6 +45,7 @@ from util import (
     graph_matroid,
     multiblock_suite,
     parts_of,
+    ring_graph,
     structure_cases,
     two_triangles,
 )
@@ -393,6 +396,28 @@ def test_block_weights_matches_direct_computation():
         m = multi_uniform(profile)
         parts = [weight_hierarchy(uniform(r, n)) for r, n in profile]
         assert block_weights(parts).weights == weight_hierarchy(m).weights, profile
+
+
+def test_block_routes_partition_the_ground_set_once(monkeypatch):
+    # The block theorem sends each block straight to the single-block
+    # routes, here its size-rank table, and the least dual circuit past
+    # level 2 reads each block's table too, with no partition of a block's
+    # own: one block partition in all, where each once built three.
+    find = Matroid._block_masks
+    calls = []
+    monkeypatch.setattr(Matroid, "_block_masks", lambda self: calls.append(self.n) or find(self))
+    rng = random.Random(3)
+    a, b = ring_graph(rng, 9, 4), ring_graph(rng, 8, 3)
+    want = block_weights(weights_via_size_rank(cycle_matroid(g)) for g in (a, b))
+    calls.clear()
+    m = cycle_matroid(Graph(16, a.edges + tuple((u and u + 8, v and v + 8) for u, v in b.edges)))
+    assert weight_hierarchy(m) == want
+    assert calls == [24] and len(m.blocks().blocks) == 2
+    # Two copies of K4 at a vertex: every edge cut has 3 edges or more.
+    k4 = [(u, v) for v in range(4) for u in range(v)]
+    calls.clear()
+    assert dual_min_distance(cycle_matroid(Graph(7, k4 + [(u and u + 3, v + 3) for u, v in k4]))) == 3
+    assert calls == [12]
 
 
 def test_block_weights_permutation_invariant_and_matches_naive():
